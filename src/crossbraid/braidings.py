@@ -23,15 +23,7 @@ from .groups import (
     quotient,
     subgroup_as_group,
 )
-from .subcats import (
-    OmegaBicharacter,
-    SubcatData,
-    _pair_solutions,
-    _same_twist,
-    contains,
-    fpdim,
-    verify_bicharacter,
-)
+from .subcats import OmegaBicharacter, SubcatData, contains, fpdim, pair_subcats
 from .twisted_center import TwistedGroupData
 
 
@@ -147,7 +139,7 @@ def check_theorem_conditions(ambient: TwistedGroupData, grading: GradingSpec,
     against M modulo H.
     """
     G = ambient.group
-    if not _same_twist(ambient, s.parent):
+    if not ambient.same_twist(s.parent):
         raise ParentMismatch("witness lives over a different twist")
     if not grading.group.same_table(G):
         raise InvalidGrading("grading is for a different group")
@@ -193,13 +185,7 @@ def enumerate_pointed(data: TwistedGroupData,
     if not set(K.elements) <= set(center(G).elements):
         return []
     whole = Subgroup(G, G.elements)
-    sol = _pair_solutions(data, K, whole)
-    out = []
-    if sol is not None:
-        for tab in sol.enumerate():
-            cand = OmegaBicharacter(data, K, whole, tab)
-            if verify_bicharacter(cand):
-                out.append(_certify(grading, SubcatData(data, K, whole, cand)))
+    out = [_certify(grading, s) for s in pair_subcats(data, K, whole)]
     out.sort(key=lambda c: _witness_key(c.witness))
     return out
 
@@ -237,20 +223,14 @@ def enumerate_rep(G: FiniteGroup, H: Subgroup) -> list[CrossedBraidingCertificat
             if not all(t[a][b] == t[b][a]
                        for a in L.elements for b in M.elements):
                 continue
-            sol = _pair_solutions(data, L, M)
-            if sol is None:
-                continue
-            for tab in sol.enumerate():
-                cand = OmegaBicharacter(data, L, M, tab)
-                if not verify_bicharacter(cand):
+            nm = M.order
+            for s in pair_subcats(data, L, M, killed=H):
+                # nondegenerate: only the identity row of the table is zero
+                tab = s.B.table
+                if any(not any(tab[i * nm:(i + 1) * nm])
+                       for i in range(1, L.order)):
                     continue
-                if any(cand.exponent_at(l, h) for l in L.elements
-                       for h in H.elements):
-                    continue
-                if any(not any(cand.exponent_at(l, m) for m in M.elements)
-                       for l in L.elements if l != 0):
-                    continue
-                out.append(_certify(grading, SubcatData(data, L, M, cand)))
+                out.append(_certify(grading, s))
     out.sort(key=lambda c: _witness_key(c.witness))
     return out
 

@@ -167,6 +167,15 @@ def _parse_ids(text: str | None, flag: str) -> tuple[int, ...]:
     return tuple(sorted(set(ids)))
 
 
+def _positive(value: int | None, flag: str, default: int) -> int:
+    """An optional positive option: its default when absent, else checked."""
+    if value is None:
+        return default
+    if value < 1:
+        raise ValueError(f"{flag} must be a positive integer, got {value}")
+    return value
+
+
 def _describe(G: FiniteGroup) -> str:
     return G.name or f"order-{G.order}"
 
@@ -204,9 +213,10 @@ def _cmd_subgroups(cfg: RunConfig):
 
 def _cmd_cohomology(cfg: RunConfig):
     G = _load_group(cfg.group, "--group")
-    modulus = cfg.modulus or G.order
+    modulus = _positive(cfg.modulus, "--modulus", G.order)
     H = cohomology_group(G, cfg.degree, mu_module(modulus),
-                         budget=cfg.budget or COHOMOLOGY_BUDGET)
+                         budget=_positive(cfg.budget, "--budget",
+                                          COHOMOLOGY_BUDGET))
     report = {
         "group": _describe(G),
         "degree": cfg.degree,
@@ -241,7 +251,8 @@ def _cmd_center_census(cfg: RunConfig):
 def _cmd_subcats(cfg: RunConfig):
     G = _load_group(cfg.group, "--group")
     data = _load_twist(cfg.omega, G)
-    subs = enumerate_subcats(data, budget=cfg.budget or SUBCAT_BUDGET)
+    subs = enumerate_subcats(
+        data, budget=_positive(cfg.budget, "--budget", SUBCAT_BUDGET))
     report = {
         "group": _describe(G),
         "omega": cfg.omega,
@@ -351,7 +362,8 @@ def _cmd_zesting(cfg: RunConfig):
 
 def _cmd_obstruction(cfg: RunConfig):
     G = _load_group(cfg.group, "--group")
-    w = _load_cochain(cfg.omega, G, 2, mu_module(cfg.modulus or G.order))
+    modulus = _positive(cfg.modulus, "--modulus", G.order)
+    w = _load_cochain(cfg.omega, G, 2, mu_module(modulus))
     rep = fully_faithful_obstruction(G, w.module, w)
     report = {
         "group": _describe(G),

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    CrossbraidError,
     DegreeTooHigh,
     NonTrivialAction,
     NotACocycle,
@@ -510,7 +511,10 @@ def cohomology_group(G: FiniteGroup, degree: int, module: CoefficientModule,
         tau = np.zeros((r, 0), dtype=np.int64)
     else:
         D_prev, _pins, pouts = _bar_matrix(G, module, degree - 1, normalized=True)
-        assert pouts == ins
+        if pouts != ins:
+            raise CrossbraidError(
+                f"bar complex degrees {degree - 1} and {degree} disagree "
+                "on their shared coordinates")
         im_cols = []
         for v in range(D_prev.shape[1]):
             m = module.orders[v % k]

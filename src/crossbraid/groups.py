@@ -139,9 +139,11 @@ class Subgroup:
         G = self.parent
         if not elems or elems[0] != 0:
             raise NotAGroup("subgroup must contain the identity")
+        # ids are sorted from 0, so the largest one range-checks them all
+        # before the closure loops below index the table
+        G.check_element(elems[-1])
         inside = set(elems)
         for a in elems:
-            G.check_element(a)
             if G.inverse[a] not in inside:
                 raise NotAGroup(f"subgroup not closed under inverse at {a}")
             for b in elems:
@@ -731,7 +733,9 @@ def dual_group(A: FiniteGroup) -> DualGroup:
         raise NotAbelian("dual group requires an abelian group")
     e = A.exponent
     chars = enumerate_homs_to_abelian(A, cyclic(e))
-    assert len(chars) == A.order, "character count must equal group order"
+    if len(chars) != A.order:
+        raise NotAbelian(
+            f"found {len(chars)} characters on a group of order {A.order}")
     idx = {c: i for i, c in enumerate(chars)}
     table = [
         [idx[tuple((x + y) % e for x, y in zip(c1, c2))] for c2 in chars]

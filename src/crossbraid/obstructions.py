@@ -132,7 +132,8 @@ def fibered_enrichment_extends(E: FiniteGroup, N: Subgroup) -> FiberedReport:
         pos[E.mul(E.inv(lam[G.mul(g, h)]), E.mul(lam[g], lam[h]))]
         for g in G.elements for h in G.elements)
     c = Cochain(2, G, module, table, normalized=True)
-    assert is_cocycle(c)
+    if not is_cocycle(c):
+        raise NotACocycle("extension 2-cochain fails the cocycle identity")
     if is_coboundary(c) is None:
         return FiberedReport(False, "extension class does not vanish")
     return FiberedReport(True, "a direct product complement exists",

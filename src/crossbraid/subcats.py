@@ -3,11 +3,14 @@
 A subcategory datum is a pair of commuting normal subgroups L, M of G
 together with a pairing B: L x M -> roots of unity that is multiplicative
 in each slot up to beta corrections and invariant under conjugation.
-Everything runs on exponent tables modulo one fixed working modulus, so
-verification and enumeration are exact.
+Everything runs on exponent tables modulo one fixed working modulus, where
+all three conditions are linear congruences: enumeration solves them as
+one system, so verification and enumeration are exact.
 """
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +21,7 @@ from .errors import (
     NotNormal,
     ParentMismatch,
 )
-from .exact import UnityExponent, solve_congruences
+from .exact import CongruenceSolution, UnityExponent, solve_congruences
 from .groups import Subgroup, commuting_normal_pairs, is_normal
 from .twisted_center import TwistedGroupData
 
@@ -41,8 +44,11 @@ class OmegaBicharacter:
     """Exponent table of a candidate pairing L x M -> mu_N'.
 
     Entries are stored row-major over (L.elements, M.elements) and reduced
-    modulo the working modulus of the parent twist.  Construction does not
-    check the pairing axioms; run verify_bicharacter for that.
+    modulo the working modulus of the parent twist.  The pairing axioms
+    (right-slot and left-slot multiplicativity, conjugation invariance)
+    are linear congruences in these entries with beta offsets:
+    solve_pairings solves all three at once, and verify_bicharacter checks
+    one given table.  Construction checks neither.
     """
 
     parent: TwistedGroupData
@@ -61,18 +67,20 @@ class OmegaBicharacter:
         mod = self.modulus
         object.__setattr__(self, "table",
                            tuple(int(x) % mod for x in self.table))
-        object.__setattr__(self, "_pos_l",
-                           {a: i for i, a in enumerate(self.L.elements)})
-        object.__setattr__(self, "_pos_m",
-                           {a: i for i, a in enumerate(self.M.elements)})
 
     @property
     def modulus(self) -> int:
         return working_modulus(self.parent)
 
+    @cached_property
+    def _slots(self) -> tuple[dict[int, int], dict[int, int]]:
+        return ({a: i for i, a in enumerate(self.L.elements)},
+                {a: i for i, a in enumerate(self.M.elements)})
+
     def exponent_at(self, l: int, m: int) -> int:
+        pos_l, pos_m = self._slots
         try:
-            return self.table[self._pos_l[l] * self.M.order + self._pos_m[m]]
+            return self.table[pos_l[l] * self.M.order + pos_m[m]]
         except KeyError:
             raise InvalidElement(f"({l}, {m}) is not in L x M") from None
 
@@ -92,64 +100,115 @@ class BicharacterReport:
         return self.ok
 
 
+def _positions(G, S: Subgroup) -> np.ndarray:
+    """Index of each element of G inside S.elements, -1 outside S."""
+    pos = np.full(G.order, -1, dtype=np.int64)
+    pos[list(S.elements)] = np.arange(S.order)
+    return pos
+
+
+def _axiom_blocks(data: TwistedGroupData, L: Subgroup, M: Subgroup):
+    """The three pairing axioms over L x M as linear forms in the table.
+
+    Unknown i * |M| + j is the entry at (L.elements[i], M.elements[j]).
+    One block per axiom, in the order verify_bicharacter reports them:
+    (axes, terms, offset), where offset holds one cell per axiom instance,
+    terms are (columns, coefficient) with column arrays broadcasting to
+    offset's shape, and the instance reads
+
+        sum of coefficient * table[columns]  ==  offset  (mod N').
+
+    axes name the element ids along each array axis: (l, m1, m2) for the
+    right slot, (k, l, m) for the left slot and (g, l, m) for invariance,
+    in the sweep order of the witnesses.  Beta offsets are read from the
+    twist's beta table, so the blocks cost a few array gathers.
+    """
+    G = data.group
+    lift = G.exponent
+    T = G.np_table
+    inv = np.array(G.inverse)
+    beta = data.beta_table
+    Le, Me = np.array(L.elements), np.array(M.elements)
+    pl, pm = _positions(G, L), _positions(G, M)
+    nm = M.order
+    u = np.arange(L.order * nm).reshape(-1, nm)
+    g = np.arange(G.order)[:, None]
+    # slots of g^-1 l g per (g, l) and of g m g^-1 per (g, m)
+    inner_l = pl[T[T[inv[:, None], Le], g]]
+    inner_m = pm[T[T[g, Me], inv[:, None]]]
+    if (inner_l < 0).any() or (inner_m < 0).any():
+        raise NotNormal("L and M must both be normal")
+    # B(l, m1 m2) - B(l, m1) - B(l, m2) = -lift beta_l(m1, m2)
+    right = ((L.elements, M.elements, M.elements),
+             ((u[:, pm[T[Me[:, None], Me]]], 1),
+              (u[:, :, None], -1), (u[:, None, :], -1)),
+             -lift * beta[Le[:, None, None], Me[:, None], Me])
+    # B(kl, m) - B(k, m) - B(l, m) = lift beta_m(k, l)
+    left = ((L.elements, L.elements, M.elements),
+            ((u[pl[T[Le[:, None], Le]]], 1), (u[:, None, :], -1), (u, -1)),
+            lift * beta[Me, Le[:, None, None], Le[:, None]])
+    # B(g^-1 l g, m) - B(l, g m g^-1)
+    #   = lift (beta_l(g, m) + beta_l(gm, g^-1) - beta_l(g, g^-1))
+    l, g3, gi3 = Le[:, None], g[:, :, None], inv[:, None, None]
+    off = beta[l, g3, Me] + beta[l, T[g3, Me], gi3] - beta[l, g3, gi3]
+    invariant = ((G.elements, L.elements, M.elements),
+                 ((u[inner_l], 1), (u[:, :1] + inner_m[:, None, :], -1)),
+                 lift * off)
+    return right, left, invariant
+
+
 def verify_bicharacter(cand: OmegaBicharacter) -> BicharacterReport:
     """Exhaustive check of slot multiplicativity and conjugation invariance.
 
     Returns a report instead of raising; on failure it carries the first
     failing axiom (1: right slot, 2: left slot, 3: invariance) and the
-    element tuple where it broke.  Element ids are swept in ascending
-    order, so the witness is deterministic.  L and M are assumed commuting
-    normal; conjugation stays inside them only under that assumption.
+    element tuple where it broke.  Within an axiom the witness is the
+    first failing instance with element ids in ascending order, so it is
+    deterministic.  Every instance is evaluated at once over the twist's
+    beta table.  L and M must be normal (NotNormal otherwise) and are
+    assumed to commute.
     """
-    data = cand.parent
-    G = data.group
     mod = cand.modulus
-    lift = mod // data.modulus
-    b = cand.exponent_at
-    beta = data.beta_exp
-    for l in cand.L.elements:
-        for m1 in cand.M.elements:
-            for m2 in cand.M.elements:
-                rhs = (b(l, m1) + b(l, m2) - lift * beta(l, m1, m2)) % mod
-                if b(l, G.mul(m1, m2)) != rhs:
-                    return BicharacterReport(False, 1, (l, m1, m2))
-    for k in cand.L.elements:
-        for l in cand.L.elements:
-            for m in cand.M.elements:
-                rhs = (b(k, m) + b(l, m) + lift * beta(m, k, l)) % mod
-                if b(G.mul(k, l), m) != rhs:
-                    return BicharacterReport(False, 2, (k, l, m))
-    for g in G.elements:
-        gi = G.inv(g)
-        for l in cand.L.elements:
-            for m in cand.M.elements:
-                off = (beta(l, g, m) + beta(l, G.mul(g, m), gi)
-                       - beta(l, g, gi))
-                rhs = (b(l, G.conj(g, m)) + lift * off) % mod
-                if b(G.conj(gi, l), m) != rhs:
-                    return BicharacterReport(False, 3, (g, l, m))
-    # mark the instance so later constructions skip the re-sweep
-    object.__setattr__(cand, "_verified", True)
+    table = np.array(cand.table, dtype=np.int64)
+    blocks = _axiom_blocks(cand.parent, cand.L, cand.M)
+    for axiom, (axes, terms, offset) in enumerate(blocks, start=1):
+        resid = -offset
+        for cols, coef in terms:
+            resid = resid + coef * table[cols]
+        bad = resid % mod != 0
+        if bad.any():
+            where = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            witness = tuple(int(ax[k]) for ax, k in zip(axes, where))
+            return BicharacterReport(False, axiom, witness)
     return BicharacterReport(True)
 
 
-def _same_twist(d1: TwistedGroupData, d2: TwistedGroupData) -> bool:
-    return (d1.group.same_table(d2.group) and d1.modulus == d2.modulus
-            and d1.omega.table == d2.omega.table)
+# lets SubcatData trust a pairing read off a solve_pairings lattice
+_SOLVED = object()
 
 
 @dataclass(frozen=True)
 class SubcatData:
-    """Verified subcategory datum S(L, M, B) over a twisted double."""
+    """Verified subcategory datum S(L, M, B) over a twisted double.
+
+    Construction checks that L and M are commuting normal subgroups and
+    that B satisfies every pairing axiom.  Data read off a solved pairing
+    lattice (pair_subcats, enumerate_subcats) skip those checks: the pair
+    came from commuting_normal_pairs or was checked by solve_pairings, and
+    every lattice point satisfies the axioms by construction.
+    """
 
     parent: TwistedGroupData
     L: Subgroup
     M: Subgroup
     B: OmegaBicharacter
+    origin: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, origin):
+        if origin is _SOLVED:
+            return
         if self.B.parent is not self.parent and \
-                not _same_twist(self.B.parent, self.parent):
+                not self.B.parent.same_twist(self.parent):
             raise ParentMismatch("pairing belongs to a different twist")
         if self.B.L != self.L or self.B.M != self.M:
             raise ParentMismatch("pairing is indexed by different subgroups")
@@ -162,11 +221,10 @@ class SubcatData:
                 if t[a][b] != t[b][a]:
                     raise NotCentral(
                         f"L and M must commute elementwise; ({a}, {b}) do not")
-        if not getattr(self.B, "_verified", False):
-            report = verify_bicharacter(self.B)
-            if not report:
-                raise ValueError(
-                    f"pairing fails axiom {report.axiom} at {report.witness}")
+        report = verify_bicharacter(self.B)
+        if not report:
+            raise ValueError(
+                f"pairing fails axiom {report.axiom} at {report.witness}")
 
 
 def fpdim(s: SubcatData) -> int:
@@ -189,7 +247,7 @@ def contains(s1: SubcatData, s2: SubcatData) -> bool:
     Holds exactly when L2 <= L1, M1 <= M2, and the pairings agree on
     L2 x M1.
     """
-    if not _same_twist(s1.parent, s2.parent):
+    if not s1.parent.same_twist(s2.parent):
         raise ParentMismatch("subcategory data over different twists")
     if not set(s2.L.elements) <= set(s1.L.elements):
         return False
@@ -199,69 +257,102 @@ def contains(s1: SubcatData, s2: SubcatData) -> bool:
                for l in s2.L.elements for m in s1.M.elements)
 
 
-def _pair_solutions(data: TwistedGroupData, L: Subgroup, M: Subgroup):
-    """Solve the two multiplicativity axioms over the pair as congruences.
+def _dense_rows(blocks, nunk: int, mod: int):
+    """One congruence row per axiom instance, reduced mod N'.
 
-    Unknowns are the table entries; beta terms are constant offsets, so
-    each axiom instance is one linear row.  Coefficients accumulate since
-    slots can collide (for example m2 = identity).
+    Rows that read 0 = 0 and repeated rows are dropped; a row reading
+    0 = c with c nonzero means no pairing exists, and None is returned.
+    """
+    b = np.concatenate([offset.ravel() for _, _, offset in blocks]) % mod
+    A = np.zeros((b.size, nunk), dtype=np.int64)
+    start = 0
+    for _axes, terms, offset in blocks:
+        rows = np.arange(start, start + offset.size).reshape(offset.shape)
+        for cols, coef in terms:
+            A[rows, cols] += coef    # one column per row and term: no clash
+        start += offset.size
+    A %= mod
+    live = A.any(axis=1)
+    if b[~live].any():
+        return None
+    both = np.column_stack((A[live], b[live]))
+    keys = both.view(np.dtype((np.void, both.itemsize * both.shape[1])))
+    first = np.sort(np.unique(keys.ravel(), return_index=True)[1])
+    return both[first, :-1], both[first, -1]
+
+
+def solve_pairings(data: TwistedGroupData, L: Subgroup, M: Subgroup,
+                   killed: Subgroup | None = None) -> CongruenceSolution | None:
+    """Every valid pairing L x M -> mu_N', as one solved congruence lattice.
+
+    All three axioms go into a single system: unknowns are the table
+    entries, beta terms are constant offsets, so each axiom instance is one
+    linear row.  Every lattice point is a valid pairing.  With killed, a
+    subgroup of M, the pairing must also vanish on L x killed.  L and M
+    must be commuting normal subgroups.  Returns None when no pairing
+    exists.
     """
     G = data.group
+    if not (L.parent.same_table(G) and M.parent.same_table(G)):
+        raise ParentMismatch("subgroups live over a different group")
+    T = G.np_table
+    Le, Me = np.array(L.elements), np.array(M.elements)
+    if not np.array_equal(T[Le[:, None], Me], T[Me, Le[:, None]]):
+        raise NotCentral("L and M must commute elementwise")
+    blocks = list(_axiom_blocks(data, L, M))
+    if killed is not None:
+        pm = _positions(G, M)[list(killed.elements)]
+        if (pm < 0).any():
+            raise InvalidElement("killed subgroup must lie inside M")
+        cols = np.arange(L.order)[:, None] * M.order + pm
+        blocks.append(((), ((cols, 1),), np.zeros(cols.shape, dtype=np.int64)))
     mod = working_modulus(data)
-    lift = G.exponent
-    nm = M.order
-    pos_l = {a: i for i, a in enumerate(L.elements)}
-    pos_m = {a: i for i, a in enumerate(M.elements)}
-    nunk = L.order * nm
-    rows = np.zeros((L.order * nm * nm + L.order * L.order * nm, nunk),
-                    dtype=np.int64)
-    rhs = np.zeros(rows.shape[0], dtype=np.int64)
-    r = 0
-    for l in L.elements:
-        i = pos_l[l] * nm
-        for m1 in M.elements:
-            for m2 in M.elements:
-                rows[r, i + pos_m[G.mul(m1, m2)]] += 1
-                rows[r, i + pos_m[m1]] -= 1
-                rows[r, i + pos_m[m2]] -= 1
-                rhs[r] = -lift * data.beta_exp(l, m1, m2)
-                r += 1
-    for k in L.elements:
-        for l in L.elements:
-            for m in M.elements:
-                j = pos_m[m]
-                rows[r, pos_l[G.mul(k, l)] * nm + j] += 1
-                rows[r, pos_l[k] * nm + j] -= 1
-                rows[r, pos_l[l] * nm + j] -= 1
-                rhs[r] = lift * data.beta_exp(m, k, l)
-                r += 1
-    return solve_congruences(rows, rhs % mod, mod)
+    rows = _dense_rows(blocks, L.order * M.order, mod)
+    if rows is None:
+        return None
+    return solve_congruences(rows[0], rows[1], mod)
+
+
+def _solved_subcats(data: TwistedGroupData, L: Subgroup, M: Subgroup,
+                    sol: CongruenceSolution) -> Iterator[SubcatData]:
+    for tab in sol.enumerate():
+        yield SubcatData(data, L, M, OmegaBicharacter(data, L, M, tab),
+                         _SOLVED)
+
+
+def pair_subcats(data: TwistedGroupData, L: Subgroup, M: Subgroup,
+                 killed: Subgroup | None = None) -> Iterator[SubcatData]:
+    """S(L, M, B) for every valid pairing B found by solve_pairings.
+
+    The pairings are solved at the call and built one at a time as the
+    result is iterated.
+    """
+    sol = solve_pairings(data, L, M, killed)
+    return iter(()) if sol is None else _solved_subcats(data, L, M, sol)
 
 
 def enumerate_subcats(data: TwistedGroupData,
                       budget: int = DEFAULT_BUDGET) -> list[SubcatData]:
     """All subcategory data over the twist, in canonical order.
 
-    Per commuting normal pair the solutions of the multiplicativity axioms
-    form a coset of a lattice, enumerated exactly; conjugation invariance
-    is then a finite filter.  The result is sorted by (|L|, |M|, L ids,
-    M ids, table), is duplicate free, and always includes S(1, G, 1) and
-    S(1, 1, 1).
+    Per commuting normal pair the valid pairings form a coset of a lattice
+    cut out by all three axioms at once (solve_pairings), enumerated
+    exactly with no filter afterwards.  The budget bounds the number of
+    valid pairings, summed over the pairs.  The result is sorted by (|L|,
+    |M|, L ids, M ids, table), is duplicate free, and always includes
+    S(1, G, 1) and S(1, 1, 1).
     """
-    examined = 0
+    found = 0
     out = []
     for L, M in commuting_normal_pairs(data.group):
-        sol = _pair_solutions(data, L, M)
+        sol = solve_pairings(data, L, M)
         if sol is None:
             continue
-        examined += sol.count
-        if examined > budget:
+        found += sol.count
+        if found > budget:
             raise BudgetExceeded(
-                f"{examined} candidate pairings exceed budget {budget}")
-        for tab in sol.enumerate():
-            cand = OmegaBicharacter(data, L, M, tab)
-            if verify_bicharacter(cand):
-                out.append(SubcatData(data, L, M, cand))
+                f"{found} valid pairings exceed budget {budget}")
+        out.extend(_solved_subcats(data, L, M, sol))
     out.sort(key=lambda s: (s.L.order, s.M.order, s.L.elements,
                             s.M.elements, s.B.table))
     return out

@@ -33,7 +33,7 @@ from .groups import (
 class TwistedGroupData:
     """A finite group together with a verified normalized 3-cocycle twist."""
 
-    __slots__ = ("group", "omega", "modulus", "_w")
+    __slots__ = ("group", "omega", "modulus", "_w", "_beta")
 
     def __init__(self, group: FiniteGroup, omega: Cochain):
         if not omega.group.same_table(group):
@@ -52,6 +52,7 @@ class TwistedGroupData:
         self.modulus = A.order
         s = group.order
         self._w = np.array(omega.table, dtype=np.int64).reshape((s, s, s))
+        self._beta = None
 
     @classmethod
     def trivial(cls, group: FiniteGroup, modulus: int = 1) -> "TwistedGroupData":
@@ -68,6 +69,34 @@ class TwistedGroupData:
         t2 = self._w[g, h, G.conj(G.inv(gh), a)]
         t3 = self._w[g, G.conj(G.inv(g), a), h]
         return int(t1 + t2 - t3) % self.modulus
+
+    @property
+    def beta_table(self) -> np.ndarray:
+        """beta_exp(a, g, h) for every triple, as an (s, s, s) array.
+
+        Built on first use and kept, read-only, for the life of the datum.
+        """
+        if self._beta is None:
+            G = self.group
+            T = G.np_table
+            inv = np.array(G.inverse)
+            conj = T[T, inv[:, None]]          # conj[x, a] = x a x^-1
+            s = G.order
+            a = np.arange(s)[:, None, None]
+            g = np.arange(s)[None, :, None]
+            h = np.arange(s)[None, None, :]
+            t2 = self._w[g, h, conj[inv[T[g, h]], a]]
+            t3 = self._w[g, conj[inv[g], a], h]
+            beta = (self._w + t2 - t3) % self.modulus
+            beta.flags.writeable = False
+            self._beta = beta
+        return self._beta
+
+    def same_twist(self, other: "TwistedGroupData") -> bool:
+        """Whether both data carry the same group table and the same twist."""
+        return (self.group.same_table(other.group)
+                and self.modulus == other.modulus
+                and self.omega.table == other.omega.table)
 
     def __repr__(self) -> str:
         return f"TwistedGroupData({self.group!r}, mu_{self.modulus})"

@@ -112,6 +112,26 @@ class TestEnumerationVerbs:
         code, doc = go_json("subcats", "--group", "C4", "--budget", "3")
         assert code == 2
         assert doc["error"] == "BudgetExceeded"
+        assert "valid pairings" in doc["reason"]
+
+    @pytest.mark.parametrize("argv", [
+        ("cohomology", "--group", "C2", "--modulus", "0"),
+        ("cohomology", "--group", "C2", "--modulus", "-3"),
+        ("obstruction", "--group", "C2", "--modulus", "-3"),
+        ("subcats", "--group", "C2", "--budget", "0"),
+        ("cohomology", "--group", "C2", "--budget", "0"),
+    ])
+    def test_nonpositive_modulus_or_budget_is_malformed(self, argv):
+        code, doc = go_json(*argv)
+        assert code == 1
+        assert doc["error"] == "ValueError"
+        assert argv[-2] in doc["reason"] and argv[-1] in doc["reason"]
+
+    def test_explicit_modulus_is_used(self):
+        code, doc = go_json("cohomology", "--group", "C2", "--degree", "2",
+                            "--modulus", "4")
+        assert code == 0
+        assert doc["modulus"] == 4
 
     def test_pointed_full_grading_unique(self):
         code, doc = go_json("crossed-pointed", "--group", "S3",
@@ -176,6 +196,12 @@ class TestObstructionVerbs:
                             "--normal", "0,3,4")
         assert doc["extends"] is False
         assert "conjugation" in doc["reason"]
+
+    def test_fibered_out_of_range_normal_is_malformed(self):
+        code, doc = go_json("fibered", "--extension", "D8", "--normal", "0,99")
+        assert code == 1
+        assert doc["error"] == "InvalidElement"
+        assert "99" in doc["reason"]
 
     def test_fibered_non_normal_rejected(self):
         code, doc = go_json("fibered", "--extension", "S3", "--normal", "0,1")

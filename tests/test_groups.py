@@ -201,6 +201,13 @@ class TestSubgroups:
         with pytest.raises(NotAGroup):
             cb.Subgroup(S3, (1, 2))  # no identity
 
+    def test_subgroup_rejects_out_of_range_ids(self):
+        # range checks run before the closure loops index the table
+        D8 = cb.dihedral(8)
+        for ids in ((0, 99), (0, 8), (0, 1, 2, 3, 99)):
+            with pytest.raises(cb.InvalidElement):
+                cb.Subgroup(D8, ids)
+
     def test_normality(self):
         S3 = cb.symmetric(3)
         normals = cb.normal_subgroups(S3)

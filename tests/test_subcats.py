@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import crossbraid as cb
@@ -11,11 +12,15 @@ from crossbraid.subcats import (
     SubcatData,
     centralizer_subcat,
     contains,
+    BicharacterReport,
     enumerate_subcats,
     fpdim,
+    pair_subcats,
+    solve_pairings,
     verify_bicharacter,
     working_modulus,
 )
+from crossbraid.exact import solve_congruences
 from crossbraid.twisted_center import TwistedGroupData
 
 C2 = cb.cyclic(2)
@@ -400,3 +405,175 @@ class TestAgainstBruteForce:
             cand = OmegaBicharacter(data, L, M, tab)
             assert bool(verify_bicharacter(cand)) == \
                 ((L.elements, M.elements, tab) in keys)
+
+
+# -- independent references for the folded congruence system ----------------
+
+def reference_verify(cand):
+    """Element-by-element sweep of the three pairing axioms.
+
+    Kept as an oracle for the vectorized verify_bicharacter and the
+    folded solve: it reads each axiom straight off its definition.
+    """
+    data = cand.parent
+    G = data.group
+    mod = cand.modulus
+    lift = mod // data.modulus
+    b = cand.exponent_at
+    beta = data.beta_exp
+    for l in cand.L.elements:
+        for m1 in cand.M.elements:
+            for m2 in cand.M.elements:
+                rhs = (b(l, m1) + b(l, m2) - lift * beta(l, m1, m2)) % mod
+                if b(l, G.mul(m1, m2)) != rhs:
+                    return BicharacterReport(False, 1, (l, m1, m2))
+    for k in cand.L.elements:
+        for l in cand.L.elements:
+            for m in cand.M.elements:
+                rhs = (b(k, m) + b(l, m) + lift * beta(m, k, l)) % mod
+                if b(G.mul(k, l), m) != rhs:
+                    return BicharacterReport(False, 2, (k, l, m))
+    for g in G.elements:
+        gi = G.inv(g)
+        for l in cand.L.elements:
+            for m in cand.M.elements:
+                off = (beta(l, g, m) + beta(l, G.mul(g, m), gi)
+                       - beta(l, g, gi))
+                rhs = (b(l, G.conj(g, m)) + lift * off) % mod
+                if b(G.conj(gi, l), m) != rhs:
+                    return BicharacterReport(False, 3, (g, l, m))
+    return BicharacterReport(True)
+
+
+def reference_lattice(data, L, M, axioms):
+    """Solve only the listed slot axioms (1: right, 2: left), row by row."""
+    G = data.group
+    mod = working_modulus(data)
+    lift = G.exponent
+    nm = M.order
+    pos_l = {a: i for i, a in enumerate(L.elements)}
+    pos_m = {a: i for i, a in enumerate(M.elements)}
+    rows, rhs = [], []
+
+    def row(entries, value):
+        r = [0] * (L.order * nm)
+        for col, coef in entries:
+            r[col] += coef
+        rows.append(r)
+        rhs.append(value % mod)
+
+    if 1 in axioms:
+        for l in L.elements:
+            i = pos_l[l] * nm
+            for m1 in M.elements:
+                for m2 in M.elements:
+                    row([(i + pos_m[G.mul(m1, m2)], 1), (i + pos_m[m1], -1),
+                         (i + pos_m[m2], -1)],
+                        -lift * data.beta_exp(l, m1, m2))
+    if 2 in axioms:
+        for k in L.elements:
+            for l in L.elements:
+                for m in M.elements:
+                    j = pos_m[m]
+                    row([(pos_l[G.mul(k, l)] * nm + j, 1),
+                         (pos_l[k] * nm + j, -1), (pos_l[l] * nm + j, -1)],
+                        lift * data.beta_exp(m, k, l))
+    return solve_congruences(np.array(rows, dtype=np.int64),
+                             np.array(rhs, dtype=np.int64), mod)
+
+
+def stored_twists(names=cb.H3_BATTERY):
+    for name in names:
+        H = cb.load_h3_fixture(name, verify=False)
+        for index in range(H.class_count):
+            yield name, index, TwistedGroupData(
+                H.group, H.class_representative(index))
+
+
+class TestFoldedSystem:
+    @pytest.mark.parametrize("name", cb.H3_BATTERY)
+    def test_folded_lattice_is_filtered_two_axiom_lattice(self, name):
+        # every stored twist, every commuting normal pair: the one-shot
+        # solve finds exactly the slot-axiom solutions the sweep accepts
+        pairs = checked = 0
+        for _, _, data in stored_twists([name]):
+            for L, M in cb.commuting_normal_pairs(data.group):
+                two = reference_lattice(data, L, M, axioms=(1, 2))
+                expect = set()
+                if two is not None:
+                    for tab in two.enumerate():
+                        if reference_verify(OmegaBicharacter(data, L, M, tab)):
+                            expect.add(tab)
+                folded = solve_pairings(data, L, M)
+                got = set() if folded is None else set(folded.enumerate())
+                assert got == expect, (name, L.elements, M.elements)
+                if folded is not None:
+                    assert folded.count == len(got)
+                pairs += 1
+                checked += len(expect)
+        assert pairs and checked
+
+    def test_random_tables_match_reference(self):
+        # uniform tables mostly break the right slot; lattice points of the
+        # right-slot or both-slot systems reach the left slot and invariance
+        rng = random.Random(20191007)
+        seen = set()
+        for name, index, data in stored_twists():
+            if rng.random() > 0.3:
+                continue
+            mod = working_modulus(data)
+            for L, M in cb.commuting_normal_pairs(data.group):
+                n = L.order * M.order
+                pools = [None, reference_lattice(data, L, M, axioms=(1,)),
+                         reference_lattice(data, L, M, axioms=(1, 2))]
+                for pool in pools:
+                    for _ in range(3):
+                        if pool is None:
+                            tab = tuple(rng.randrange(mod) for _ in range(n))
+                        else:
+                            x = list(pool.particular)
+                            for gen, order in pool.generators:
+                                t = rng.randrange(order)
+                                x = [a + t * g for a, g in zip(x, gen)]
+                            tab = tuple(x)
+                        cand = OmegaBicharacter(data, L, M, tab)
+                        want = reference_verify(cand)
+                        assert verify_bicharacter(cand) == want, \
+                            (name, index, L.elements, M.elements, tab)
+                        seen.add(want.axiom)
+        assert seen == {None, 1, 2, 3}
+
+    def test_pair_subcats_need_no_reverification(self):
+        data = twist("D8", 5)
+        for L, M in cb.commuting_normal_pairs(data.group):
+            for s in pair_subcats(data, L, M):
+                assert reference_verify(s.B)
+                assert SubcatData(data, L, M, s.B) == s
+
+    def test_killed_rows(self):
+        # pairings vanishing on L x H are the valid ones with zero H columns
+        G = cb.builtin_group("D8")
+        data = TwistedGroupData.trivial(G)
+        H = cb.center(G)
+        for L, M in cb.commuting_normal_pairs(G):
+            if not set(H.elements) <= set(M.elements):
+                continue
+            cols = [j for j, m in enumerate(M.elements) if m in H.elements]
+            every = {s.B.table for s in pair_subcats(data, L, M)}
+            expect = {t for t in every
+                      if all(t[i * M.order + j] == 0
+                             for i in range(L.order) for j in cols)}
+            got = {s.B.table for s in pair_subcats(data, L, M, killed=H)}
+            assert got == expect
+
+    def test_solve_rejects_non_commuting_or_non_normal(self):
+        D8 = cb.builtin_group("D8")
+        data = TwistedGroupData.trivial(D8)
+        V, W = _klein_normals(D8)
+        with pytest.raises(cb.NotCentral):
+            solve_pairings(data, V, W)
+        S = _nonnormal_order2(D8)
+        with pytest.raises(cb.NotNormal):
+            solve_pairings(data, S, unit(D8))
+        with pytest.raises(cb.NotNormal):
+            verify_bicharacter(OmegaBicharacter(data, S, unit(D8), (0, 0)))
