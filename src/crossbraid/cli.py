@@ -381,6 +381,10 @@ def _cmd_obstruction(cfg: RunConfig):
 BATTERY = ("C2", "C3", "C4", "C6", "C2xC2", "S3", "D8", "Q8")
 
 
+class PropertyFailed(Exception):
+    """A selftest property does not hold; the message names the witness."""
+
+
 def _battery_twists(cfg: RunConfig):
     for name in BATTERY:
         H = load_h3_fixture(name)
@@ -395,9 +399,11 @@ def _prop_group_axioms(cfg: RunConfig):
     for name in BATTERY:
         G = builtin_group(name)
         covered = sum(len(members) for _, members in conjugacy_classes(G))
-        assert covered == G.order, f"{name}: classes do not partition"
+        if covered != G.order:
+            raise PropertyFailed(f"{name}: classes do not partition")
         for s in all_subgroups(G):
-            assert G.order % s.order == 0, f"{name}: Lagrange fails"
+            if G.order % s.order:
+                raise PropertyFailed(f"{name}: Lagrange fails")
 
 
 def _prop_beta_cocycle(cfg: RunConfig):
@@ -406,7 +412,7 @@ def _prop_beta_cocycle(cfg: RunConfig):
             try:
                 beta_restricted_cocycle(data, a)
             except CrossbraidError as e:
-                raise AssertionError(
+                raise PropertyFailed(
                     f"{name} class {k} element {a}: {e}") from None
 
 
@@ -414,8 +420,8 @@ def _prop_census_total(cfg: RunConfig):
     for name, k, data in _battery_twists(cfg):
         census = simple_census(data)
         expected = data.group.order ** 2
-        assert census.fpdim_square_total == expected, \
-            f"{name} class {k}: census misses |G|^2"
+        if census.fpdim_square_total != expected:
+            raise PropertyFailed(f"{name} class {k}: census misses |G|^2")
 
 
 def _prop_subcat_duality(cfg: RunConfig):
@@ -424,8 +430,10 @@ def _prop_subcat_duality(cfg: RunConfig):
         square = data.group.order ** 2
         for s in enumerate_subcats(data):
             dual = centralizer_subcat(s)
-            assert fpdim(s) * fpdim(dual) == square, f"{name}: duality fails"
-            assert centralizer_subcat(dual) == s, f"{name}: not involutive"
+            if fpdim(s) * fpdim(dual) != square:
+                raise PropertyFailed(f"{name}: duality fails")
+            if centralizer_subcat(dual) != s:
+                raise PropertyFailed(f"{name}: not involutive")
 
 
 def _prop_pointed_uniqueness(cfg: RunConfig):
@@ -433,7 +441,8 @@ def _prop_pointed_uniqueness(cfg: RunConfig):
         G = data.group
         pi = GroupHom(G, G, tuple(G.elements))
         count = len(enumerate_pointed(data, pi))
-        assert count == 1, f"{name} class {k}: {count} certificates"
+        if count != 1:
+            raise PropertyFailed(f"{name} class {k}: {count} certificates")
 
 
 def _prop_fibered_recognition(cfg: RunConfig):
@@ -446,7 +455,8 @@ def _prop_fibered_recognition(cfg: RunConfig):
             Ngrp, _ = subgroup_as_group(N)
             expected = is_isomorphic(E, product_group(Ngrp, Q))
             got = fibered_enrichment_extends(E, N).extends
-            assert got == expected, f"{name} over {N.elements}"
+            if got != expected:
+                raise PropertyFailed(f"{name} over {N.elements}")
 
 
 def _prop_differential_squares_to_zero(cfg: RunConfig):
@@ -457,8 +467,9 @@ def _prop_differential_squares_to_zero(cfg: RunConfig):
         for degree in (1, 2):
             for _ in range(5):
                 c = random_cochain(G, module, degree, rng)
-                assert differential(differential(c)).is_zero, \
-                    f"{name}: d(d(c)) nonzero in degree {degree}"
+                if not differential(differential(c)).is_zero:
+                    raise PropertyFailed(
+                        f"{name}: d(d(c)) nonzero in degree {degree}")
 
 
 SELFTEST_PROPERTIES = (
@@ -479,7 +490,7 @@ def _cmd_selftest(cfg: RunConfig):
         try:
             prop(cfg)
             rows.append({"property": name, "ok": True, "detail": ""})
-        except (AssertionError, CrossbraidError) as e:
+        except (PropertyFailed, CrossbraidError) as e:
             all_ok = False
             rows.append({"property": name, "ok": False, "detail": str(e)})
     report = {

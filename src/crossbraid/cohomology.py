@@ -318,27 +318,34 @@ def _bar_matrix(G: FiniteGroup, module: CoefficientModule, n: int,
     otherwise.  Returns (matrix mod e, input tuples, output tuples).
     """
     s, k, e = G.order, module.rank, module.exponent
-    rng = range(1, s) if normalized else range(s)
+    lo = 1 if normalized else 0
+    rng = range(lo, s)
     ins = list(itertools.product(rng, repeat=n))
     outs = list(itertools.product(rng, repeat=n + 1))
-    pos = {t: i for i, t in enumerate(ins)}
+    h = np.array(outs, dtype=np.int64).reshape(len(outs), n + 1)
+    place = (s - lo) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    blk = np.arange(k)
+    rows = (np.arange(len(outs)) * k)[:, None] + blk
     D = np.zeros((len(outs) * k, len(ins) * k), dtype=np.int64)
+
+    def add(keep, tuples, blocks):
+        """D[block(o, tuples[o])] += blocks[o] for the output tuples kept."""
+        cols = (((tuples - lo) @ place) * k)[:, None] + blk
+        np.add.at(D, (rows[keep][:, :, None], cols[:, None, :]), blocks)
+
+    everything = slice(None)
+    acts = np.stack([module.scaled_action(g) for g in range(s)])
+    add(everything, h[:, 1:], acts[h[:, 0]])
     eye = np.eye(k, dtype=np.int64)
-    for o, h in enumerate(outs):
-        row = o * k
-
-        def put(t, blk):
-            col = pos[t] * k
-            D[row:row + k, col:col + k] += blk
-
-        put(h[1:], module.scaled_action(h[0]))
-        sign = -1
-        for i in range(1, n + 1):
-            m = G.mul(h[i - 1], h[i])
-            if not (normalized and m == 0):
-                put(h[:i - 1] + (m,) + h[i + 1:], sign * eye)
-            sign = -sign
-        put(h[:n], sign * eye)
+    sign = -1
+    for i in range(1, n + 1):
+        merged = h.copy()
+        merged[:, i] = G.np_table[h[:, i - 1], h[:, i]]
+        merged = np.delete(merged, i - 1, axis=1)
+        keep = merged[:, i - 1] != 0 if normalized else everything
+        add(keep, merged[keep], sign * eye)
+        sign = -sign
+    add(everything, h[:, :n], sign * eye)
     return D % e, ins, outs
 
 

@@ -18,6 +18,9 @@ import numpy as np
 # elimination step (q*entry + entry) cannot overflow 63 bits
 _INT64_GUARD = 1 << 31
 
+# pivot-search key of a zero entry: |0| - 1 wrapped to uint64
+_NO_PIVOT = np.iinfo(np.uint64).max
+
 
 @dataclass(frozen=True)
 class UnityExponent:
@@ -205,33 +208,52 @@ class _Reduction:
             self.vinv[p] += q * self.vinv[j]
             self._sym(self.vinv[p])
 
+    def _axpy(self, arr, rows, q, src):
+        """arr[rows] -= q ⊗ src, re-reduced, touching only columns where
+        src != 0: every other entry would subtract zero, and all arrays are
+        kept reduced, so re-reducing it would change nothing."""
+        cols = src.nonzero()[0]
+        ix = rows[:, None], cols
+        block = arr[ix]
+        block -= q[:, None] * src[cols]
+        arr[ix] = self._sym(block)
+
     def bulk_row_clear(self, t, q):
         """rows t+1.. -= q ⊗ row t, one vectorized elimination sweep.
 
-        Only called mid-pivot, when rows below t are zero left of column t,
-        so the matrix update can stay inside the active block.
+        Only the rows with q != 0 are touched, and in them only the columns
+        where row t is nonzero (see _axpy).  Only called mid-pivot, when rows
+        below t are zero left of column t, so the matrix update stays inside
+        the active block.
         """
-        self.a[t + 1:, t:] -= np.outer(q, self.a[t, t:])
-        self._sym(self.a[t + 1:, t:])
+        nz = q.nonzero()[0]
+        q, rows = q[nz], t + 1 + nz
+        self._axpy(self.a[:, t:], rows, q, self.a[t, t:])
         if self.u is not None:
-            self.u[t + 1:] -= np.outer(q, self.u[t])
-            self._sym(self.u[t + 1:])
+            self._axpy(self.u, rows, q, self.u[t])
         if self.uinv is not None:
-            self.uinv[:, t] += self.uinv[:, t + 1:].dot(q)
+            self.uinv[:, t] += self.uinv[:, rows].dot(q)
             self._sym(self.uinv[:, t])
         if self.carry is not None:
-            self.carry[t + 1:] -= np.outer(q, self.carry[t])
-            self._sym(self.carry[t + 1:])
+            self._axpy(self.carry, rows, q, self.carry[t])
 
     def bulk_col_clear(self, t, q):
-        """cols t+1.. -= col t ⊗ q; column t is zero above row t mid-pivot."""
-        self.a[t:, t + 1:] -= np.outer(self.a[t:, t], q)
-        self._sym(self.a[t:, t + 1:])
+        """cols t+1.. -= col t ⊗ q, touching only row t of the matrix.
+
+        Only called mid-pivot, when column t is zero off the pivot, so the
+        matrix changes only in row t.  V and Vinv change only in the columns
+        (rows) with q != 0, and V only in the rows where its column t is
+        nonzero (see _axpy).
+        """
+        nz = q.nonzero()[0]
+        q, cols = q[nz], t + 1 + nz
+        row = self.a[t]
+        row[cols] -= row[t] * q
+        row[cols] = self._sym(row[cols])
         if self.v is not None:
-            self.v[:, t + 1:] -= np.outer(self.v[:, t], q)
-            self._sym(self.v[:, t + 1:])
+            self._axpy(self.v.T, cols, q, self.v[:, t])
         if self.vinv is not None:
-            self.vinv[t] += q.dot(self.vinv[t + 1:])
+            self.vinv[t] += q.dot(self.vinv[cols])
             self._sym(self.vinv[t])
 
     def negate_row(self, i):
@@ -260,11 +282,8 @@ class _Reduction:
     # -- diagonalization ---------------------------------------------------
 
     def _pick_pivot(self, t):
+        """First smallest nonzero |entry| of the trailing block, row-major."""
         sub = self.a[t:, t:]
-        mags = np.abs(sub)
-        nz = mags != 0
-        if not nz.any():
-            return None
         if sub.dtype == object:
             best, where = None, None
             for i in range(sub.shape[0]):
@@ -272,10 +291,18 @@ class _Reduction:
                     val = abs(int(sub[i, j]))
                     if val and (best is None or val < best):
                         best, where = val, (i, j)
+            if where is None:
+                return None
             i, j = where
         else:
-            masked = np.where(nz, mags, np.iinfo(np.int64).max)
-            flat = int(np.argmin(masked))
+            # |x| - 1 as uint64 sends 0 to the largest key, so one argmin
+            # finds the first smallest nonzero magnitude
+            keys = np.abs(sub)
+            keys -= 1
+            keys = keys.view(np.uint64)
+            flat = int(np.argmin(keys))
+            if keys.flat[flat] == _NO_PIVOT:
+                return None
             i, j = divmod(flat, sub.shape[1])
         return t + i, t + j
 
@@ -298,21 +325,21 @@ class _Reduction:
                 self.negate_row(t)
                 piv = -piv
             col = self.a[t + 1:, t]
-            if col.size and np.any(col != 0):
+            if col.any():
                 # nearest-quotient sweep; residues end up at most piv/2
                 q = (col + piv // 2) // piv
                 self.bulk_row_clear(t, q)
                 col = self.a[t + 1:, t]
-                if np.any(col != 0):
+                if col.any():
                     self.swap_rows(t, t + 1 + self._min_nonzero(col))
                     continue
             row = self.a[t, t + 1:]
-            if row.size and np.any(row != 0):
+            if row.any():
                 piv = int(self.a[t, t])
                 q = (row + piv // 2) // piv
                 self.bulk_col_clear(t, q)
                 row = self.a[t, t + 1:]
-                if np.any(row != 0):
+                if row.any():
                     self.swap_cols(t, t + 1 + self._min_nonzero(row))
                     continue
             break

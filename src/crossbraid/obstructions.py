@@ -179,7 +179,10 @@ def fully_faithful_obstruction(G: FiniteGroup, A: CoefficientModule,
 
     The splitting count is 0 when the class is nontrivial and the number
     of homomorphisms G -> A otherwise; validation (trivial action,
-    degree, parents, cocycle identity) happens in the counting step.
+    degree, parents, cocycle identity) happens in the counting step.  The
+    count makes the one coboundary test: splittings of a vanishing class
+    form a torsor over Hom(G, A), which holds the trivial map, so the class
+    vanishes exactly when the count is positive.
     """
     count = count_splittings(A, G, omega2)
-    return ObstructionReport(is_coboundary(omega2) is not None, count)
+    return ObstructionReport(count > 0, count)

@@ -7,6 +7,7 @@ equality; nothing may be loosened.  Budgets are wall-clock seconds.
 import io
 import itertools
 import json
+import math
 import random
 import time
 
@@ -24,6 +25,7 @@ from crossbraid.cohomology import (
     cohomology_group,
     differential,
     is_cocycle,
+    mu_module,
     random_cochain,
     trivial_module,
 )
@@ -257,3 +259,72 @@ def test_criterion_10_cohomology_engine_against_brute_force():
                 for _ in range(100):
                     c = random_cochain(G, module, degree, rng)
                     assert differential(differential(c)).is_zero
+
+
+# -- reach: H^3 past the brute-force sizes, against a closed form -------------
+
+def invariant_factors(orders):
+    """Invariant factors, ascending, of the direct sum of Z/o over orders."""
+    powers = {}
+    for o in orders:
+        p = 2
+        while o > 1:
+            q = 1
+            while o % p == 0:
+                o //= p
+                q *= p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    width = max((len(v) for v in powers.values()), default=0)
+    factors = [1] * width
+    for qs in powers.values():
+        for i, q in enumerate(sorted(qs, reverse=True)):
+            factors[i] *= q
+    return tuple(sorted(factors))
+
+
+def abelian_cohomology(cyclic_orders, n, m):
+    """H^n(Z/a_1 x ... x Z/a_r, Z/m) for 1 <= n <= 3, trivial action.
+
+    Kunneth gives the integral homology of a product of cyclic groups:
+    H_0 = Z, H_1 = sum of Z/a_i, H_2 = sum over pairs of Z/gcd, and
+    H_3 = sum of Z/a_i, over pairs of Z/gcd and over triples of Z/gcd.  The
+    universal coefficient theorem then gives H^n = Hom(H_n, Z/m) +
+    Ext(H_{n-1}, Z/m); Hom(Z/a, Z/m) and Ext(Z/a, Z/m) are both Z/gcd(a, m),
+    and Ext(Z, Z/m) = 0.
+    """
+    a = list(cyclic_orders)
+    pairs = [math.gcd(x, y) for x, y in itertools.combinations(a, 2)]
+    triples = [math.gcd(*t) for t in itertools.combinations(a, 3)]
+    torsion = {0: [], 1: a, 2: pairs, 3: a + pairs + triples}
+    return invariant_factors(
+        math.gcd(x, m) for x in torsion[n] + torsion[n - 1])
+
+
+def test_closed_form_matches_engine_on_small_groups():
+    with Budget(20):
+        for name, orders in (("C4", (4,)), ("C6", (6,)), ("C2xC2", (2, 2)),
+                             ("C2xC4", (2, 4)), ("C2xC2xC2", (2, 2, 2))):
+            G = cb.builtin_group(name)
+            for m in (2, 3, 4, 6):
+                for n in (1, 2, 3) if G.order <= 4 else (1, 2):
+                    expected = abelian_cohomology(orders, n, m)
+                    got = cohomology_group(G, n, mu_module(m)).invariant_factors
+                    assert got == expected, (name, n, m)
+
+
+def test_reach_h3_of_c9():
+    # H^n(C_m, Z/m) = Z/m
+    assert abelian_cohomology((9,), 3, 9) == (9,)
+    with Budget(12):
+        H = cohomology_group(cb.cyclic(9), 3, mu_module(9))
+    assert H.invariant_factors == (9,)
+
+
+def test_reach_h3_of_c3xc3():
+    # Hom(H_3, Z/9) + Ext(H_2, Z/9) = (Z/3)^3 + Z/3
+    assert abelian_cohomology((3, 3), 3, 9) == (3, 3, 3, 3)
+    with Budget(12):
+        H = cohomology_group(cb.builtin_group("C3xC3"), 3, mu_module(9))
+    assert H.invariant_factors == (3, 3, 3, 3)

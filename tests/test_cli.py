@@ -1,7 +1,12 @@
 """End-to-end CLI checks: verbs, exit codes, determinism, file inputs."""
 
+import ast
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -283,9 +288,35 @@ class TestSelftest:
         assert [row["property"] for row in failed] == ["beta-cocycle"]
         assert "C4 class 1" in failed[0]["detail"]
 
+    def test_failing_property_survives_optimized_mode(self):
+        # python -O strips assert statements; the properties must still fail
+        src = pathlib.Path(cb.__file__).resolve().parents[1]
+        script = ("import sys, crossbraid.cli as cli\n"
+                  "cli.conjugacy_classes = lambda G: []\n"
+                  "sys.exit(cli.run(['selftest']))\n")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1, proc.stderr
+        doc = json.loads(proc.stdout)
+        failed = [row for row in doc["properties"] if not row["ok"]]
+        assert [row["property"] for row in failed] == ["group-axioms"]
+        assert failed[0]["detail"] == "C2: classes do not partition"
+
     def test_seed_variation_keeps_verdicts(self):
         _, doc1 = go_json("selftest", "--seed", "1")
         _, doc2 = go_json("selftest", "--seed", "999")
         verdicts1 = [(r["property"], r["ok"]) for r in doc1["properties"]]
         verdicts2 = [(r["property"], r["ok"]) for r in doc2["properties"]]
         assert verdicts1 == verdicts2
+
+
+def test_library_has_no_assert_statements():
+    # python -O removes assert statements, so no check may rely on one
+    package = pathlib.Path(cb.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import crossbraid as cb
@@ -19,6 +20,11 @@ from crossbraid.cohomology import (
     random_cochain,
     trivial_module,
 )
+from crossbraid.cohomology import _bar_matrix
+from crossbraid.exact import diagonalize_mod
+from crossbraid.groups import all_subgroups
+
+from test_exact import assert_matches_dense, identical
 
 C2 = cb.cyclic(2)
 C3 = cb.cyclic(3)
@@ -483,3 +489,70 @@ class TestCountSplittings:
                                     lambda g, h: 1 if g == h == 1 else 0)
         with pytest.raises(cb.NotACocycle):
             count_splittings(M, C3, bad)
+
+
+# -- identity oracle: the per-tuple bar matrix and the dense sweeps ------------
+
+def loop_bar_matrix(G, module, n, normalized):
+    """The per-tuple construction that _bar_matrix replaced."""
+    s, k, e = G.order, module.rank, module.exponent
+    rng = range(1, s) if normalized else range(s)
+    ins = list(itertools.product(rng, repeat=n))
+    outs = list(itertools.product(rng, repeat=n + 1))
+    pos = {t: i for i, t in enumerate(ins)}
+    D = np.zeros((len(outs) * k, len(ins) * k), dtype=np.int64)
+    eye = np.eye(k, dtype=np.int64)
+    for o, h in enumerate(outs):
+        row = o * k
+
+        def put(t, blk):
+            col = pos[t] * k
+            D[row:row + k, col:col + k] += blk
+
+        put(h[1:], module.scaled_action(h[0]))
+        sign = -1
+        for i in range(1, n + 1):
+            m = G.mul(h[i - 1], h[i])
+            if not (normalized and m == 0):
+                put(h[:i - 1] + (m,) + h[i + 1:], sign * eye)
+            sign = -sign
+        put(h[:n], sign * eye)
+    return D % e, ins, outs
+
+
+ORDER_LE_6 = ("C1", "C2", "C3", "C4", "C5", "C6", "C2xC2", "S3")
+ORDER_LE_8 = ORDER_LE_6 + ("C7", "C8", "C2xC4", "C2xC2xC2", "D8", "Q8")
+BAR_CASES = [(name, 3) for name in ORDER_LE_6] + [(name, 2) for name in ORDER_LE_8]
+
+
+def bar_modules(G):
+    """mu_|G|, plus mu_|G| inverted by the elements outside an index-2
+    subgroup when G has one."""
+    A = cb.cyclic(G.order)
+    yield "mu", trivial_module(A)
+    for H in all_subgroups(G):
+        if H.index == 2:
+            inside = set(H.elements)
+            yield "inversion", inversion_module(A, G, lambda g: g not in inside)
+            return
+
+
+class TestMatchesReferenceEngine:
+    @pytest.mark.parametrize("name,n", BAR_CASES,
+                             ids=[f"{name}-d{n}" for name, n in BAR_CASES])
+    def test_bar_matrix_and_diagonalization(self, name, n):
+        G = cb.builtin_group(name)
+        for tag, module in bar_modules(G):
+            for normalized in (True, False):
+                for degree in range(n + 1):
+                    got = _bar_matrix(G, module, degree, normalized)
+                    ref = loop_bar_matrix(G, module, degree, normalized)
+                    assert identical(got, ref), (tag, normalized, degree)
+                D = got[0]
+                assert_matches_dense(diagonalize_mod, D, module.exponent)
+
+    def test_inversion_modules_exist(self):
+        tags = {name: [t for t, _ in bar_modules(cb.builtin_group(name))]
+                for name in ORDER_LE_8}
+        assert tags["S3"] == tags["D8"] == tags["C2xC2"] == ["mu", "inversion"]
+        assert tags["C5"] == tags["C7"] == ["mu"]

@@ -5,12 +5,14 @@ enumeration of (Z/N)^n, and direct matrix reconstruction, so the fast
 implementations are checked against something independently simple.
 """
 
+import dataclasses
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+from crossbraid import exact
 from crossbraid.exact import (
     CongruenceSolution,
     UnityExponent,
@@ -240,3 +242,165 @@ def test_congruence_solution_count_matches_generators():
     sol = CongruenceSolution(6, (1, 2), (((2, 0), 3), ((0, 3), 2)))
     assert sol.count == 6
     assert len(set(sol.enumerate())) == 6
+
+
+# -- identity oracle: the dense sweeps the elimination engine replaced --------
+
+class DenseReduction(exact._Reduction):
+    """The engine with its original dense sweeps and pivot search.
+
+    Each sweep updates and re-reduces the whole trailing block, and the pivot
+    search masks zeros with np.where.  The support-restricted engine must
+    reproduce its diagonal, transforms and carried right-hand sides exactly.
+    """
+
+    def bulk_row_clear(self, t, q):
+        self.a[t + 1:, t:] -= np.outer(q, self.a[t, t:])
+        self._sym(self.a[t + 1:, t:])
+        if self.u is not None:
+            self.u[t + 1:] -= np.outer(q, self.u[t])
+            self._sym(self.u[t + 1:])
+        if self.uinv is not None:
+            self.uinv[:, t] += self.uinv[:, t + 1:].dot(q)
+            self._sym(self.uinv[:, t])
+        if self.carry is not None:
+            self.carry[t + 1:] -= np.outer(q, self.carry[t])
+            self._sym(self.carry[t + 1:])
+
+    def bulk_col_clear(self, t, q):
+        self.a[t:, t + 1:] -= np.outer(self.a[t:, t], q)
+        self._sym(self.a[t:, t + 1:])
+        if self.v is not None:
+            self.v[:, t + 1:] -= np.outer(self.v[:, t], q)
+            self._sym(self.v[:, t + 1:])
+        if self.vinv is not None:
+            self.vinv[t] += q.dot(self.vinv[t + 1:])
+            self._sym(self.vinv[t])
+
+    def _pick_pivot(self, t):
+        sub = self.a[t:, t:]
+        mags = np.abs(sub)
+        nz = mags != 0
+        if not nz.any():
+            return None
+        if sub.dtype == object:
+            best, where = None, None
+            for i in range(sub.shape[0]):
+                for j in range(sub.shape[1]):
+                    val = abs(int(sub[i, j]))
+                    if val and (best is None or val < best):
+                        best, where = val, (i, j)
+            i, j = where
+        else:
+            masked = np.where(nz, mags, np.iinfo(np.int64).max)
+            flat = int(np.argmin(masked))
+            i, j = divmod(flat, sub.shape[1])
+        return t + i, t + j
+
+
+class SkipOneRow(exact._Reduction):
+    """A broken sweep that leaves the last row with q != 0 uncleared."""
+
+    def bulk_row_clear(self, t, q):
+        nz = q.nonzero()[0]
+        if len(nz) > 1:
+            q = q.copy()
+            q[nz[-1]] = 0
+        super().bulk_row_clear(t, q)
+
+
+def with_engine(engine, fn, *args, **kwargs):
+    """fn(*args, **kwargs) with exact._Reduction replaced by engine."""
+    saved = exact._Reduction
+    exact._Reduction = engine
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        exact._Reduction = saved
+
+
+def identical(x, y) -> bool:
+    """Equal values, and for arrays equal dtype and shape too."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return (isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+                and x.dtype == y.dtype and x.shape == y.shape
+                and np.array_equal(x, y))
+    if isinstance(x, (tuple, list)):
+        return (type(x) is type(y) and len(x) == len(y)
+                and all(identical(a, b) for a, b in zip(x, y)))
+    if dataclasses.is_dataclass(x):
+        return type(x) is type(y) and all(
+            identical(getattr(x, f.name), getattr(y, f.name))
+            for f in dataclasses.fields(x))
+    return x == y
+
+
+def assert_matches_dense(fn, *args, **kwargs):
+    got = fn(*args, **kwargs)
+    ref = with_engine(DenseReduction, fn, *args, **kwargs)
+    assert identical(got, ref), f"{fn.__name__} differs from the dense sweeps"
+    return got
+
+
+def random_matrix(rng, m, n, lo, hi, density=1.0):
+    return np.array([[rng.randint(lo, hi) if rng.random() < density else 0
+                      for _ in range(n)] for _ in range(m)],
+                    dtype=np.int64).reshape(m, n)
+
+
+def reduce_with_carry(engine, A, b, N):
+    """The raw workspace of solve_congruences after diagonalization."""
+    red = engine(A % N, mod=N, want_v=True, carry=b % N)
+    d = red.diagonalize()
+    return d, red.a, red.v, red.carry
+
+
+class TestMatchesDenseSweeps:
+    def test_solve_congruences_and_carry(self):
+        rng = random.Random(41)
+        for N in (2, 6, 9, 12):
+            for _ in range(40):
+                m, n = rng.randint(1, 14), rng.randint(1, 10)
+                A = random_matrix(rng, m, n, -N, N, density=0.4)
+                b = np.array([rng.randint(-N, N) for _ in range(m)],
+                             dtype=np.int64)
+                assert_matches_dense(solve_congruences, A, b, N)
+                got = reduce_with_carry(exact._Reduction, A, b, N)
+                ref = reduce_with_carry(DenseReduction, A, b, N)
+                assert identical(got, ref)
+
+    def test_diagonalize_mod_random(self):
+        rng = random.Random(43)
+        for N in (2, 4, 6, 8, 9, 12):
+            for _ in range(30):
+                m, n = rng.randint(1, 16), rng.randint(1, 12)
+                A = random_matrix(rng, m, n, -20, 20, density=0.3)
+                assert_matches_dense(diagonalize_mod, A, N)
+
+    def test_smith_normal_form_all_transforms(self):
+        rng = random.Random(47)
+        dtypes = set()
+        for _ in range(60):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            A = random_matrix(rng, m, n, -30, 30, density=0.6)
+            dtypes.add(assert_matches_dense(smith_normal_form, A).U.dtype)
+        assert np.dtype(np.int64) in dtypes
+
+    def test_smith_normal_form_object_fallback(self):
+        rng = random.Random(53)
+        for bound in (10**14, 2**24):
+            for _ in range(8):
+                A = random_matrix(rng, 5, 5, -bound, bound)
+                snf = assert_matches_dense(smith_normal_form, A)
+                assert snf.U.dtype == object, "int64 path did not overflow"
+
+    def test_oracle_catches_a_skipped_row(self):
+        rng = random.Random(59)
+        A = random_matrix(rng, 12, 8, -6, 6, density=0.5)
+        b = np.array([rng.randint(-6, 6) for _ in range(12)], dtype=np.int64)
+        ref = reduce_with_carry(DenseReduction, A, b, 12)
+        assert identical(reduce_with_carry(exact._Reduction, A, b, 12), ref)
+        assert not identical(reduce_with_carry(SkipOneRow, A, b, 12), ref)
+        got = with_engine(SkipOneRow, diagonalize_mod, A, 12)
+        assert not identical(got, with_engine(DenseReduction, diagonalize_mod,
+                                              A, 12))

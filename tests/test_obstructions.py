@@ -302,6 +302,23 @@ class TestFullyFaithfulObstruction:
         assert report.vanishes
         assert report.splitting_count == 4
 
+    def test_one_coboundary_test_per_call(self, monkeypatch):
+        from crossbraid import cohomology, obstructions
+        calls = []
+        real = cohomology.is_coboundary
+
+        def counted(c):
+            calls.append(c)
+            return real(c)
+
+        for module in (cohomology, obstructions):
+            monkeypatch.setattr(module, "is_coboundary", counted)
+        for table, vanishes in (((0, 0, 0, 0), True), ((0, 0, 0, 1), False)):
+            calls.clear()
+            w = Cochain(2, C2, trivial_module(C2), table, normalized=True)
+            assert fully_faithful_obstruction(C2, w.module, w).vanishes == vanishes
+            assert len(calls) == 1
+
     def test_agrees_with_fibered_on_central_fibers(self):
         for _, E in zoo_groups():
             central = set(cb.center(E).elements)
