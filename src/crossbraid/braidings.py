@@ -9,7 +9,6 @@ central subgroup.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidGrading, NotCentral, ParentMismatch
 from .groups import (
@@ -23,7 +22,7 @@ from .groups import (
     quotient,
     subgroup_as_group,
 )
-from .subcats import OmegaBicharacter, SubcatData, contains, fpdim, pair_subcats
+from .subcats import SubcatData, contains, fpdim, pair_subcats, unit_subcat
 from .twisted_center import TwistedGroupData
 
 
@@ -116,13 +115,6 @@ class CrossedBraidingCertificate:
             raise ValueError("certificate requires all three checks to pass")
 
 
-@lru_cache(maxsize=512)
-def _canonical_copy(data: TwistedGroupData, L: Subgroup,
-                    M: Subgroup) -> SubcatData:
-    table = (0,) * (L.order * M.order)
-    return SubcatData(data, L, M, OmegaBicharacter(data, L, M, table))
-
-
 def _reindex(M: Subgroup, H: Subgroup) -> tuple[int, ...]:
     pos = {a: i for i, a in enumerate(M.elements)}
     return tuple(pos[h] for h in H.elements)
@@ -145,14 +137,14 @@ def check_theorem_conditions(ambient: TwistedGroupData, grading: GradingSpec,
         raise InvalidGrading("grading is for a different group")
     if grading.kind == "pointed":
         K = grading.projection.kernel()
-        centralizes = contains(_canonical_copy(ambient, K, Subgroup(G, (0,))), s)
+        centralizes = contains(unit_subcat(ambient, K, Subgroup(G, (0,))), s)
         dim_ok = grading.projection.target.order * fpdim(s) == G.order
         transverse = s.M.order == G.order
         return TheoremChecks(centralizes, dim_ok, transverse)
     if not ambient.omega.is_zero:
         raise InvalidGrading("rep gradings require a trivial twist")
     H = grading.central
-    dual_copy = _canonical_copy(ambient, Subgroup(G, G.elements), H)
+    dual_copy = unit_subcat(ambient, Subgroup(G, G.elements), H)
     centralizes = contains(dual_copy, s)
     dim_ok = grading.grading_group().order * fpdim(s) == G.order
     transverse = all(

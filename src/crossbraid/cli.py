@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 domain rejection (with a structured reason),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -520,7 +521,12 @@ _DISPATCH = {
 
 # -- argument parsing and entry points ---------------------------------------
 
-def _parse_args(argv) -> RunConfig:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process.
+
+    parse_args keeps no state between calls, so every run may share it.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--budget", type=int, default=None)
@@ -573,7 +579,11 @@ def _parse_args(argv) -> RunConfig:
 
     verb("selftest").add_argument("--corrupt-omega", action="store_true")
 
-    ns = parser.parse_args(argv)
+    return parser
+
+
+def _parse_args(argv) -> RunConfig:
+    ns = _parser().parse_args(argv)
     return RunConfig(
         verb=ns.verb,
         group=getattr(ns, "group", None),

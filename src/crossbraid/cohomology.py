@@ -10,6 +10,7 @@ congruence solving from the exact module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import gcd, log2, prod
@@ -160,42 +161,64 @@ def mu_module(n: int) -> CoefficientModule:
     return CoefficientModule(cyclic(n))
 
 
+@functools.lru_cache(maxsize=64)
+def _degenerate_slots(s: int, n: int) -> np.ndarray:
+    """Flat indices of the n-tuples over range(s) that contain the identity."""
+    flat = np.arange(s ** n)
+    hit = np.zeros(s ** n, dtype=bool)
+    for j in range(n):
+        hit |= flat // s ** j % s == 0
+    slots = np.flatnonzero(hit)
+    slots.flags.writeable = False
+    return slots
+
+
 @dataclass(frozen=True)
 class Cochain:
     """Dense n-cochain; table index runs over G^n with the first argument
-    most significant (itertools.product order)."""
+    most significant (itertools.product order).
+
+    The table may be given as any sequence of ids, a numpy array included,
+    and is kept as a tuple; a read-only int64 copy backs the checks and the
+    arithmetic.
+    """
 
     degree: int
     group: FiniteGroup
     module: CoefficientModule
     table: tuple[int, ...]
     normalized: bool = field(default=False, compare=False)
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(int(x) for x in self.table))
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        if len(self.table) != self.group.order ** self.degree:
+        try:
+            if isinstance(self.table, np.ndarray) and \
+                    self.table.dtype.kind in "biu":
+                # uint64 ids past 2^63 wrap to negatives, which fail below
+                arr = self.table.astype(np.int64)
+            else:
+                arr = np.fromiter(self.table, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("table entry is not a coefficient id") from None
+        if arr.shape != (self.group.order ** self.degree,):
             raise ValueError(
-                f"table has {len(self.table)} entries, expected "
+                f"table has {arr.size} entries, expected "
                 f"{self.group.order ** self.degree}")
-        n = self.module.group.order
-        if any(not 0 <= x < n for x in self.table):
+        if arr.min() < 0 or arr.max() >= self.module.group.order:
             raise ValueError("table entry is not a coefficient id")
-        if self.normalized and not self._check_normalized():
+        arr.flags.writeable = False
+        object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "table", tuple(arr.tolist()))
+        if self.normalized and not self.is_normalized:
             raise ValueError("flagged normalized but a degenerate entry is nonzero")
-
-    def _check_normalized(self) -> bool:
-        s = self.group.order
-        for i, gs in enumerate(itertools.product(range(s), repeat=self.degree)):
-            if 0 in gs and self.table[i] != 0:
-                return False
-        return True
 
     @classmethod
     def zero(cls, group: FiniteGroup, module: CoefficientModule,
              degree: int) -> "Cochain":
-        return cls(degree, group, module, (0,) * group.order ** degree,
+        return cls(degree, group, module,
+                   np.zeros(group.order ** degree, dtype=np.int64),
                    normalized=True)
 
     @classmethod
@@ -219,11 +242,12 @@ class Cochain:
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.table)
+        return not self._array.any()
 
     @property
     def is_normalized(self) -> bool:
-        return self._check_normalized()
+        return not self._array[
+            _degenerate_slots(self.group.order, self.degree)].any()
 
     def _match(self, other: "Cochain") -> None:
         if (self.degree != other.degree
@@ -231,27 +255,26 @@ class Cochain:
                 or not self.module.compatible_with(other.module)):
             raise ParentMismatch("cochains live over different parents")
 
+    def _like(self, values: np.ndarray, normalized: bool) -> "Cochain":
+        return Cochain(self.degree, self.group, self.module, values,
+                       normalized=normalized)
+
     def __add__(self, other: "Cochain") -> "Cochain":
         self._match(other)
-        A = self.module.group
-        table = tuple(A.table[a][b] for a, b in zip(self.table, other.table))
-        return Cochain(self.degree, self.group, self.module, table,
-                       normalized=self.normalized and other.normalized)
+        return self._like(self.module.group.np_table[self._array, other._array],
+                          self.normalized and other.normalized)
 
     def __neg__(self) -> "Cochain":
-        A = self.module.group
-        return Cochain(self.degree, self.group, self.module,
-                       tuple(A.inverse[a] for a in self.table),
-                       normalized=self.normalized)
+        inverse = np.array(self.module.group.inverse, dtype=np.int64)
+        return self._like(inverse[self._array], self.normalized)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
 
     def scale(self, k: int) -> "Cochain":
         A = self.module.group
-        return Cochain(self.degree, self.group, self.module,
-                       tuple(A.power(a, k) for a in self.table),
-                       normalized=self.normalized)
+        power = np.array([A.power(a, k) for a in A.elements], dtype=np.int64)
+        return self._like(power[self._array], self.normalized)
 
 
 def random_cochain(group: FiniteGroup, module: CoefficientModule, degree: int,
@@ -267,46 +290,49 @@ def random_cochain(group: FiniteGroup, module: CoefficientModule, degree: int,
     return Cochain(degree, group, module, tuple(table), normalized=normalized)
 
 
-def differential(c: Cochain) -> Cochain:
-    """Bar-resolution differential; the module action applies to the first slot."""
+def _differential_values(c: Cochain) -> np.ndarray:
+    """Flat table of d(c) as an int64 array, in Cochain index order.
+
+    Slots are open index grids over G^(n+1); every lookup is a gather at a
+    flat index, into c's table or into A's flattened multiplication table.
+    """
     if c.degree > MAX_DEGREE:
         raise DegreeTooHigh(f"differential limited to degree {MAX_DEGREE}")
     G, M = c.group, c.module
     A = M.group
-    s, n = G.order, c.degree
-    Atable = A.np_table
-    Ainv = np.array(A.inverse, dtype=np.int64)
-    act = M.action
-    if n == 0:
-        a = c.table[0]
-        if act is None:
-            out = np.zeros(s, dtype=np.int64)
-        else:
-            out = Atable[act[:, a], Ainv[a]]
-        return Cochain(1, G, M, tuple(int(x) for x in out),
-                       normalized=c.normalized)
-    tbl = np.array(c.table, dtype=np.int64).reshape((s,) * n)
-    idx = np.indices((s,) * (n + 1))
-    first = tbl[tuple(idx[1:])]
-    if act is not None:
-        first = act[idx[0], first]
-    acc = first
+    s, n, nA = G.order, c.degree, A.order
+    mul = A.np_table.ravel()
+    inv = np.array(A.inverse, dtype=np.int64)
+    idx = np.indices((s,) * (n + 1), sparse=True)
+
+    def at(slots):
+        flat = 0
+        for j, x in enumerate(slots):
+            flat = flat + x * s ** (n - 1 - j)
+        return c._array[flat]
+
+    acc = at(idx[1:])
+    if M.action is not None:
+        acc = M.action[idx[0], acc]
     sign = -1
     for i in range(1, n + 1):
         merged = G.np_table[idx[i - 1], idx[i]]
-        slots = [idx[j] for j in range(i - 1)] + [merged] + \
-                [idx[j] for j in range(i + 1, n + 1)]
-        term = tbl[tuple(slots)]
-        acc = Atable[acc, Ainv[term] if sign < 0 else term]
+        term = at(idx[:i - 1] + (merged,) + idx[i + 1:])
+        acc = mul[acc * nA + (inv[term] if sign < 0 else term)]
         sign = -sign
-    last = tbl[tuple(idx[:n])]
-    acc = Atable[acc, Ainv[last] if sign < 0 else last]
-    return Cochain(n + 1, G, M, tuple(int(x) for x in acc.ravel()),
+    last = at(idx[:n])
+    acc = mul[acc * nA + (inv[last] if sign < 0 else last)]
+    return np.broadcast_to(acc, (s,) * (n + 1)).ravel()
+
+
+def differential(c: Cochain) -> Cochain:
+    """Bar-resolution differential; the module action applies to the first slot."""
+    return Cochain(c.degree + 1, c.group, c.module, _differential_values(c),
                    normalized=c.normalized)
 
 
 def is_cocycle(c: Cochain) -> bool:
-    return differential(c).is_zero
+    return not _differential_values(c).any()
 
 
 def _bar_matrix(G: FiniteGroup, module: CoefficientModule, n: int,

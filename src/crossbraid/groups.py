@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -633,7 +633,17 @@ def enumerate_homs_to_abelian(G: FiniteGroup, A: FiniteGroup) -> list[tuple[int,
 
 
 def count_homs_to_abelian(G: FiniteGroup, A: FiniteGroup) -> int:
-    return len(enumerate_homs_to_abelian(G, A))
+    """|Hom(G, A)| for abelian A, in closed form.
+
+    Every map to A factors through G^ab = G / [G, G], and Hom(Z/d, Z/e) has
+    gcd(d, e) elements, so the count is the product of gcd(d_i, e_j) over
+    the invariant factors d_i of G^ab and e_j of A.
+    """
+    if not A.is_abelian:
+        raise NotAbelian("target of hom enumeration must be abelian")
+    ab = G if G.is_abelian else quotient(G, derived_subgroup(G))[0]
+    return prod(gcd(d, e) for _, d in abelian_basis(ab)
+                for _, e in abelian_basis(A))
 
 
 def _is_power(n: int, p: int) -> bool:

@@ -7,9 +7,10 @@ byte-identical documents.
 
 from __future__ import annotations
 
-import itertools
 import json
 from importlib import resources
+
+import numpy as np
 
 from .braidings import CrossedBraidingCertificate, GradingSpec
 from .cohomology import Cochain, CohomologyGroup, CoefficientModule, \
@@ -57,9 +58,9 @@ def cochain_to_json(c: Cochain) -> dict:
         out["module"] = group_to_json(A)
     entries = {}
     s = c.group.order
-    for i, gs in enumerate(itertools.product(range(s), repeat=c.degree)):
-        if c.table[i]:
-            entries[_key(gs)] = int(c.table[i])
+    for i in np.flatnonzero(c._array).tolist():
+        gs = [i // s ** j % s for j in range(c.degree - 1, -1, -1)]
+        entries[_key(gs)] = c.table[i]
     out["entries"] = dict(sorted(entries.items()))
     out["normalized"] = c.is_normalized
     return out

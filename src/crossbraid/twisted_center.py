@@ -51,7 +51,8 @@ class TwistedGroupData:
         self.omega = omega
         self.modulus = A.order
         s = group.order
-        self._w = np.array(omega.table, dtype=np.int64).reshape((s, s, s))
+        # a private, writable copy: the selftest corrupts it in place
+        self._w = omega._array.reshape((s, s, s)).copy()
         self._beta = None
 
     @classmethod

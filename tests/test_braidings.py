@@ -11,12 +11,15 @@ from crossbraid.braidings import (
     enumerate_rep,
     gradings_of_rep,
 )
+import crossbraid.subcats as subcats
 from crossbraid.subcats import (
     OmegaBicharacter,
     SubcatData,
     contains,
     enumerate_subcats,
     fpdim,
+    unit_subcat,
+    verify_bicharacter,
 )
 from crossbraid.twisted_center import TwistedGroupData
 
@@ -300,3 +303,90 @@ class TestOracleEquivalence:
                 triple(s) for s in subs
                 if check_theorem_conditions(data, spec, s)}
             assert direct == filtered
+
+
+BATTERY = ("C2", "C3", "C4", "C6", "C2xC2", "S3", "D8", "Q8")
+
+
+def verified_unit(data, L, M):
+    """S(L, M, 1) through every construction check, pairing sweep included."""
+    table = (0,) * (L.order * M.order)
+    return SubcatData(data, L, M, OmegaBicharacter(data, L, M, table))
+
+
+class TestUnitCopies:
+    """The canonical copies are built with no pairing sweep."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+
+        def counted(cand):
+            calls.append(cand)
+            return verify_bicharacter(cand)
+
+        monkeypatch.setattr(subcats, "verify_bicharacter", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", BATTERY)
+    def test_pointed_checks_make_no_sweep_and_keep_their_verdicts(
+            self, name, sweeps):
+        H = cb.load_h3_fixture(name, verify=False)
+        G = H.group
+        for k in range(H.class_count):
+            data = TwistedGroupData(G, H.class_representative(k))
+            subs = enumerate_subcats(data)
+            for N in cb.normal_subgroups(G):
+                if not set(N.elements) <= set(cb.center(G).elements):
+                    continue
+                _, proj = cb.quotient(G, N)
+                grading = GradingSpec.pointed(proj)
+                certs = enumerate_pointed(data, proj)
+                got = [check_theorem_conditions(data, grading, s)
+                       for s in subs]
+                assert sweeps == []
+                copy = verified_unit(data, proj.kernel(), unit(G))
+                sweeps.clear()
+                assert [c.centralizes for c in got] == \
+                    [contains(copy, s) for s in subs]
+                assert [triple(c.witness) for c in certs] == \
+                    [triple(s) for s, c in zip(subs, got) if c]
+
+    @pytest.mark.parametrize("name", BATTERY)
+    def test_rep_checks_make_no_sweep_and_keep_their_verdicts(
+            self, name, sweeps):
+        G = cb.builtin_group(name)
+        data = TwistedGroupData.trivial(G)
+        subs = enumerate_subcats(data)
+        for spec in gradings_of_rep(G):
+            certs = enumerate_rep(G, spec.central)
+            got = [check_theorem_conditions(data, spec, s) for s in subs]
+            assert sweeps == []
+            copy = verified_unit(data, whole(G), spec.central)
+            sweeps.clear()
+            assert [c.centralizes for c in got] == \
+                [contains(copy, s) for s in subs]
+            assert {triple(c.witness) for c in certs} == \
+                {triple(s) for s, c in zip(subs, got) if c}
+
+    @pytest.mark.parametrize("name", BATTERY)
+    def test_unit_pairing_passes_the_sweep_where_it_is_built(self, name):
+        H = cb.load_h3_fixture(name, verify=False)
+        G = H.group
+        for k in range(H.class_count):
+            data = TwistedGroupData(G, H.class_representative(k))
+            for L in cb.normal_subgroups(G):
+                s = unit_subcat(data, L, unit(G))
+                assert s == verified_unit(data, L, unit(G))
+                assert verify_bicharacter(s.B)
+        data = TwistedGroupData.trivial(G)
+        for L, M in cb.commuting_normal_pairs(G):
+            assert verify_bicharacter(unit_subcat(data, L, M).B)
+
+    def test_unit_pairing_refused_on_a_twisted_m(self):
+        data = twist("C2", 1)
+        with pytest.raises(ValueError):
+            unit_subcat(data, whole(C2), whole(C2))
+        # the refusal is needed: the unit pairing fails the sweep there
+        B = OmegaBicharacter(data, whole(C2), whole(C2), (0,) * 4)
+        assert not verify_bicharacter(B)

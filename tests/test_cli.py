@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import crossbraid as cb
+from crossbraid import cli
 from crossbraid.cli import DEFAULT_SEED, RunConfig, run
 from crossbraid.cohomology import Cochain, trivial_module
 from crossbraid.twisted_center import TwistedGroupData
@@ -61,6 +62,66 @@ class TestPlumbing:
         assert code == 0
         for key in ("order", "abelian", "center"):
             assert any(line.startswith(key) for line in text.splitlines())
+
+
+class TestSharedParser:
+    """run() builds its parser once per process; no run leaks into the next."""
+
+    # each pair sets an option, then leaves it out
+    RERUNS = [
+        (("cohomology", "--group", "C4", "--degree", "2", "--modulus", "2"),
+         ("cohomology", "--group", "C4", "--degree", "2")),
+        (("obstruction", "--group", "C2", "--modulus", "3"),
+         ("obstruction", "--group", "C2")),
+        (("subcats", "--group", "S3", "--omega", "repr:3"),
+         ("subcats", "--group", "S3")),
+        (("center-census", "--group", "C4", "--omega", "repr:1"),
+         ("crossed-pointed", "--group", "C4")),
+        (("subcats", "--group", "C2xC2", "--budget", "1"),
+         ("subcats", "--group", "C2xC2")),
+        (("cohomology", "--group", "C3", "--budget", "1"),
+         ("cohomology", "--group", "C3")),
+        (("group", "--group", "C4", "--format", "table"),
+         ("group", "--group", "C4")),
+        (("selftest", "--corrupt-omega", "--seed", "3"),
+         ("selftest",)),
+    ]
+
+    @pytest.mark.parametrize("first,second", RERUNS,
+                             ids=[" ".join(a[1:]) for a, _ in RERUNS])
+    def test_left_out_options_take_their_defaults(self, first, second):
+        cli._parser.cache_clear()
+        fresh = go(*second)
+        go(*first)
+        assert go(*second) == fresh
+        cli._parser.cache_clear()
+        assert go(*second) == fresh
+
+    def test_parser_is_built_once_on_first_run(self):
+        cli._parser.cache_clear()
+        assert cli._parser.cache_info().currsize == 0
+        go("group", "--group", "C2")
+        go("subgroups", "--group", "C3")
+        info = cli._parser.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
+
+    def test_usage_errors_and_help_after_the_parser_is_built(self, capsys):
+        go("group", "--group", "C2")
+        for argv in (["group"], ["nonsense"], ["group", "--group"],
+                     ["cohomology", "--group", "C2", "--degree", "x"],
+                     ["group", "--group", "C2", "--format", "xml"],
+                     ["group", "--group", "C2", "--no-such-flag"], []):
+            buf = io.StringIO()
+            assert run(argv, out=buf) == 1, argv
+            assert buf.getvalue() == ""
+            assert "usage:" in capsys.readouterr().err
+        for argv in (["--help"], ["cohomology", "--help"]):
+            buf = io.StringIO()
+            assert run(argv, out=buf) == 0
+            assert buf.getvalue() == ""
+            assert "usage:" in capsys.readouterr().out
+        code, doc = go_json("group", "--group", "C2")
+        assert code == 0 and doc["order"] == 2
 
 
 class TestInspectionVerbs:

@@ -1,0 +1,119 @@
+"""Fuzzing run() over the CLI's argv grammar with valid and malformed values.
+
+Every run must end with exit code 0, 1 or 2 and no escaping exception.  A
+usage error leaves stdout empty and exits 1; every other run writes one JSON
+document (or, when it succeeds under --format table, one aligned table).
+All examples share one process and so one cached parser: each argv is also
+parsed by a freshly built parser, which must give the same namespace.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from crossbraid import cli  # noqa: E402
+
+GROUPS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C2xC2", "C2xC4",
+          "C2xC2xC2", "S3", "D8", "Q8")
+BAD_GROUPS = ("X9", "", "C0", "D3", "no/such/file.json")
+
+
+def number(valid):
+    return st.one_of(st.sampled_from(valid), st.sampled_from(("x", "", "1.5")))
+
+
+ids = st.lists(st.integers(-2, 10), max_size=4).map(
+    lambda xs: ",".join(map(str, xs)))
+OPTIONS = {
+    "--group": st.sampled_from(GROUPS + BAD_GROUPS),
+    "--fiber": st.sampled_from(GROUPS + BAD_GROUPS),
+    "--extension": st.sampled_from(GROUPS + BAD_GROUPS),
+    "--omega": st.one_of(
+        st.sampled_from(("trivial", "repr:x", "repr:", "no/such/file.json")),
+        st.integers(-1, 9).map(lambda k: f"repr:{k}")),
+    "--grading": st.one_of(st.sampled_from(("full", "nonsense")),
+                           ids.map(lambda t: f"quotient-by:{t}")),
+    "--center-subgroup": st.one_of(st.sampled_from(("full", "trivial")), ids),
+    "--normal": ids,
+    "--degree": number(tuple(str(d) for d in range(-1, 5))),
+    "--modulus": number(tuple(str(m) for m in range(-2, 13))),
+    "--budget": number(("0", "1", "10", "1000", "10000000")),
+    "--seed": number(("0", "17", "-5")),
+    "--format": st.sampled_from(("json", "table", "xml")),
+}
+COMMON = ("--format", "--budget", "--seed")
+VERB_OPTIONS = {
+    "group": ("--group",),
+    "subgroups": ("--group",),
+    "gradings-rep": ("--group",),
+    "cohomology": ("--group", "--degree", "--modulus"),
+    "center-census": ("--group", "--omega"),
+    "subcats": ("--group", "--omega"),
+    "crossed-pointed": ("--group", "--omega", "--grading"),
+    "crossed-rep": ("--group", "--center-subgroup"),
+    "fibered": ("--extension", "--normal"),
+    "zesting": ("--fiber", "--group", "--omega"),
+    "obstruction": ("--group", "--omega", "--modulus"),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A verb with a random subset of its options, now and then one that
+    belongs to another verb, and now and then no verb at all."""
+    verb = draw(st.sampled_from(sorted(VERB_OPTIONS) + ["selftest", "bogus"]))
+    argv = [] if draw(st.integers(0, 19)) == 0 else [verb]
+    flags = VERB_OPTIONS.get(verb, ()) + COMMON
+    chosen = draw(st.lists(st.sampled_from(flags), unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        chosen.append(draw(st.sampled_from(sorted(OPTIONS))))
+    for flag in chosen:
+        argv += [flag, draw(OPTIONS[flag])]
+    if verb == "selftest" and draw(st.booleans()):
+        argv.append("--corrupt-omega")
+    return argv
+
+
+def parse(parser, argv):
+    """The namespace as a dict, or the exit code of a usage error."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except SystemExit as e:
+        return e.code
+
+
+def is_table(text):
+    lines = text.splitlines()
+    return bool(lines) and all("  " in line for line in lines)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(argv=argvs())
+def test_every_argv_ends_in_a_document_and_an_exit_code(argv):
+    parsed = parse(cli._parser(), argv)
+    assert parsed == parse(cli._parser.__wrapped__(), argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run(argv, out=out)
+    text = out.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if text == "":
+        assert code == 1 and "usage:" in err.getvalue()
+        return
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        assert parsed["format"] == "table" and code in (0, 2), text
+        assert is_table(text), text
+        return
+    assert isinstance(doc, dict)
+    if code != 0:
+        assert "error" in doc or "reason" in doc or "properties" in doc

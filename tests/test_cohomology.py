@@ -556,3 +556,120 @@ class TestMatchesReferenceEngine:
                 for name in ORDER_LE_8}
         assert tags["S3"] == tags["D8"] == tags["C2xC2"] == ["mu", "inversion"]
         assert tags["C5"] == tags["C7"] == ["mu"]
+
+
+# -- array-backed cochains: every check still fires, the loop stays the oracle --
+
+NOT_AN_ID = [-1, 4, 2 ** 63, 2 ** 70]
+
+
+class TestCochainChecks:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_rejects_wrong_length(self, n):
+        M = trivial_module(C4)
+        for size in (3 ** n - 1, 3 ** n + 1):
+            with pytest.raises(ValueError):
+                Cochain(n, C3, M, (0,) * size)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bad", NOT_AN_ID,
+                             ids=["negative", "order", "2^63", "2^70"])
+    def test_rejects_entry_that_is_no_coefficient_id(self, n, bad):
+        M = trivial_module(C4)
+        table = [0] * 3 ** n
+        table[-1] = bad     # the last tuple, (2, ..., 2), is not degenerate
+        givens = [table, tuple(table), np.array(table)]
+        if 0 <= bad < 2 ** 64:
+            givens.append(np.array(table, dtype=np.uint64))
+        for given in givens:
+            with pytest.raises(ValueError):
+                Cochain(n, C3, M, given)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rejects_nonzero_degenerate_entry_flagged_normalized(self, n):
+        M = trivial_module(C4)
+        zero = Cochain.zero(C3, M, n)
+        for gs in itertools.product(range(3), repeat=n):
+            table = [0] * 3 ** n
+            table[zero.index(gs)] = 1
+            if 0 in gs:
+                with pytest.raises(ValueError):
+                    Cochain(n, C3, M, table, normalized=True)
+                assert not Cochain(n, C3, M, table).is_normalized
+            else:
+                assert Cochain(n, C3, M, table, normalized=True).is_normalized
+
+    def test_degree_zero_has_no_degenerate_entry(self):
+        c = Cochain(0, C3, trivial_module(C4), (3,), normalized=True)
+        assert c.is_normalized and not c.is_zero
+
+    def test_table_is_a_tuple_of_ints_whatever_it_was_given_as(self):
+        M = trivial_module(C4)
+        for given in ([0, 1, 2], (0, 1, 2), np.array([0, 1, 2]),
+                      np.array([0, 1, 2], dtype=np.uint8)):
+            c = Cochain(1, C3, M, given)
+            assert c.table == (0, 1, 2)
+            assert all(type(x) is int for x in c.table)
+            assert hash(c) == hash(Cochain(1, C3, M, (0, 1, 2)))
+
+    def test_caller_array_is_copied(self):
+        given = np.array([0, 1, 2])
+        c = Cochain(1, C3, trivial_module(C4), given)
+        given[1] = 3
+        assert c.table == (0, 1, 2)
+
+    def test_arithmetic_matches_entrywise_tables(self):
+        rng = random.Random(8)
+        for A in (C4, V4, cb.builtin_group("C2xC4")):
+            M = trivial_module(A)
+            for n in (0, 1, 2):
+                a = random_cochain(S3, M, n, rng, normalized=False)
+                b = random_cochain(S3, M, n, rng, normalized=False)
+                assert (a + b).table == tuple(
+                    A.mul(x, y) for x, y in zip(a.table, b.table))
+                assert (-a).table == tuple(A.inv(x) for x in a.table)
+                assert (a - b).table == tuple(
+                    A.mul(x, A.inv(y)) for x, y in zip(a.table, b.table))
+                for k in (-3, 0, 1, 2, 5):
+                    assert a.scale(k).table == tuple(A.power(x, k)
+                                                     for x in a.table)
+
+
+LOOP_GROUPS = ("C4", "S3", "D8")
+
+
+class TestDifferentialAgainstLoop:
+    @pytest.mark.parametrize("name", LOOP_GROUPS)
+    def test_random_cochains_and_their_coboundaries(self, name):
+        G = cb.builtin_group(name)
+        rng = random.Random(41)
+        tags = []
+        for tag, module in bar_modules(G):
+            tags.append(tag)
+            for n in range(4):
+                for normalized in (True, False):
+                    c = random_cochain(G, module, n, rng, normalized)
+                    want = naive_differential(G, module, as_dict(c), n)
+                    assert as_dict(differential(c)) == want, (tag, n)
+                    assert is_cocycle(c) == (not any(want.values()))
+                    if n < 3:
+                        b = differential(c)
+                        after = naive_differential(G, module, as_dict(b), n + 1)
+                        assert not any(after.values())
+                        assert is_cocycle(b)
+        assert tags == ["mu", "inversion"]
+
+    @pytest.mark.parametrize("name", ["C3", "C4", "C6", "C2xC2", "S3", "D8",
+                                      "Q8"])
+    def test_flipping_one_entry_breaks_a_stored_cocycle(self, name):
+        H = cb.load_h3_fixture(name)
+        assert H.representatives
+        for rep in H.representatives:
+            assert is_cocycle(rep)
+            table = list(rep.table)
+            i = rep.index((1, 1, 1))
+            table[i] = (table[i] + 1) % rep.module.group.order
+            flipped = Cochain(3, rep.group, rep.module, table, normalized=True)
+            assert not is_cocycle(flipped)
+            assert any(naive_differential(rep.group, rep.module,
+                                          as_dict(flipped), 3).values())

@@ -48,6 +48,10 @@ def relabeled_copy(G, rng):
 
 
 BATTERY = ["C2", "C3", "C4", "C6", "C2xC2", "S3", "D8", "Q8"]
+# every builtin group of order at most 16 (D6 is S3)
+ORDER_LE_16 = tuple(f"C{n}" for n in range(1, 17)) + (
+    "S3", "D8", "D10", "D12", "D14", "D16", "Q8", "C2xC2", "C2xC4", "C2xC6",
+    "C3xC3", "C2xC8", "C4xC4", "C2xC2xC2", "C2xC2xC4", "C2xC2xC2xC2")
 
 
 class TestValidation:
@@ -349,6 +353,16 @@ class TestHomEnumeration:
     def test_rejects_nonabelian_target(self):
         with pytest.raises(NotAbelian):
             cb.enumerate_homs_to_abelian(cb.cyclic(2), cb.symmetric(3))
+        with pytest.raises(NotAbelian):
+            cb.count_homs_to_abelian(cb.cyclic(2), cb.symmetric(3))
+
+    @pytest.mark.parametrize("name", ORDER_LE_16)
+    def test_closed_form_count_matches_enumeration(self, name):
+        G = cb.builtin_group(name)
+        for aname in ("C1", "C2", "C4", "C6", "C2xC2"):
+            A = cb.builtin_group(aname)
+            assert cb.count_homs_to_abelian(G, A) == \
+                len(cb.enumerate_homs_to_abelian(G, A)), aname
 
 
 class TestAbelianBasis:
