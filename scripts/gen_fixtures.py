@@ -3,8 +3,13 @@
 
 Writes src/crossbraid/data/h3_reps.json.  Deterministic end to end, so the
 output is stable across runs; differences mean the engine changed.
+
+With --check, nothing is written: the fixture is recomputed and compared
+with the stored file byte for byte, and the exit code is 1 on any
+difference.
 """
 
+import argparse
 import json
 import pathlib
 import sys
@@ -17,7 +22,11 @@ from crossbraid.groups import builtin_group  # noqa: E402
 from crossbraid.serialize import H3_BATTERY, cochain_to_json  # noqa: E402
 
 
-def main() -> None:
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the stored fixture; write nothing")
+    args = parser.parse_args()
     doc = {}
     for name in H3_BATTERY:
         G = builtin_group(name)
@@ -29,11 +38,19 @@ def main() -> None:
             "representatives": [cochain_to_json(rep) for rep in H.representatives],
         }
         print(f"{name}: factors={H.invariant_factors} classes={H.order}")
+    text = json.dumps(doc, indent=2) + "\n"
     out = SRC / "crossbraid" / "data" / "h3_reps.json"
+    if args.check:
+        if out.is_file() and out.read_bytes() == text.encode():
+            print(f"{out} is up to date")
+            return 0
+        print(f"{out} differs from the regenerated fixture")
+        return 1
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2) + "\n")
+    out.write_text(text)
     print(f"wrote {out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -177,6 +177,20 @@ def _positive(value: int | None, flag: str, default: int) -> int:
     return value
 
 
+def _modulus(cfg: RunConfig, G: FiniteGroup) -> tuple[int, int]:
+    """The --modulus and the --budget, checked before any table is built.
+
+    mu_module(modulus) builds a modulus x modulus table, so its size is
+    held to the same budget as the cohomology computation.
+    """
+    modulus = _positive(cfg.modulus, "--modulus", G.order)
+    budget = _positive(cfg.budget, "--budget", COHOMOLOGY_BUDGET)
+    if modulus ** 2 > budget:
+        raise BudgetExceeded(
+            f"modulus^2 = {modulus ** 2} table entries exceeds budget {budget}")
+    return modulus, budget
+
+
 def _describe(G: FiniteGroup) -> str:
     return G.name or f"order-{G.order}"
 
@@ -214,10 +228,8 @@ def _cmd_subgroups(cfg: RunConfig):
 
 def _cmd_cohomology(cfg: RunConfig):
     G = _load_group(cfg.group, "--group")
-    modulus = _positive(cfg.modulus, "--modulus", G.order)
-    H = cohomology_group(G, cfg.degree, mu_module(modulus),
-                         budget=_positive(cfg.budget, "--budget",
-                                          COHOMOLOGY_BUDGET))
+    modulus, budget = _modulus(cfg, G)
+    H = cohomology_group(G, cfg.degree, mu_module(modulus), budget=budget)
     report = {
         "group": _describe(G),
         "degree": cfg.degree,
@@ -324,7 +336,7 @@ def _cmd_gradings_rep(cfg: RunConfig):
         "group": _describe(G),
         "count": len(specs),
         "gradings": [{"central": [int(x) for x in g.central.elements],
-                      "grading_order": g.grading_group().order}
+                      "grading_order": g.central.order}
                      for g in specs],
     }
     return 0, report
@@ -363,7 +375,7 @@ def _cmd_zesting(cfg: RunConfig):
 
 def _cmd_obstruction(cfg: RunConfig):
     G = _load_group(cfg.group, "--group")
-    modulus = _positive(cfg.modulus, "--modulus", G.order)
+    modulus, _budget = _modulus(cfg, G)
     w = _load_cochain(cfg.omega, G, 2, mu_module(modulus))
     rep = fully_faithful_obstruction(G, w.module, w)
     report = {
@@ -379,15 +391,12 @@ def _cmd_obstruction(cfg: RunConfig):
 
 # -- selftest ----------------------------------------------------------------
 
-BATTERY = ("C2", "C3", "C4", "C6", "C2xC2", "S3", "D8", "Q8")
-
-
 class PropertyFailed(Exception):
     """A selftest property does not hold; the message names the witness."""
 
 
 def _battery_twists(cfg: RunConfig):
-    for name in BATTERY:
+    for name in H3_BATTERY:
         H = load_h3_fixture(name)
         for k in range(H.class_count):
             data = TwistedGroupData(H.group, H.class_representative(k))
@@ -397,7 +406,7 @@ def _battery_twists(cfg: RunConfig):
 
 
 def _prop_group_axioms(cfg: RunConfig):
-    for name in BATTERY:
+    for name in H3_BATTERY:
         G = builtin_group(name)
         covered = sum(len(members) for _, members in conjugacy_classes(G))
         if covered != G.order:
@@ -426,7 +435,7 @@ def _prop_census_total(cfg: RunConfig):
 
 
 def _prop_subcat_duality(cfg: RunConfig):
-    for name in BATTERY:
+    for name in H3_BATTERY:
         data = TwistedGroupData.trivial(builtin_group(name))
         square = data.group.order ** 2
         for s in enumerate_subcats(data):
@@ -447,7 +456,7 @@ def _prop_pointed_uniqueness(cfg: RunConfig):
 
 
 def _prop_fibered_recognition(cfg: RunConfig):
-    for name in BATTERY:
+    for name in H3_BATTERY:
         E = builtin_group(name)
         for N in all_subgroups(E):
             if not is_normal(E, N):
@@ -491,11 +500,11 @@ def _cmd_selftest(cfg: RunConfig):
         try:
             prop(cfg)
             rows.append({"property": name, "ok": True, "detail": ""})
-        except (PropertyFailed, CrossbraidError) as e:
+        except (PropertyFailed, CrossbraidError, ValueError) as e:
             all_ok = False
             rows.append({"property": name, "ok": False, "detail": str(e)})
     report = {
-        "battery": list(BATTERY),
+        "battery": list(H3_BATTERY),
         "seed": cfg.seed,
         "ok": all_ok,
         "properties": rows,

@@ -28,7 +28,7 @@ from .errors import (
     ParentMismatch,
 )
 from .exact import diagonalize_mod, smith_normal_form, solve_congruences
-from .groups import FiniteGroup, GroupHom, abelian_basis, count_homs_to_abelian, cyclic
+from .groups import FiniteGroup, GroupHom, abelian_coordinates, count_homs_to_abelian, cyclic
 
 MAX_DEGREE = 3
 DEFAULT_BUDGET = 10_000_000
@@ -43,7 +43,7 @@ class CoefficientModule:
     """
 
     __slots__ = ("group", "acting_group", "action", "basis", "orders",
-                 "exponent", "rank", "coords", "_elem_of", "_scaled")
+                 "exponent", "rank", "coords", "_scaled")
 
     def __init__(self, group: FiniteGroup, acting_group: FiniteGroup | None = None,
                  action=None):
@@ -61,12 +61,11 @@ class CoefficientModule:
                 raise NotAHomomorphism("action table has wrong shape")
             self._check_action(act)
             self.action = act
-        pairs = abelian_basis(group)
+        pairs, self.coords = abelian_coordinates(group)
         self.basis = tuple(g for g, _ in pairs)
         self.orders = tuple(o for _, o in pairs)
         self.exponent = self.orders[0] if pairs else 1
         self.rank = len(pairs)
-        self.coords, self._elem_of = self._coordinate_maps()
         self._scaled = self._scaled_actions()
 
     def _check_action(self, act: np.ndarray) -> None:
@@ -86,18 +85,6 @@ class CoefficientModule:
                 if not np.array_equal(act[G.mul(g, h)], act[g][act[h]]):
                     raise NotAHomomorphism(
                         f"action is not multiplicative at ({g},{h})")
-
-    def _coordinate_maps(self):
-        A = self.group
-        coords = np.zeros((A.order, self.rank), dtype=np.int64)
-        elem_of = {}
-        for cs in itertools.product(*(range(m) for m in self.orders)):
-            x = 0
-            for c, b in zip(cs, self.basis):
-                x = A.mul(x, A.power(b, c))
-            coords[x] = cs
-            elem_of[cs] = x
-        return coords, elem_of
 
     def _scaled_actions(self):
         if self.action is None or self.rank == 0:
@@ -135,7 +122,10 @@ class CoefficientModule:
         return self._scaled[g]
 
     def element_of(self, coords) -> int:
-        return self._elem_of[tuple(int(c) % m for c, m in zip(coords, self.orders))]
+        A, x = self.group, 0
+        for c, g in zip(coords, self.basis):
+            x = A.mul(x, A.power(g, int(c)))
+        return x
 
     def compatible_with(self, other: "CoefficientModule") -> bool:
         if not self.group.same_table(other.group):
@@ -455,7 +445,7 @@ def is_coboundary(c: Cochain) -> Cochain | None:
 def _kernel_generators(D: np.ndarray, e: int):
     """Generators (columns, orders) of {x : D x = 0 mod e} via diagonalization."""
     cols = D.shape[1]
-    diag, V, _Vinv = diagonalize_mod(D, e)
+    diag, V, Vinv = diagonalize_mod(D, e)
     gens, orders = [], []
     for j in range(cols):
         d = diag[j] if j < len(diag) else 0
@@ -463,7 +453,7 @@ def _kernel_generators(D: np.ndarray, e: int):
         if g > 1:
             gens.append((V[:, j].astype(np.int64) * (e // g)) % e)
             orders.append(g)
-    return gens, orders, V, _Vinv, diag
+    return gens, orders, Vinv, diag
 
 
 @dataclass(frozen=True, eq=False)
@@ -534,7 +524,7 @@ def cohomology_group(G: FiniteGroup, degree: int, module: CoefficientModule,
     D_n, ins, _outs = _bar_matrix(G, module, degree, normalized=True)
     cons = _constraint_rows(num_vars, module)
     stacked = np.vstack([D_n, cons])
-    gens, gen_orders, _V, Vinv, diag = _kernel_generators(stacked, e)
+    gens, gen_orders, Vinv, diag = _kernel_generators(stacked, e)
     if not gens:
         return _trivial_cohomology(G, degree, module)
     r = len(gens)

@@ -183,20 +183,6 @@ class _Reduction:
         if self.vinv is not None:
             self.vinv[[i, j]] = self.vinv[[j, i]]
 
-    def add_rows(self, i, q, p):
-        """row i -= q * row p."""
-        self.a[i] -= q * self.a[p]
-        self._sym(self.a[i])
-        if self.u is not None:
-            self.u[i] -= q * self.u[p]
-            self._sym(self.u[i])
-        if self.uinv is not None:
-            self.uinv[:, p] += q * self.uinv[:, i]
-            self._sym(self.uinv[:, p])
-        if self.carry is not None:
-            self.carry[i] -= q * self.carry[p]
-            self._sym(self.carry[i])
-
     def add_cols(self, j, q, p):
         """col j -= q * col p."""
         self.a[:, j] -= q * self.a[:, p]
@@ -268,16 +254,6 @@ class _Reduction:
         if self.carry is not None:
             self.carry[i] = -self.carry[i]
             self._sym(self.carry[i])
-
-    def negate_col(self, j):
-        self.a[:, j] = -self.a[:, j]
-        self._sym(self.a[:, j])
-        if self.v is not None:
-            self.v[:, j] = -self.v[:, j]
-            self._sym(self.v[:, j])
-        if self.vinv is not None:
-            self.vinv[j] = -self.vinv[j]
-            self._sym(self.vinv[j])
 
     # -- diagonalization ---------------------------------------------------
 

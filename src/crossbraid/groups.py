@@ -32,22 +32,28 @@ ISO_SEARCH_BOUND = 16
 
 
 class FiniteGroup:
-    """Immutable finite group given by its full multiplication table."""
+    """Immutable finite group given by its full multiplication table.
+
+    The table is a square nested sequence of ids or a 2-D integer array.
+    """
 
     __slots__ = ("order", "table", "name", "labels", "inverse", "np_table",
                  "is_abelian", "element_orders", "exponent")
 
     def __init__(self, table, name: str | None = None,
                  labels: tuple[str, ...] | None = None, validate: bool = True):
-        table = tuple(tuple(int(x) for x in row) for row in table)
-        n = len(table)
-        if n == 0 or any(len(row) != n for row in table):
+        if isinstance(table, np.ndarray):
+            rows = table.tolist()
+        else:
+            rows = [[int(x) for x in row] for row in table]
+        n = len(rows)
+        if n == 0 or any(len(row) != n for row in rows):
             raise NotAGroup("table must be square and nonempty")
-        T = np.array(table, dtype=np.int64)
+        T = np.array(rows, dtype=np.int64)
         if validate:
             self._validate(T, n)
         self.order = n
-        self.table = table
+        self.table = tuple(map(tuple, rows))
         self.name = name
         self.labels = tuple(labels) if labels else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
@@ -59,7 +65,7 @@ class FiniteGroup:
         for a in range(n):
             x, k = a, 1
             while x != 0:
-                x = table[x][a]
+                x = self.table[x][a]
                 k += 1
             orders[a] = k
         self.element_orders = tuple(orders)
@@ -220,46 +226,30 @@ class GroupHom:
 # -- builders ---------------------------------------------------------------
 
 
+def _mixed_radix(sizes) -> np.ndarray:
+    """Row x holds the digits of x in mixed radix `sizes`, last digit fastest."""
+    return np.indices(sizes, dtype=np.int64).reshape(len(sizes), prod(sizes)).T
+
+
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise UnknownBuiltin("cyclic order must be >= 1")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name=f"C{n}", validate=False)
+    ids = np.arange(n, dtype=np.int64)
+    return FiniteGroup((ids[:, None] + ids) % n, name=f"C{n}", validate=False)
 
 
 def product_group(*factors: FiniteGroup, name: str | None = None) -> FiniteGroup:
     """Direct product with ids packed row-major (last factor fastest)."""
     if not factors:
         return cyclic(1)
-    sizes = [g.order for g in factors]
-    n = prod(sizes)
     if name is None:
         name = "x".join(g.name or f"?{g.order}" for g in factors)
-
-    def pack(tup):
-        x = 0
-        for v, s in zip(tup, sizes):
-            x = x * s + v
-        return x
-
-    def unpack(x):
-        out = []
-        for s in reversed(sizes):
-            out.append(x % s)
-            x //= s
-        return tuple(reversed(out))
-
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ti = unpack(i)
-        for j in range(n):
-            tj = unpack(j)
-            table[i][j] = pack(tuple(g.table[a][b]
-                                     for g, a, b in zip(factors, ti, tj)))
-    labels = tuple(
-        "(" + ",".join(g.labels[v] for g, v in zip(factors, unpack(i))) + ")"
-        for i in range(n)
-    )
+    sizes = [g.order for g in factors]
+    digits = _mixed_radix(sizes).T
+    table = np.ravel_multi_index(
+        [g.np_table[d[:, None], d] for g, d in zip(factors, digits)], sizes)
+    labels = tuple("(" + ",".join(parts) + ")"
+                   for parts in itertools.product(*(g.labels for g in factors)))
     return FiniteGroup(table, name=name, labels=labels, validate=False)
 
 
@@ -469,19 +459,24 @@ def center(G: FiniteGroup) -> Subgroup:
 
 
 def closure(G: FiniteGroup, seed) -> tuple[int, ...]:
-    """Subgroup generated by the seed elements, as a sorted id tuple."""
+    """Subgroup generated by the seed elements, as a sorted id tuple.
+
+    Right multiplication by the generators suffices: in a finite group
+    every inverse is a positive power, so the words in the seed form the
+    subgroup.
+    """
     gens = sorted({0, *(int(s) for s in seed)})
     for s in gens:
         G.check_element(s)
     have = set(gens)
     frontier = list(gens)
     while frontier:
-        x = frontier.pop()
-        for y in list(have):
-            for z in (G.table[x][y], G.table[y][x]):
-                if z not in have:
-                    have.add(z)
-                    frontier.append(z)
+        row = G.table[frontier.pop()]
+        for s in gens:
+            z = row[s]
+            if z not in have:
+                have.add(z)
+                frontier.append(z)
     return tuple(sorted(have))
 
 
@@ -490,26 +485,35 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, closure(G, comms))
 
 
-def all_subgroups(G: FiniteGroup, bound: int = DEFAULT_ORDER_BOUND) -> list[Subgroup]:
-    """Every subgroup, found by closing cyclic seeds under pairwise join.
+def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup, found by joining subgroups with cyclic ones.
 
-    Deterministic order: by (order, element tuple).
+    Each subgroup is <a_1, ..., a_r>, reached from <a_1> by joining one
+    cyclic subgroup at a time; so every newly found subgroup is joined with
+    each cyclic subgroup once, from a worklist.  Deterministic order: by
+    (order, element tuple).
     """
-    if G.order > bound:
+    if G.order > DEFAULT_ORDER_BOUND:
         raise GroupTooLarge(
-            f"subgroup enumeration capped at order {bound}, group has {G.order}"
+            f"subgroup enumeration capped at order {DEFAULT_ORDER_BOUND}, "
+            f"group has {G.order}"
         )
-    found: set[tuple[int, ...]] = {closure(G, (a,)) for a in G.elements}
-    while True:
-        new = set()
-        items = sorted(found)
-        for h, k in itertools.combinations(items, 2):
-            join = closure(G, h + k)
-            if join not in found:
-                new.add(join)
-        if not new:
-            break
-        found |= new
+    # each distinct cyclic subgroup, with its least generator
+    cyclics: dict[tuple[int, ...], int] = {}
+    for a in G.elements:
+        cyclics.setdefault(closure(G, (a,)), a)
+    # each subgroup found so far, with a generating set
+    found = {elems: (a,) for elems, a in cyclics.items()}
+    work = list(found)
+    while work:
+        elems = work.pop()
+        inside, gens = set(elems), found[elems]
+        for c in cyclics.values():
+            if c not in inside:
+                join = closure(G, gens + (c,))
+                if join not in found:
+                    found[join] = gens + (c,)
+                    work.append(join)
     subs = [Subgroup(G, elems) for elems in found]
     subs.sort(key=Subgroup.sort_key)
     return subs
@@ -522,8 +526,8 @@ def is_normal(G: FiniteGroup, S: Subgroup) -> bool:
     return all(G.conj(g, a) in inside for g in G.elements for a in S.elements)
 
 
-def normal_subgroups(G: FiniteGroup, bound: int = DEFAULT_ORDER_BOUND) -> list[Subgroup]:
-    return [S for S in all_subgroups(G, bound) if is_normal(G, S)]
+def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    return [S for S in all_subgroups(G) if is_normal(G, S)]
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
@@ -536,25 +540,17 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
         N = Subgroup(G, N.elements)
     if not is_normal(G, N):
         raise NotNormal(f"subgroup {N.elements} is not normal")
-    rep_of: list[int | None] = [None] * G.order
-    reps = []
-    for a in G.elements:
-        if rep_of[a] is None:
-            coset = sorted(G.table[a][x] for x in N.elements)
-            for y in coset:
-                rep_of[y] = coset[0]
-            reps.append(coset[0])
-    reps.sort()
-    idx = {r: i for i, r in enumerate(reps)}
-    k = len(reps)
-    table = [[idx[rep_of[G.table[reps[i]][reps[j]]]] for j in range(k)]
-             for i in range(k)]
+    # rep_of[a] is the least id of the coset aN
+    rep_of = G.np_table[:, list(N.elements)].min(axis=1)
+    reps = np.unique(rep_of)
+    proj_ids = np.searchsorted(reps, rep_of)
+    table = proj_ids[G.np_table[reps[:, None], reps]]
     name = None
     if G.name:
         name = f"{G.name}/{{{','.join(str(x) for x in N.elements)}}}"
-    labels = tuple(f"[{G.labels[r]}]" for r in reps)
+    labels = tuple(f"[{G.labels[r]}]" for r in reps.tolist())
     Q = FiniteGroup(table, name=name, labels=labels, validate=False)
-    proj = GroupHom(G, Q, tuple(idx[rep_of[a]] for a in G.elements))
+    proj = GroupHom(G, Q, proj_ids.tolist())
     return Q, proj
 
 
@@ -565,8 +561,9 @@ def subgroup_as_group(S: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     """
     G = S.parent
     elems = S.elements
-    idx = {a: i for i, a in enumerate(elems)}
-    table = [[idx[G.table[a][b]] for b in elems] for a in elems]
+    pos = np.zeros(G.order, dtype=np.int64)
+    pos[list(elems)] = np.arange(len(elems))
+    table = pos[G.np_table[np.ix_(elems, elems)]]
     labels = tuple(G.labels[a] for a in elems)
     name = None
     if G.name:
@@ -574,10 +571,9 @@ def subgroup_as_group(S: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     return FiniteGroup(table, name=name, labels=labels, validate=False), elems
 
 
-def commuting_normal_pairs(G: FiniteGroup,
-                           bound: int = DEFAULT_ORDER_BOUND) -> list[tuple[Subgroup, Subgroup]]:
+def commuting_normal_pairs(G: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
     """Ordered pairs (L, M) of normal subgroups commuting elementwise."""
-    normals = normal_subgroups(G, bound)
+    normals = normal_subgroups(G)
     t = G.table
     out = []
     for L in normals:
@@ -709,6 +705,25 @@ def abelian_basis(A: FiniteGroup) -> list[tuple[int, int]]:
     return out
 
 
+def abelian_coordinates(A: FiniteGroup) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The invariant-factor basis and each element's coordinates on it.
+
+    Returns (abelian_basis(A), coords): row a of coords holds the c_i in
+    range(order_i) with a = sum_i c_i g_i.
+    """
+    basis = abelian_basis(A)
+    digits = _mixed_radix([m for _, m in basis])
+    elems = np.zeros(len(digits), dtype=np.int64)
+    for (g, m), column in zip(basis, digits.T):
+        powers = [0]
+        for _ in range(m - 1):
+            powers.append(A.table[powers[-1]][g])
+        elems = A.np_table[elems, np.array(powers)[column]]
+    coords = np.empty_like(digits)
+    coords[elems] = digits
+    return basis, coords
+
+
 @dataclass(frozen=True)
 class DualGroup:
     """Character group of a finite abelian group, with the exact pairing.
@@ -738,22 +753,27 @@ class DualGroup:
 
 def dual_group(A: FiniteGroup) -> DualGroup:
     """Characters of an abelian group.  Character ids sort the value tables
-    lexicographically, so the trivial character is id 0."""
+    lexicographically, so the trivial character is id 0.
+
+    On the basis g_i of orders m_i, the character with coordinates c sends
+    sum_i a_i g_i to sum_i a_i c_i e / m_i modulo the exponent e.
+    """
     if not A.is_abelian:
         raise NotAbelian("dual group requires an abelian group")
     e = A.exponent
-    chars = enumerate_homs_to_abelian(A, cyclic(e))
-    if len(chars) != A.order:
-        raise NotAbelian(
-            f"found {len(chars)} characters on a group of order {A.order}")
-    idx = {c: i for i, c in enumerate(chars)}
-    table = [
-        [idx[tuple((x + y) % e for x, y in zip(c1, c2))] for c2 in chars]
-        for c1 in chars
-    ]
+    basis, coords = abelian_coordinates(A)
+    orders = np.array([m for _, m in basis], dtype=np.int64)
+    chars = _mixed_radix(orders)
+    values = (chars * (e // orders)) @ coords.T % e
+    by_value = np.lexsort(values.T[::-1])
+    char_id = np.empty_like(by_value)
+    char_id[by_value] = np.arange(len(by_value))
+    # characters multiply as their coordinates add in the product of Z/m_i
+    coord_table = product_group(*(cyclic(m) for m in orders.tolist())).np_table
+    table = char_id[coord_table[np.ix_(by_value, by_value)]]
     name = f"dual({A.name})" if A.name else None
     grp = FiniteGroup(table, name=name, validate=False)
-    return DualGroup(grp, A, tuple(chars), e)
+    return DualGroup(grp, A, tuple(map(tuple, values[by_value].tolist())), e)
 
 
 def annihilator(dual: DualGroup, H: Subgroup) -> Subgroup:

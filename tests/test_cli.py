@@ -193,6 +193,23 @@ class TestEnumerationVerbs:
         assert doc["error"] == "ValueError"
         assert argv[-2] in doc["reason"] and argv[-1] in doc["reason"]
 
+    @pytest.mark.parametrize("verb", ["cohomology", "obstruction"])
+    def test_huge_modulus_is_gated_before_any_table(self, verb):
+        code, doc = go_json(verb, "--group", "C2", "--modulus", "1000000")
+        assert code == 2
+        assert doc["error"] == "BudgetExceeded"
+        assert str(10 ** 12) in doc["reason"]
+        assert str(cb.cohomology.DEFAULT_BUDGET) in doc["reason"]
+
+    def test_modulus_gate_reads_the_budget(self):
+        code, doc = go_json("obstruction", "--group", "C2", "--modulus", "4",
+                            "--budget", "15")
+        assert code == 2
+        assert "16" in doc["reason"] and "15" in doc["reason"]
+        code, _ = go_json("obstruction", "--group", "C2", "--modulus", "4",
+                          "--budget", "16")
+        assert code == 0
+
     def test_explicit_modulus_is_used(self):
         code, doc = go_json("cohomology", "--group", "C2", "--degree", "2",
                             "--modulus", "4")
@@ -363,6 +380,21 @@ class TestSelftest:
         failed = [row for row in doc["properties"] if not row["ok"]]
         assert [row["property"] for row in failed] == ["group-axioms"]
         assert failed[0]["detail"] == "C2: classes do not partition"
+
+    def test_rejected_centralizer_fails_its_row_only(self, monkeypatch):
+        # the centralizers of subcat-duality go through the checked
+        # SubcatData path, which raises ValueError on a rejected pairing
+        from crossbraid import subcats
+        monkeypatch.setattr(subcats, "verify_bicharacter",
+                            lambda cand: subcats.BicharacterReport(False, 1, (0, 0, 0)))
+        code, doc = go_json("selftest")
+        assert code == 1
+        assert doc["ok"] is False
+        rows = {row["property"]: row for row in doc["properties"]}
+        assert len(rows) == len(cli.SELFTEST_PROPERTIES)
+        assert [name for name, row in rows.items() if not row["ok"]] == \
+            ["subcat-duality"]
+        assert "pairing fails axiom 1" in rows["subcat-duality"]["detail"]
 
     def test_seed_variation_keeps_verdicts(self):
         _, doc1 = go_json("selftest", "--seed", "1")

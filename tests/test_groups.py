@@ -477,3 +477,149 @@ def test_labels_roundtrip():
     assert all(isinstance(S3.label(a), str) for a in S3.elements)
     D8 = cb.dihedral(8)
     assert D8.label(0) == "r0"
+
+
+# -- per-entry reference builders -------------------------------------------
+# The constructions the library used before its tables became index maps
+# into the parent's np_table; kept here as independent oracles.
+
+
+def ref_cyclic_table(n):
+    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+
+
+def ref_product(*factors):
+    sizes = [g.order for g in factors]
+    n = int(np.prod(sizes))
+
+    def pack(tup):
+        x = 0
+        for v, s in zip(tup, sizes):
+            x = x * s + v
+        return x
+
+    def unpack(x):
+        out = []
+        for s in reversed(sizes):
+            out.append(x % s)
+            x //= s
+        return tuple(reversed(out))
+
+    table = tuple(
+        tuple(pack(tuple(g.table[a][b] for g, a, b in zip(factors, unpack(i), unpack(j))))
+              for j in range(n))
+        for i in range(n))
+    labels = tuple(
+        "(" + ",".join(g.labels[v] for g, v in zip(factors, unpack(i))) + ")"
+        for i in range(n))
+    name = "x".join(g.name or f"?{g.order}" for g in factors)
+    return table, labels, name
+
+
+def ref_quotient(G, N):
+    rep_of = [None] * G.order
+    reps = []
+    for a in G.elements:
+        if rep_of[a] is None:
+            coset = sorted(G.table[a][x] for x in N.elements)
+            for y in coset:
+                rep_of[y] = coset[0]
+            reps.append(coset[0])
+    reps.sort()
+    idx = {r: i for i, r in enumerate(reps)}
+    table = tuple(tuple(idx[rep_of[G.table[r][s]]] for s in reps) for r in reps)
+    labels = tuple(f"[{G.labels[r]}]" for r in reps)
+    name = f"{G.name}/{{{','.join(str(x) for x in N.elements)}}}"
+    return table, labels, name, tuple(idx[rep_of[a]] for a in G.elements)
+
+
+def ref_subgroup_as_group(S):
+    G, elems = S.parent, S.elements
+    idx = {a: i for i, a in enumerate(elems)}
+    table = tuple(tuple(idx[G.table[a][b]] for b in elems) for a in elems)
+    labels = tuple(G.labels[a] for a in elems)
+    name = f"{G.name}[{','.join(str(a) for a in elems)}]"
+    return table, labels, name
+
+
+def ref_dual(A):
+    """Pairing and table of the dual, from the brute-force hom search."""
+    e = A.exponent
+    chars = cb.enumerate_homs_to_abelian(A, cb.cyclic(e))
+    idx = {c: i for i, c in enumerate(chars)}
+    table = tuple(tuple(idx[tuple((x + y) % e for x, y in zip(c1, c2))]
+                        for c2 in chars) for c1 in chars)
+    return tuple(chars), table
+
+
+def ref_closure(G, seed):
+    """Closure under products on both sides with every element found."""
+    have = {0, *seed}
+    frontier = list(have)
+    while frontier:
+        x = frontier.pop()
+        for y in list(have):
+            for z in (G.table[x][y], G.table[y][x]):
+                if z not in have:
+                    have.add(z)
+                    frontier.append(z)
+    return tuple(sorted(have))
+
+
+def central_subgroups(G):
+    inside = set(cb.center(G).elements)
+    return [S for S in cb.all_subgroups(G) if set(S.elements) <= inside]
+
+
+class TestBuildersAgainstReference:
+    def test_cyclic(self):
+        for n in range(1, 17):
+            G = cb.cyclic(n)
+            assert G.table == ref_cyclic_table(n)
+            assert G.name == f"C{n}"
+            assert G.np_table.dtype == np.int64
+
+    @pytest.mark.parametrize("name", ORDER_LE_16)
+    def test_quotients_subgroups_and_products(self, name):
+        G = cb.builtin_group(name)
+        for N in cb.normal_subgroups(G):
+            Q, proj = cb.quotient(G, N)
+            table, labels, qname, images = ref_quotient(G, N)
+            assert (Q.table, Q.labels, Q.name, proj.images) == \
+                (table, labels, qname, images)
+            Ngrp, emb = cb.subgroup_as_group(N)
+            assert (Ngrp.table, Ngrp.labels, Ngrp.name) == ref_subgroup_as_group(N)
+            assert emb == N.elements
+            P = cb.product_group(Ngrp, Q)
+            assert (P.table, P.labels, P.name) == ref_product(Ngrp, Q)
+            assert P.same_table(cb.FiniteGroup(P.table))
+
+    def test_multifactor_products(self):
+        for names in (("C2", "C3", "C4"), ("S3", "C2", "Q8"), ("C1", "D8")):
+            factors = [cb.builtin_group(n) for n in names]
+            P = cb.product_group(*factors)
+            assert (P.table, P.labels, P.name) == ref_product(*factors)
+
+    @pytest.mark.parametrize("name", ("C1",) + tuple(
+        n for n in ORDER_LE_16 if cb.builtin_group(n).is_abelian))
+    def test_dual_group(self, name):
+        A = cb.builtin_group(name)
+        D = cb.dual_group(A)
+        assert (D.pairing, D.group.table) == ref_dual(A)
+        assert D.modulus == A.exponent
+
+    def test_closure_from_random_seeds(self):
+        rng = random.Random(5)
+        for name in ORDER_LE_16 + ("S4",):
+            G = cb.builtin_group(name)
+            for size in (0, 1, 1, 2, 2, 3):
+                seed = rng.sample(range(G.order), min(size, G.order))
+                assert cb.closure(G, seed) == ref_closure(G, seed), (name, seed)
+
+    @pytest.mark.parametrize("name", ORDER_LE_16)
+    def test_rep_grading_order_is_order_of_h(self, name):
+        from crossbraid.braidings import GradingSpec
+
+        G = cb.builtin_group(name)
+        for H in central_subgroups(G):
+            assert GradingSpec.rep(H).grading_group().order == H.order
