@@ -130,7 +130,18 @@ def _load_group(spec: str | None, flag: str) -> FiniteGroup:
     return build_group(json.loads(path.read_text()))
 
 
-def _load_twist(spec: str, G: FiniteGroup) -> TwistedGroupData:
+def _read_cochain(path: Path, G: FiniteGroup, cfg: RunConfig) -> Cochain:
+    """A cochain file, with the modulus it names gated like --modulus."""
+    obj = json.loads(path.read_text())
+    if not isinstance(obj, dict):
+        raise NotACocycle("a cochain document must be a JSON object")
+    if "modulus" in obj:
+        _gate_modulus(int(obj["modulus"]), cfg)
+    return cochain_from_json(G, obj)
+
+
+def _load_twist(cfg: RunConfig, G: FiniteGroup) -> TwistedGroupData:
+    spec = cfg.omega
     if spec == "trivial":
         return TwistedGroupData.trivial(G)
     if spec.startswith("repr:"):
@@ -144,18 +155,20 @@ def _load_twist(spec: str, G: FiniteGroup) -> TwistedGroupData:
     if not path.is_file():
         raise NotACocycle(
             f"omega spec {spec!r} is not trivial, repr:k, or a readable file")
-    return TwistedGroupData(G, cochain_from_json(G, json.loads(path.read_text())))
+    return TwistedGroupData(G, _read_cochain(path, G, cfg))
 
 
-def _load_cochain(spec: str, G: FiniteGroup, degree: int,
+def _load_cochain(cfg: RunConfig, G: FiniteGroup, degree: int,
                   default_module) -> Cochain:
+    """--omega as a cochain; default_module() is built only for "trivial"."""
+    spec = cfg.omega
     if spec == "trivial":
-        return Cochain.zero(G, default_module, degree)
+        return Cochain.zero(G, default_module(), degree)
     path = Path(spec)
     if not path.is_file():
         raise NotACocycle(
             f"omega spec {spec!r} is not trivial or a readable file")
-    return cochain_from_json(G, json.loads(path.read_text()))
+    return _read_cochain(path, G, cfg)
 
 
 def _parse_ids(text: str | None, flag: str) -> tuple[int, ...]:
@@ -177,18 +190,23 @@ def _positive(value: int | None, flag: str, default: int) -> int:
     return value
 
 
-def _modulus(cfg: RunConfig, G: FiniteGroup) -> tuple[int, int]:
-    """The --modulus and the --budget, checked before any table is built.
+def _gate_modulus(modulus: int, cfg: RunConfig) -> int:
+    """The --budget, checked against a modulus before any table is built.
 
     mu_module(modulus) builds a modulus x modulus table, so its size is
     held to the same budget as the cohomology computation.
     """
-    modulus = _positive(cfg.modulus, "--modulus", G.order)
     budget = _positive(cfg.budget, "--budget", COHOMOLOGY_BUDGET)
     if modulus ** 2 > budget:
         raise BudgetExceeded(
             f"modulus^2 = {modulus ** 2} table entries exceeds budget {budget}")
-    return modulus, budget
+    return budget
+
+
+def _modulus(cfg: RunConfig, G: FiniteGroup) -> tuple[int, int]:
+    """The --modulus (default |G|) and the --budget it passed."""
+    modulus = _positive(cfg.modulus, "--modulus", G.order)
+    return modulus, _gate_modulus(modulus, cfg)
 
 
 def _describe(G: FiniteGroup) -> str:
@@ -243,7 +261,7 @@ def _cmd_cohomology(cfg: RunConfig):
 
 def _cmd_center_census(cfg: RunConfig):
     G = _load_group(cfg.group, "--group")
-    data = _load_twist(cfg.omega, G)
+    data = _load_twist(cfg, G)
     census = simple_census(data)
     report = {
         "group": _describe(G),
@@ -263,7 +281,7 @@ def _cmd_center_census(cfg: RunConfig):
 
 def _cmd_subcats(cfg: RunConfig):
     G = _load_group(cfg.group, "--group")
-    data = _load_twist(cfg.omega, G)
+    data = _load_twist(cfg, G)
     subs = enumerate_subcats(
         data, budget=_positive(cfg.budget, "--budget", SUBCAT_BUDGET))
     report = {
@@ -278,7 +296,7 @@ def _cmd_subcats(cfg: RunConfig):
 
 def _cmd_crossed_pointed(cfg: RunConfig):
     G = _load_group(cfg.group, "--group")
-    data = _load_twist(cfg.omega, G)
+    data = _load_twist(cfg, G)
     if cfg.grading == "full":
         pi = GroupHom(G, G, tuple(G.elements))
     elif cfg.grading.startswith("quotient-by:"):
@@ -360,7 +378,7 @@ def _cmd_zesting(cfg: RunConfig):
     N = _load_group(cfg.fiber, "--fiber")
     G = _load_group(cfg.group, "--group")
     inv = invertibles_of_center(N)
-    w = _load_cochain(cfg.omega, G, 2, trivial_module(inv.group))
+    w = _load_cochain(cfg, G, 2, lambda: trivial_module(inv.group))
     lifts = zesting_lift_exists(N, G, w)
     report = {
         "fiber": _describe(N),
@@ -376,7 +394,7 @@ def _cmd_zesting(cfg: RunConfig):
 def _cmd_obstruction(cfg: RunConfig):
     G = _load_group(cfg.group, "--group")
     modulus, _budget = _modulus(cfg, G)
-    w = _load_cochain(cfg.omega, G, 2, mu_module(modulus))
+    w = _load_cochain(cfg, G, 2, lambda: mu_module(modulus))
     rep = fully_faithful_obstruction(G, w.module, w)
     report = {
         "group": _describe(G),

@@ -21,6 +21,9 @@ _INT64_GUARD = 1 << 31
 # pivot-search key of a zero entry: |0| - 1 wrapped to uint64
 _NO_PIVOT = np.iinfo(np.uint64).max
 
+# rows per slice of the int64 pivot search; any height gives the same pivot
+_PIVOT_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class UnityExponent:
@@ -258,29 +261,39 @@ class _Reduction:
     # -- diagonalization ---------------------------------------------------
 
     def _pick_pivot(self, t):
-        """First smallest nonzero |entry| of the trailing block, row-major."""
-        sub = self.a[t:, t:]
-        if sub.dtype == object:
-            best, where = None, None
-            for i in range(sub.shape[0]):
-                for j in range(sub.shape[1]):
-                    val = abs(int(sub[i, j]))
-                    if val and (best is None or val < best):
-                        best, where = val, (i, j)
-            if where is None:
-                return None
-            i, j = where
+        """First smallest nonzero |entry| of the trailing block, row-major.
+
+        No nonzero magnitude is below 1, so the search stops at the first
+        entry of magnitude 1.  The int64 path scans _PIVOT_CHUNK rows at a
+        time: each chunk's argmin is its first smallest key, and a later
+        chunk replaces the best only with a strictly smaller key, so the
+        chunk height cannot change the pivot.  None when the block is zero.
+        """
+        where = None
+        if self.a.dtype == object:
+            best = None
+            for (i, j), x in np.ndenumerate(self.a[t:, t:]):
+                val = abs(int(x))
+                if val and (best is None or val < best):
+                    best, where = val, (t + i, t + j)
+                    if val == 1:
+                        break
         else:
-            # |x| - 1 as uint64 sends 0 to the largest key, so one argmin
-            # finds the first smallest nonzero magnitude
-            keys = np.abs(sub)
-            keys -= 1
-            keys = keys.view(np.uint64)
-            flat = int(np.argmin(keys))
-            if keys.flat[flat] == _NO_PIVOT:
-                return None
-            i, j = divmod(flat, sub.shape[1])
-        return t + i, t + j
+            m, n = self.a.shape
+            best = _NO_PIVOT
+            for r0 in range(t, m, _PIVOT_CHUNK):
+                # |x| - 1 as uint64 sends 0 to the largest key, so one argmin
+                # finds the chunk's first smallest nonzero magnitude
+                keys = np.abs(self.a[r0:r0 + _PIVOT_CHUNK, t:])
+                keys -= 1
+                keys = keys.view(np.uint64)
+                i, j = divmod(int(keys.argmin()), n - t)
+                key = int(keys[i, j])
+                if key < best:
+                    best, where = key, (r0 + i, t + j)
+                    if key == 0:
+                        break
+        return where
 
     @staticmethod
     def _min_nonzero(vec):

@@ -328,3 +328,22 @@ def test_reach_h3_of_c3xc3():
     with Budget(12):
         H = cohomology_group(cb.builtin_group("C3xC3"), 3, mu_module(9))
     assert H.invariant_factors == (3, 3, 3, 3)
+
+
+def test_reach_h3_of_c10():
+    # H^n(C_m, Z/m) = Z/m
+    assert abelian_cohomology((10,), 3, 10) == (10,)
+    with Budget(12):
+        H = cohomology_group(cb.cyclic(10), 3, mu_module(10))
+    assert H.invariant_factors == (10,)
+
+
+def test_closed_form_matches_engine_in_degree_3_on_order_8():
+    with Budget(20):
+        for name, orders in (("C8", (8,)), ("C2xC4", (2, 4)),
+                             ("C2xC2xC2", (2, 2, 2))):
+            G = cb.builtin_group(name)
+            for m in (2, 3, 4, 6):
+                expected = abelian_cohomology(orders, 3, m)
+                got = cohomology_group(G, 3, mu_module(m)).invariant_factors
+                assert got == expected, (name, m)

@@ -210,6 +210,43 @@ class TestEnumerationVerbs:
                           "--budget", "16")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("obstruction", "--group", "C2"),
+        ("zesting", "--fiber", "C2", "--group", "C2"),
+        ("center-census", "--group", "C2"),
+        ("subcats", "--group", "C2"),
+        ("crossed-pointed", "--group", "C2"),
+    ], ids=lambda argv: argv[0])
+    def test_cochain_file_modulus_is_gated_before_any_table(
+            self, argv, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_mu_module(n):
+            calls.append(n)
+            raise AssertionError(f"mu_module({n}) was called")
+
+        monkeypatch.setattr(cli, "mu_module", counting_mu_module)
+        monkeypatch.setattr(cb.serialize, "mu_module", counting_mu_module)
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps(
+            {"degree": 2, "modulus": 1000000, "entries": {}}))
+        code, doc = go_json(*argv, "--omega", str(path))
+        assert calls == []
+        assert code == 2
+        assert doc["error"] == "BudgetExceeded"
+        assert str(10 ** 12) in doc["reason"]
+        assert str(cb.cohomology.DEFAULT_BUDGET) in doc["reason"]
+
+    @pytest.mark.parametrize("text", ["5", '"modulus"', "[2, 3]"])
+    def test_cochain_file_that_is_not_an_object(self, text, tmp_path):
+        path = tmp_path / "omega.json"
+        path.write_text(text)
+        for argv in (("obstruction", "--group", "C2"),
+                     ("center-census", "--group", "C2")):
+            code, doc = go_json(*argv, "--omega", str(path))
+            assert code == 1
+            assert doc["error"] == "NotACocycle"
+
     def test_explicit_modulus_is_used(self):
         code, doc = go_json("cohomology", "--group", "C2", "--degree", "2",
                             "--modulus", "4")

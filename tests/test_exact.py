@@ -404,3 +404,109 @@ class TestMatchesDenseSweeps:
         got = with_engine(SkipOneRow, diagonalize_mod, A, 12)
         assert not identical(got, with_engine(DenseReduction, diagonalize_mod,
                                               A, 12))
+
+
+# -- the chunked pivot search against the dense argmin ------------------------
+
+CHUNK = exact._PIVOT_CHUNK
+
+
+def tall_matrix(rng, m, n, values, density=0.5):
+    """m x n with entries drawn from values at the given density."""
+    return np.array([[rng.choice(values) if rng.random() < density else 0
+                      for _ in range(n)] for _ in range(m)], dtype=np.int64)
+
+
+def first_pivots_agree(A, N=None):
+    """The opening pivot of both engines, which must be the same entry."""
+    got = exact._Reduction(A, mod=N)._pick_pivot(0)
+    ref = DenseReduction(A, mod=N)._pick_pivot(0)
+    assert got == ref
+    return got
+
+
+def unit_past_first_chunk(rng, N):
+    """Even entries above row 2*CHUNK, odd ones below, one -1 among them."""
+    m = rng.randint(2 * CHUNK + 10, 300)
+    A = tall_matrix(rng, m, rng.randint(4, 9), [-4, -2, 2, 4, 6])
+    tail = tall_matrix(rng, m - 2 * CHUNK, A.shape[1], [-3, 2, 3, 5])
+    A[2 * CHUNK:] = tail
+    A[2 * CHUNK + 3, 1] = -1
+    return A % N
+
+
+def tie_across_boundary(rng, N):
+    """No unit; the only 2s sit in the last row of a chunk and the first
+    row of the next, the later one in an earlier column."""
+    m = rng.randint(2 * CHUNK + 1, 300)
+    n = rng.randint(4, 9)
+    A = tall_matrix(rng, m, n, [4, -4, 6])
+    A[CHUNK - 1, n - 1] = 2
+    A[CHUNK, 0] = -2
+    return A % N
+
+
+def no_unit(rng, N, step):
+    """Multiples of step only, the smallest magnitudes in the last rows."""
+    m = rng.randint(2 * CHUNK + 1, 300)
+    n = rng.randint(4, 9)
+    A = tall_matrix(rng, m, n, [2 * step, -2 * step, 3 * step])
+    A[-CHUNK // 2:] = tall_matrix(rng, CHUNK // 2, n, [step, -step, 2 * step])
+    return A % N
+
+
+class TestChunkedPivotSearch:
+    """Blocks taller than two chunks: every pivot search crosses a chunk
+    boundary, and the dense masked argmin must pick the same entries."""
+
+    def cases(self, seed):
+        rng = random.Random(seed)
+        yield unit_past_first_chunk(rng, 12), 12
+        yield unit_past_first_chunk(rng, 9), 9
+        yield tie_across_boundary(rng, 12), 12
+        yield no_unit(rng, 12, 2), 12
+        yield no_unit(rng, 12, 3), 12
+
+    def test_opening_pivots(self):
+        rng = random.Random(61)
+        A = unit_past_first_chunk(rng, 12)
+        assert first_pivots_agree(A, 12) == (2 * CHUNK + 3, 1)
+        A = tie_across_boundary(rng, 12)
+        assert first_pivots_agree(A, 12) == (CHUNK - 1, A.shape[1] - 1)
+        A = no_unit(rng, 12, 2)
+        assert first_pivots_agree(A, 12)[0] >= A.shape[0] - CHUNK // 2
+
+    def test_diagonalize_mod(self):
+        for A, N in self.cases(67):
+            assert_matches_dense(diagonalize_mod, A, N)
+
+    def test_solve_congruences_and_carry(self):
+        rng = random.Random(71)
+        for A, N in self.cases(73):
+            b = np.array([rng.randint(0, N - 1) for _ in range(A.shape[0])],
+                         dtype=np.int64)
+            assert_matches_dense(solve_congruences, A, b, N)
+            # a right-hand side in the column span keeps the system feasible
+            x = np.array([rng.randint(0, N - 1) for _ in range(A.shape[1])])
+            assert_matches_dense(solve_congruences, A, (A @ x) % N, N)
+            got = reduce_with_carry(exact._Reduction, A, b, N)
+            ref = reduce_with_carry(DenseReduction, A, b, N)
+            assert identical(got, ref)
+
+    def test_smith_normal_form_int64(self):
+        for A, _ in self.cases(79):
+            first_pivots_agree(A)
+            snf = assert_matches_dense(smith_normal_form, A[:, :5])
+            assert snf.U.dtype == np.int64
+
+    def test_smith_normal_form_object(self):
+        rng = random.Random(83)
+        big = 2**33
+        for A, _ in list(self.cases(89))[::2]:
+            A = (A[:2 * CHUNK + 4, :4] * big).astype(object)
+            A[2 * CHUNK + 1, 2] = 1
+            snf = assert_matches_dense(smith_normal_form, A)
+            assert snf.U.dtype == object, "int64 path did not overflow"
+        A = tall_matrix(rng, 2 * CHUNK + 4, 3, [2 * big, -3 * big, 5])
+        assert smith_normal_form(A).U.dtype == object
+        assert_matches_dense(smith_normal_form, A)
