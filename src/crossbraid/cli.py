@@ -56,6 +56,7 @@ from .groups import (
     conjugacy_classes,
     is_isomorphic,
     is_normal,
+    json_int,
     product_group,
     quotient,
     subgroup_as_group,
@@ -72,6 +73,7 @@ from .serialize import (
     cochain_to_json,
     dump_json,
     group_to_json,
+    h3_class_representative,
     load_h3_fixture,
     subcat_to_json,
 )
@@ -130,13 +132,18 @@ def _load_group(spec: str | None, flag: str) -> FiniteGroup:
     return build_group(json.loads(path.read_text()))
 
 
-def _read_cochain(path: Path, G: FiniteGroup, cfg: RunConfig) -> Cochain:
-    """A cochain file, with the modulus it names gated like --modulus."""
+def _read_cochain(path: Path, G: FiniteGroup, cfg: RunConfig,
+                  degree: int) -> Cochain:
+    """A cochain file of the given degree, with the modulus it names gated
+    like --modulus; both are checked before any table is built."""
     obj = json.loads(path.read_text())
     if not isinstance(obj, dict):
         raise NotACocycle("a cochain document must be a JSON object")
     if "modulus" in obj:
-        _gate_modulus(int(obj["modulus"]), cfg)
+        _gate_modulus(json_int(obj["modulus"], "modulus", NotACocycle), cfg)
+    found = json_int(obj.get("degree"), "degree", NotACocycle)
+    if found != degree:
+        raise NotACocycle(f"expected a {degree}-cochain, got degree {found}")
     return cochain_from_json(G, obj)
 
 
@@ -149,13 +156,12 @@ def _load_twist(cfg: RunConfig, G: FiniteGroup) -> TwistedGroupData:
         if G.name not in H3_BATTERY:
             raise NotACocycle(
                 f"no stored 3-cocycle classes for group {G.name!r}")
-        H = load_h3_fixture(G.name, verify=False)
-        return TwistedGroupData(G, H.class_representative(index))
+        return TwistedGroupData(G, h3_class_representative(G.name, index))
     path = Path(spec)
     if not path.is_file():
         raise NotACocycle(
             f"omega spec {spec!r} is not trivial, repr:k, or a readable file")
-    return TwistedGroupData(G, _read_cochain(path, G, cfg))
+    return TwistedGroupData(G, _read_cochain(path, G, cfg, 3))
 
 
 def _load_cochain(cfg: RunConfig, G: FiniteGroup, degree: int,
@@ -168,7 +174,7 @@ def _load_cochain(cfg: RunConfig, G: FiniteGroup, degree: int,
     if not path.is_file():
         raise NotACocycle(
             f"omega spec {spec!r} is not trivial or a readable file")
-    return _read_cochain(path, G, cfg)
+    return _read_cochain(path, G, cfg, degree)
 
 
 def _parse_ids(text: str | None, flag: str) -> tuple[int, ...]:

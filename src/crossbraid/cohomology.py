@@ -477,22 +477,37 @@ class CohomologyGroup:
 
     def class_representative(self, index: int) -> Cochain:
         """index-th class, mixed-radix over the factors (first most significant)."""
-        if not 0 <= index < self.order:
-            raise ValueError(f"class index {index} out of range 0..{self.order - 1}")
-        digits = []
-        for f in reversed(self.invariant_factors):
-            digits.append(index % f)
-            index //= f
-        digits.reverse()
-        acc = Cochain.zero(self.group, self.module, self.degree)
-        for t, rep in zip(digits, self.representatives):
-            if t:
-                acc = acc + rep.scale(t)
-        return acc
+        return class_combination(self.group, self.module, self.degree,
+                                 self.invariant_factors,
+                                 self.representatives.__getitem__, index)
 
     def classes(self):
         for i in range(self.order):
             yield self.class_representative(i)
+
+
+def class_combination(G: FiniteGroup, module: CoefficientModule, degree: int,
+                      factors: tuple[int, ...], representative,
+                      index: int) -> Cochain:
+    """The index-th class of a group with these invariant factors.
+
+    The index is read mixed-radix over the factors, first most
+    significant, and the class is the sum of t_j * representative(j) over
+    its digits t_j.  representative is called only for nonzero digits.
+    """
+    order = prod(factors, start=1)
+    if not 0 <= index < order:
+        raise ValueError(f"class index {index} out of range 0..{order - 1}")
+    digits = []
+    for f in reversed(factors):
+        digits.append(index % f)
+        index //= f
+    digits.reverse()
+    acc = Cochain.zero(G, module, degree)
+    for j, t in enumerate(digits):
+        if t:
+            acc = acc + representative(j).scale(t)
+    return acc
 
 
 def _trivial_cohomology(G, degree, module) -> CohomologyGroup:

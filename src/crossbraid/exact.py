@@ -462,8 +462,68 @@ class CongruenceSolution:
             yield tuple(int(w) % self.modulus for w in x)
 
 
+def _matvec_mod(M: np.ndarray, v: np.ndarray, modulus: int) -> np.ndarray:
+    """M @ v reduced mod N, for entries in [0, N): in int64 while every dot
+    product fits, in Python ints beyond."""
+    if M.shape[1] * (modulus - 1) ** 2 < 1 << 63:
+        return M @ v % modulus
+    return (M.astype(object) @ v.astype(object) % modulus).astype(np.int64)
+
+
+class _Lattice:
+    """The solutions of D y = c (mod N), pulled back through x = V y.
+
+    D is the diagonal of a reduction U A V = D mod N and V its column
+    transform; this is the tail both solvers share.  The pivots are the
+    leading nonzero entries of D: each constrains one y_i, and it solves
+    when gcd(d_i, N) divides c_i.  Every column j whose d_j (zero past the
+    pivots) shares a factor g > 1 with N contributes a kernel generator of
+    order g.  Both depend on A alone, so they are read off once here.
+    """
+
+    def __init__(self, d, V: np.ndarray, modulus: int, dtype=np.int64):
+        d = [x % modulus for x in d]
+        rank = next((i for i, x in enumerate(d) if not x), len(d))
+        V = V % modulus
+        g = [gcd(x, modulus) for x in d[:rank]]
+        gens = []
+        for j in range(V.shape[0]):
+            gj = gcd(d[j] if j < rank else 0, modulus)
+            if gj > 1:
+                vec = V[:, j] * (modulus // gj) % modulus
+                gens.append((tuple(vec.tolist()), gj))
+        self.modulus = modulus
+        self.rank = rank
+        self.generators = tuple(gens)
+        self._g = np.array(g, dtype=np.int64)
+        self._step = modulus // self._g
+        self._inv = np.array([pow(x // gi, -1, modulus // gi)
+                              for x, gi in zip(d, g)], dtype=np.int64)
+        # only the pivot columns enter a particular solution
+        self._v = V[:, :rank].astype(dtype)
+
+    def particular(self, c: np.ndarray) -> np.ndarray | None:
+        """x0 = V y0 with y0 solving the pivot rows D y = c, or None.
+
+        c holds the right-hand side's pivot rows, reduced mod N.
+        """
+        if (c % self._g).any():
+            return None
+        y0 = (c // self._g) * self._inv % self._step
+        return _matvec_mod(self._v, y0, self.modulus)
+
+    def solution(self, x0: np.ndarray) -> CongruenceSolution:
+        return CongruenceSolution(self.modulus, tuple(x0.tolist()),
+                                  self.generators)
+
+
 def solve_congruences(A, b, modulus: int) -> CongruenceSolution | None:
-    """Solve A x = b over Z/modulus, or return None when infeasible."""
+    """Solve A x = b over Z/modulus, or return None when infeasible.
+
+    The right-hand side rides along the elimination, so no row transform
+    is kept: the cheap choice for one tall system.  CongruenceFactor
+    solves many right-hand sides against one matrix.
+    """
     A = as_int_matrix(A)
     m, n = A.shape
     b = np.asarray(b, dtype=np.int64)
@@ -474,28 +534,53 @@ def solve_congruences(A, b, modulus: int) -> CongruenceSolution | None:
     if modulus == 1:
         return CongruenceSolution(1, (0,) * n, ())
     red = _Reduction(A % modulus, mod=modulus, want_v=True, carry=b % modulus)
-    d = red.diagonalize()
+    lattice = _Lattice(red.diagonalize(), red.v, modulus)
     c = red.carry[:, 0] % modulus
-    r = len(d)
-    y0 = [0] * n
-    for i in range(m):
-        di = d[i] % modulus if i < r else 0
-        g = gcd(di, modulus)
-        ci = int(c[i])
-        if ci % g:
+    # rows past the pivots read 0 = c_i
+    if c[lattice.rank:].any():
+        return None
+    x0 = lattice.particular(c[:lattice.rank])
+    return None if x0 is None else lattice.solution(x0)
+
+
+class CongruenceFactor:
+    """A x = b over Z/modulus for one fixed A, factored for any b.
+
+    One reduction U A V = D with U carried as a row transform; only the
+    pivot rows of U are kept.  solve(b) reads c = U b on those rows and
+    builds the lattice exactly as solve_congruences does, so both return
+    equal solutions.  The dropped rows of U would only test feasibility:
+    solve tests instead that the particular solution satisfies
+    A x0 = b (mod N), which holds exactly when the system is feasible.
+    The kept arrays are stored in the smallest unsigned type holding N.
+    """
+
+    def __init__(self, A, modulus: int):
+        if modulus < 1:
+            raise ValueError("modulus must be positive")
+        compact = np.min_scalar_type(modulus)
+        A = np.asarray(A)
+        # an A already reduced into the compact type is kept, not copied
+        if (A.ndim != 2 or A.dtype != compact
+                or (A.size and A.max() >= modulus)):
+            A = (as_int_matrix(A) % modulus).astype(compact)
+        red = _Reduction(A, mod=modulus, want_u=True, want_v=True)
+        self._lattice = _Lattice(red.diagonalize(), red.v, modulus, compact)
+        self._a = A
+        self._u = (red.u[:self._lattice.rank] % modulus).astype(compact)
+
+    def solve(self, b) -> CongruenceSolution | None:
+        """Every x with A x = b (mod N), or None when there is none."""
+        N = self._lattice.modulus
+        b = np.asarray(b, dtype=np.int64)
+        if b.shape != (self._a.shape[0],):
+            raise ValueError(
+                f"rhs shape {b.shape} does not match {self._a.shape[0]} rows")
+        b = b % N
+        x0 = self._lattice.particular(_matvec_mod(self._u, b, N))
+        if x0 is None or (_matvec_mod(self._a, x0, N) != b).any():
             return None
-        if i < n and modulus // g > 1 and di:
-            y0[i] = (ci // g) * pow(di // g, -1, modulus // g) % (modulus // g)
-    V = red.v % modulus
-    x0 = (V @ np.array(y0, dtype=np.int64)) % modulus
-    gens = []
-    for j in range(n):
-        dj = d[j] % modulus if j < r else 0
-        g = gcd(dj, modulus)
-        if g > 1:
-            vec = tuple(int(w) for w in (V[:, j] * (modulus // g)) % modulus)
-            gens.append((vec, g))
-    return CongruenceSolution(modulus, tuple(int(w) for w in x0), tuple(gens))
+        return self._lattice.solution(x0)
 
 
 def diagonalize_mod(A, modulus: int):

@@ -42,14 +42,18 @@ class FiniteGroup:
 
     def __init__(self, table, name: str | None = None,
                  labels: tuple[str, ...] | None = None, validate: bool = True):
-        if isinstance(table, np.ndarray):
-            rows = table.tolist()
-        else:
-            rows = [[int(x) for x in row] for row in table]
-        n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
-            raise NotAGroup("table must be square and nonempty")
-        T = np.array(rows, dtype=np.int64)
+        try:
+            if isinstance(table, np.ndarray):
+                rows = table.tolist()
+            else:
+                rows = [[int(x) for x in row] for row in table]
+            n = len(rows)
+            if n == 0 or any(len(row) != n for row in rows):
+                raise NotAGroup("table must be square and nonempty")
+            T = np.array(rows, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            raise NotAGroup(
+                "table must be a square nested list of integer ids") from None
         if validate:
             self._validate(T, n)
         self.order = n
@@ -357,7 +361,11 @@ def from_generators(gens, degree: int, name: str | None = None,
         if isinstance(g, str):
             parsed.append(parse_permutation(g, degree))
         else:
-            parsed.append(tuple(int(x) for x in g))
+            try:
+                parsed.append(tuple(int(x) for x in g))
+            except (TypeError, ValueError, OverflowError):
+                raise NotAGroup("a generator is neither cycle notation "
+                                "nor a list of point ids") from None
     for p in parsed:
         if sorted(p) != list(range(degree)):
             raise NotAGroup(f"not a permutation of 0..{degree - 1}: {p}")
@@ -399,27 +407,50 @@ def builtin_group(name: str) -> FiniteGroup:
     raise UnknownBuiltin(f"unknown builtin group {name!r}")
 
 
+def json_int(value, what: str, error=NotAGroup) -> int:
+    """A JSON number or numeric string as an int, else error naming what."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} must be an integer, got "
+                    f"{type(value).__name__}") from None
+
+
 def build_group(spec) -> FiniteGroup:
-    """Build a group from a builtin name, a JSON-style dict, or a raw table."""
+    """Build a group from a builtin name, a JSON-style dict, or a raw table.
+
+    Any other value, or a dict field of the wrong type, raises NotAGroup.
+    """
     if isinstance(spec, FiniteGroup):
         return spec
     if isinstance(spec, str):
         return builtin_group(spec)
-    if isinstance(spec, dict):
-        if "builtin" in spec:
-            return builtin_group(spec["builtin"])
-        if "generators" in spec:
-            if "degree" not in spec:
-                raise NotAGroup("generator spec needs a degree")
-            return from_generators(spec["generators"], int(spec["degree"]),
-                                   name=spec.get("name"))
-        if "table" in spec:
-            g = FiniteGroup(spec["table"], name=spec.get("name"))
-            if "order" in spec and int(spec["order"]) != g.order:
-                raise NotAGroup("declared order does not match table size")
-            return g
-        raise NotAGroup(f"cannot interpret group spec with keys {sorted(spec)}")
-    return FiniteGroup(spec)
+    if isinstance(spec, (list, tuple, np.ndarray)):
+        return FiniteGroup(spec)
+    if not isinstance(spec, dict):
+        raise NotAGroup(
+            f"cannot build a group from a {type(spec).__name__}")
+    name = spec.get("name")
+    if name is not None and not isinstance(name, str):
+        raise NotAGroup("group name must be a string")
+    if "builtin" in spec:
+        if not isinstance(spec["builtin"], str):
+            raise NotAGroup("builtin group name must be a string")
+        return builtin_group(spec["builtin"])
+    if "generators" in spec:
+        if "degree" not in spec:
+            raise NotAGroup("generator spec needs a degree")
+        gens = spec["generators"]
+        if not isinstance(gens, list):
+            raise NotAGroup("generators must be a list of permutations")
+        return from_generators(gens, json_int(spec["degree"], "degree"),
+                               name=name)
+    if "table" in spec:
+        g = FiniteGroup(spec["table"], name=name)
+        if "order" in spec and json_int(spec["order"], "order") != g.order:
+            raise NotAGroup("declared order does not match table size")
+        return g
+    raise NotAGroup(f"cannot interpret group spec with keys {sorted(spec)}")
 
 
 def trivial_group() -> FiniteGroup:

@@ -7,16 +7,20 @@ byte-identical documents.
 
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Mapping
 from importlib import resources
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from .braidings import CrossedBraidingCertificate, GradingSpec
 from .cohomology import Cochain, CohomologyGroup, CoefficientModule, \
-    is_cocycle, mu_module, trivial_module
+    class_combination, is_cocycle, mu_module, trivial_module
 from .errors import NotACocycle, NotAGroup
-from .groups import FiniteGroup, build_group, builtin_group
+from .groups import FiniteGroup, build_group, builtin_group, json_int
 from .subcats import SubcatData, fpdim
 
 
@@ -67,23 +71,32 @@ def cochain_to_json(c: Cochain) -> dict:
 
 
 def cochain_from_json(G: FiniteGroup, obj) -> Cochain:
-    degree = int(obj["degree"])
+    """The cochain a document describes; NotACocycle when a field has the
+    wrong type."""
+    if not isinstance(obj, Mapping):
+        raise NotACocycle("a cochain document must be a JSON object")
+    degree = json_int(obj["degree"], "degree", NotACocycle)
+    if degree < 0:
+        raise NotACocycle(f"cochain degree must be nonnegative, got {degree}")
     if "modulus" in obj:
-        module = mu_module(int(obj["modulus"]))
+        module = mu_module(json_int(obj["modulus"], "modulus", NotACocycle))
     elif "module" in obj:
         module = trivial_module(build_group(obj["module"]))
     else:
         raise NotACocycle("cochain document needs a modulus or module")
+    entries = obj.get("entries", {})
+    if not isinstance(entries, Mapping):
+        raise NotACocycle("cochain entries must be a JSON object")
     s = G.order
     table = [0] * (s ** degree)
-    for key, val in obj.get("entries", {}).items():
+    for key, val in entries.items():
         gs = _unkey(key, degree)
         for g in gs:
             G.check_element(g)
         flat = 0
         for g in gs:
             flat = flat * s + g
-        v = int(val)
+        v = json_int(val, "entry value", NotACocycle)
         if not 0 <= v < module.group.order:
             raise NotACocycle(f"entry value {v} outside the coefficient range")
         table[flat] = v
@@ -144,23 +157,74 @@ def _fixture_text() -> str:
     return resources.files("crossbraid").joinpath("data/h3_reps.json").read_text()
 
 
-def load_h3_fixture(name: str, verify: bool = True) -> CohomologyGroup:
-    """Stored H^3(G, mu_|G|) for a battery group, rebuilt as a CohomologyGroup."""
-    doc = json.loads(_fixture_text())
-    if name not in doc:
+class _StoredH3(NamedTuple):
+    modulus: int
+    invariant_factors: tuple[int, ...]
+    representatives: tuple[MappingProxyType, ...]
+
+
+@functools.cache
+def _fixture() -> MappingProxyType:
+    """The stored document, parsed once per process into read-only data.
+
+    Every JSON object becomes a read-only mapping and the lists become
+    tuples, so nothing a caller does can change what the next call reads.
+    """
+    doc = json.loads(_fixture_text(), object_hook=MappingProxyType)
+    return MappingProxyType({
+        name: _StoredH3(int(entry["modulus"]),
+                        tuple(int(f) for f in entry["invariant_factors"]),
+                        tuple(entry["representatives"]))
+        for name, entry in doc.items()})
+
+
+@functools.cache
+def _stored(name: str) -> tuple[FiniteGroup, _StoredH3]:
+    """A battery group, built once per process, and its stored entry."""
+    entry = _fixture().get(name)
+    if entry is None:
         raise NotAGroup(f"no stored 3-cocycle data for group {name!r}")
-    entry = doc[name]
     G = builtin_group(name)
-    if int(entry["modulus"]) != G.order:
+    if entry.modulus != G.order:
         raise NotACocycle("stored modulus does not match the group order")
-    reps = tuple(cochain_from_json(G, rep) for rep in entry["representatives"])
+    return G, entry
+
+
+@functools.cache
+def _stored_representative(name: str, j: int) -> Cochain:
+    G, entry = _stored(name)
+    return cochain_from_json(G, entry.representatives[j])
+
+
+def load_h3_fixture(name: str, verify: bool = True) -> CohomologyGroup:
+    """Stored H^3(G, mu_|G|) for a battery group, rebuilt as a CohomologyGroup.
+
+    The document is parsed once per process and each representative is
+    built once, on first use; with verify, every call checks that each
+    representative is a normalized cocycle.
+    """
+    G, entry = _stored(name)
+    reps = tuple(_stored_representative(name, j)
+                 for j in range(len(entry.representatives)))
     if verify:
         for rep in reps:
             if not rep.is_normalized or not is_cocycle(rep):
                 raise NotACocycle(f"stored representative for {name} is invalid")
-    return CohomologyGroup(G, 3, mu_module(G.order),
-                           tuple(int(f) for f in entry["invariant_factors"]),
+    return CohomologyGroup(G, 3, mu_module(G.order), entry.invariant_factors,
                            reps)
+
+
+def h3_class_representative(name: str, index: int) -> Cochain:
+    """The index-th stored class of H^3(G, mu_|G|) for a battery group.
+
+    Builds only the representatives whose digit in the index is nonzero,
+    with no verification: the same cochain as
+    load_h3_fixture(name, verify=False).class_representative(index).
+    """
+    G, entry = _stored(name)
+    return class_combination(
+        G, mu_module(G.order), 3, entry.invariant_factors,
+        lambda j: _stored_representative(name, j), index)
 
 
 def dump_json(obj) -> str:

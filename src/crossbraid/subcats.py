@@ -10,7 +10,7 @@ one system, so verification and enumeration are exact.
 
 from collections.abc import Iterator
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,11 +21,14 @@ from .errors import (
     NotNormal,
     ParentMismatch,
 )
-from .exact import CongruenceSolution, UnityExponent, solve_congruences
+from .exact import CongruenceFactor, CongruenceSolution, UnityExponent
 from .groups import Subgroup, commuting_normal_pairs, is_normal
 from .twisted_center import TwistedGroupData
 
 DEFAULT_BUDGET = 1_000_000
+
+# pairing systems whose factors one process keeps (see _pairing_factor)
+PAIRING_FACTORS = 256
 
 
 def working_modulus(data: TwistedGroupData) -> int:
@@ -263,7 +266,9 @@ def _dense_rows(blocks, nunk: int, mod: int):
     """One congruence row per axiom instance, reduced mod N'.
 
     Rows that read 0 = 0 and repeated rows are dropped; a row reading
-    0 = c with c nonzero means no pairing exists, and None is returned.
+    0 = c with c nonzero, or two equal rows with different offsets, means
+    no pairing exists, and None is returned.  The kept rows come back in
+    the smallest unsigned type holding N', their offsets as int64.
     """
     b = np.concatenate([offset.ravel() for _, _, offset in blocks]) % mod
     A = np.zeros((b.size, nunk), dtype=np.int64)
@@ -277,10 +282,29 @@ def _dense_rows(blocks, nunk: int, mod: int):
     live = A.any(axis=1)
     if b[~live].any():
         return None
-    both = np.column_stack((A[live], b[live]))
-    keys = both.view(np.dtype((np.void, both.itemsize * both.shape[1])))
-    first = np.sort(np.unique(keys.ravel(), return_index=True)[1])
-    return both[first, :-1], both[first, -1]
+    A, b = A[live].astype(np.min_scalar_type(mod)), b[live]
+    keys = A.view(np.dtype((np.void, A.itemsize * nunk))).ravel()
+    _, first, twin = np.unique(keys, return_index=True, return_inverse=True)
+    if (b != b[first][twin.ravel()]).any():
+        return None
+    first.sort()
+    return A[first], b[first]
+
+
+@lru_cache(maxsize=PAIRING_FACTORS)
+def _pairing_factor(mod: int, shape: tuple[int, int],
+                    cells: bytes) -> CongruenceFactor:
+    """The factored pairing system with these rows, kept for the process.
+
+    The key is the content of the deduplicated rows (their bytes in the
+    smallest unsigned type holding N'), so equal systems share a factor
+    whatever group or twist they came from.  A depends on the group and
+    the pair (L, M) only; every twist enters through the offsets b, which
+    are never cached.  Least recently used factors are dropped past
+    PAIRING_FACTORS.
+    """
+    A = np.frombuffer(cells, dtype=np.min_scalar_type(mod)).reshape(shape)
+    return CongruenceFactor(A, mod)
 
 
 def solve_pairings(data: TwistedGroupData, L: Subgroup, M: Subgroup,
@@ -312,7 +336,8 @@ def solve_pairings(data: TwistedGroupData, L: Subgroup, M: Subgroup,
     rows = _dense_rows(blocks, L.order * M.order, mod)
     if rows is None:
         return None
-    return solve_congruences(rows[0], rows[1], mod)
+    A, b = rows
+    return _pairing_factor(mod, A.shape, A.tobytes()).solve(b)
 
 
 def _solved_subcats(data: TwistedGroupData, L: Subgroup, M: Subgroup,

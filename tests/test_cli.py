@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import crossbraid as cb
-from crossbraid import cli
+from crossbraid import cli, serialize, subcats
 from crossbraid.cli import DEFAULT_SEED, RunConfig, run
 from crossbraid.cohomology import Cochain, trivial_module
 from crossbraid.twisted_center import TwistedGroupData
@@ -383,6 +383,124 @@ class TestFileInputs:
                             "--omega", "/no/such/file.json")
         assert code == 1
         assert doc["error"] == "NotACocycle"
+
+
+    @pytest.mark.parametrize("text", [
+        "5", "null", '{"table": 5}', '{"generators": 5, "degree": 2}',
+        '{"builtin": 5}', '{"table": [[0, null], [1, 0]]}',
+        '{"table": [[0]], "order": null}', '{"table": [[1e400]]}',
+        '{"generators": [[1, 0]], "degree": null}',
+        '{"generators": [5], "degree": 2}', '{"builtin": "C2", "name": 5}',
+    ], ids=["int", "null", "table-int", "generators-int", "builtin-int",
+            "table-null-id", "order-null", "table-infinite-id",
+            "degree-null", "generator-int", "name-int"])
+    def test_malformed_group_file(self, text, tmp_path):
+        path = tmp_path / "group.json"
+        path.write_text(text)
+        code, doc = go_json("group", "--group", str(path))
+        assert code == 1
+        assert doc["error"] == "NotAGroup"
+        with pytest.raises(cb.NotAGroup):
+            cb.build_group(json.loads(text))
+
+    @pytest.mark.parametrize("obj", [
+        {"degree": 3, "modulus": 2, "entries": [["1,1,1", 1]]},
+        {"degree": 3, "modulus": 2, "entries": "1,1,1"},
+        {"degree": None, "modulus": 2, "entries": {}},
+        {"degree": 3, "modulus": None, "entries": {}},
+        {"degree": 3, "modulus": 2, "entries": {"1,1,1": None}},
+        {"degree": 3, "modulus": 2, "entries": {"1,1,1": [1]}},
+        {"degree": 3, "modulus": 2, "entries": {"1,1,1": float("inf")}},
+        {"degree": 40, "modulus": 2, "entries": {}},
+        {"degree": -1, "modulus": 2, "entries": {}},
+    ], ids=["entries-list", "entries-str", "degree-null", "modulus-null",
+            "value-null", "value-list", "value-infinite", "degree-40",
+            "degree-negative"])
+    def test_malformed_cochain_file(self, obj, tmp_path):
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps(obj))
+        for argv in (("center-census", "--group", "C2"),
+                     ("subcats", "--group", "C2")):
+            code, doc = go_json(*argv, "--omega", str(path))
+            assert code == 1
+            assert doc["error"] == "NotACocycle"
+        if obj["degree"] != 40:
+            with pytest.raises(cb.NotACocycle):
+                cb.cochain_from_json(cb.cyclic(2), obj)
+
+
+def clear_process_caches():
+    cli._parser.cache_clear()
+    subcats._pairing_factor.cache_clear()
+    for cached in (serialize._fixture, serialize._stored,
+                   serialize._stored_representative):
+        cached.cache_clear()
+
+
+class TestProcessCaches:
+    """The stored fixture and the pairing factors outlive a run; neither
+    may carry anything of one twist into the next."""
+
+    # (verb, group, earlier twist j, later twist k)
+    TWISTS = [("subcats", "D8", 1, 5), ("subcats", "C2xC2", 3, 6),
+              ("subcats", "Q8", 0, 2), ("subcats", "C6", 5, 2),
+              ("crossed-pointed", "D8", 2, 6),
+              ("crossed-pointed", "C2xC2", 7, 1)]
+
+    @pytest.mark.parametrize("verb,group,j,k", TWISTS,
+                             ids=[f"{v} {g} {j}-{k}" for v, g, j, k in TWISTS])
+    def test_later_twist_reads_its_own_offsets(self, verb, group, j, k):
+        clear_process_caches()
+        fresh = go(verb, "--group", group, "--omega", f"repr:{k}")
+        clear_process_caches()
+        go(verb, "--group", group, "--omega", f"repr:{j}")
+        built = subcats._pairing_factor.cache_info().misses
+        assert go(verb, "--group", group, "--omega", f"repr:{k}") == fresh
+        # twist k solved on factors built for twist j alone
+        assert subcats._pairing_factor.cache_info().misses == built
+
+    def test_repr_builds_only_the_representatives_it_uses(self):
+        clear_process_caches()
+        go("subcats", "--group", "D8", "--omega", "repr:0")
+        assert serialize._stored_representative.cache_info().currsize == 0
+        go("subcats", "--group", "D8", "--omega", "repr:1")
+        assert serialize._stored_representative.cache_info().currsize == 1
+        for name in cb.H3_BATTERY:
+            H = cb.load_h3_fixture(name, verify=False)
+            for index in range(H.class_count):
+                got = serialize.h3_class_representative(name, index)
+                assert got.table == H.class_representative(index).table
+        assert serialize._fixture.cache_info().misses == 1
+
+    def test_selftest_corrupt_selftest_in_one_process(self):
+        clear_process_caches()
+        first = go("selftest")
+        code, doc = go_json("selftest", "--corrupt-omega")
+        last = go("selftest")
+        assert first[0] == 0 and json.loads(first[1])["ok"] is True
+        assert code == 1
+        failed = [row["property"] for row in doc["properties"]
+                  if not row["ok"]]
+        assert failed == ["beta-cocycle"]
+        assert last == first
+
+    def test_caches_stay_bounded(self):
+        clear_process_caches()
+        for name in ("C2xC2", "D8", "Q8"):
+            H = cb.load_h3_fixture(name, verify=False)
+            for index in range(H.class_count):
+                go("subcats", "--group", name, "--omega", f"repr:{index}")
+        info = subcats._pairing_factor.cache_info()
+        assert info.maxsize == subcats.PAIRING_FACTORS
+        assert 0 < info.currsize <= info.maxsize
+        assert serialize._stored.cache_info().currsize == 3
+
+    def test_sequence_script_under_optimized_mode(self):
+        root = pathlib.Path(cb.__file__).resolve().parents[2]
+        proc = subprocess.run(
+            [sys.executable, "-O", str(root / "scripts" / "selftest_sequence.py")],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestSelftest:

@@ -5,6 +5,9 @@ usage error leaves stdout empty and exits 1; every other run writes one JSON
 document (or, when it succeeds under --format table, one aligned table).
 All examples share one process and so one cached parser: each argv is also
 parsed by a freshly built parser, which must give the same namespace.
+
+A second fuzzer writes random JSON values, shaped now and then like group
+or cochain documents, into a file passed as --group or --omega.
 """
 
 import contextlib
@@ -117,3 +120,61 @@ def test_every_argv_ends_in_a_document_and_an_exit_code(argv):
     assert isinstance(doc, dict)
     if code != 0:
         assert "error" in doc or "reason" in doc or "properties" in doc
+
+
+# keys of the group and cochain schemas, so random objects reach their checks
+SCHEMA_KEYS = ("table", "generators", "degree", "builtin", "order", "name",
+               "modulus", "module", "entries", "normalized")
+# strings hold no digits past the sampled names, so no builtin like C99999
+# asks for a huge table
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(("C2", "S3", "1,1,1", "0,1", "(0 1)", "e")),
+    st.text(alphabet="abxy,() ", max_size=4))
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.one_of(st.sampled_from(SCHEMA_KEYS),
+                                  st.text(alphabet="abxy", max_size=3)),
+                        inner, max_size=4)),
+    max_leaves=12)
+documents = st.one_of(
+    json_values,
+    st.fixed_dictionaries({}, optional={k: json_values for k in SCHEMA_KEYS}))
+FILE_VERBS = {
+    "group": ("--group",),
+    "subgroups": ("--group",),
+    "center-census": ("--group", "--omega"),
+    "subcats": ("--group", "--omega"),
+    "crossed-pointed": ("--group", "--omega"),
+    "zesting": ("--group", "--omega"),
+    "obstruction": ("--group", "--omega"),
+}
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(verb=st.sampled_from(sorted(FILE_VERBS)), data=st.data())
+def test_every_input_file_ends_in_a_document_and_an_exit_code(
+        doc_path, verb, data):
+    flag = data.draw(st.sampled_from(FILE_VERBS[verb]))
+    doc_path.write_text(json.dumps(data.draw(documents)))
+    argv = [verb, flag, str(doc_path)]
+    if flag == "--omega":
+        argv += ["--group", data.draw(st.sampled_from(("C1", "C2", "S3")))]
+    if verb == "zesting":
+        argv += ["--fiber", "C2"]
+    out = io.StringIO()
+    code = cli.run(argv, out=out)
+    assert code in (0, 1, 2)
+    doc = json.loads(out.getvalue())
+    assert isinstance(doc, dict)
+    if code != 0:
+        assert "error" in doc or "reason" in doc

@@ -14,6 +14,7 @@ import pytest
 
 from crossbraid import exact
 from crossbraid.exact import (
+    CongruenceFactor,
     CongruenceSolution,
     UnityExponent,
     as_int_matrix,
@@ -201,6 +202,104 @@ class TestSolveCongruences:
         a = solve_congruences([[2, 4]], [2], 6)
         b = solve_congruences([[2, 4]], [2], 6)
         assert list(a.enumerate()) == list(b.enumerate())
+
+
+def factor_cases(seed):
+    """Seeded systems (A, right-hand sides, N): square, wide and tall, each
+    with random right-hand sides (mostly infeasible when A is tall) and
+    right-hand sides in the column span (always feasible)."""
+    rng = random.Random(seed)
+    for N in (2, 6, 9, 12, 32, 36):
+        for _ in range(30):
+            n = rng.randint(1, 8)
+            m = rng.choice([rng.randint(1, n), n + rng.randint(1, 8)])
+            A = random_matrix(rng, m, n, -N, N, density=0.5)
+            rhs = [np.array([rng.randint(-N, 2 * N) for _ in range(m)])
+                   for _ in range(3)]
+            for _ in range(2):
+                x = np.array([rng.randint(0, N - 1) for _ in range(n)])
+                rhs.append(A @ x + N * rng.randint(-2, 2))
+            yield A, rhs, N
+
+
+class TestCongruenceFactor:
+    """One factor per matrix equals solve_congruences for every b."""
+
+    def test_random_systems_match_solve_congruences(self):
+        outcomes = set()
+        for A, rhs, N in factor_cases(101):
+            factor = CongruenceFactor(A, N)
+            for b in rhs:
+                want = solve_congruences(A, b, N)
+                assert factor.solve(b) == want, (A.tolist(), b.tolist(), N)
+                outcomes.add((want is None, A.shape[0] > A.shape[1]))
+        # feasible and infeasible, square-or-wide and tall, all seen
+        assert outcomes == {(False, False), (False, True),
+                            (True, False), (True, True)}
+
+    def test_brute_force_sweep(self):
+        rng = random.Random(103)
+        for _ in range(200):
+            N = rng.choice([1, 2, 3, 4, 6, 12])
+            m, n = rng.randint(0, 4), rng.randint(1, 3)
+            A = random_matrix(rng, m, n, -6, 6)
+            b = [rng.randint(-6, 6) for _ in range(m)]
+            sol = CongruenceFactor(A, N).solve(b)
+            got = set() if sol is None else set(sol.enumerate())
+            assert got == brute_congruence(A, b, N)
+
+    @pytest.mark.parametrize("N", [2, 6, 9, 12, 32, 36])
+    def test_zero_row_with_nonzero_offset(self, N):
+        rng = random.Random(N)
+        A = random_matrix(rng, 4, 3, -N, N)
+        x = np.array([rng.randint(0, N - 1) for _ in range(3)])
+        A0 = np.vstack([A[:2], np.zeros((1, 3), dtype=np.int64), A[2:]])
+        b = np.insert(A @ x, 2, 0)
+        factor = CongruenceFactor(A0, N)
+        assert factor.solve(b) == solve_congruences(A0, b, N) is not None
+        for c in range(1, N):
+            b[2] = c
+            assert factor.solve(b) is None
+            assert solve_congruences(A0, b, N) is None
+
+    @pytest.mark.parametrize("N", [2, 6, 9, 12, 32, 36])
+    def test_twin_rows_with_different_offsets(self, N):
+        rng = random.Random(N + 1)
+        A = random_matrix(rng, 3, 4, -N, N)
+        A[0, 0] = 1
+        x = np.array([rng.randint(0, N - 1) for _ in range(4)])
+        twins = np.vstack([A, A[:1]])
+        b = np.append(A @ x, (A @ x)[0])
+        factor = CongruenceFactor(twins, N)
+        assert factor.solve(b) == solve_congruences(twins, b, N) is not None
+        for c in range(1, N):
+            b[-1] = (A @ x)[0] + c
+            assert factor.solve(b) is None
+            assert solve_congruences(twins, b, N) is None
+
+    def test_edge_shapes(self):
+        for A, b, N in (([[3, 1]], [2], 1), (np.zeros((0, 2), int), [], 3),
+                        ([[0, 0], [0, 0]], [0, 0], 4),
+                        ([[0, 0], [0, 0]], [0, 1], 4)):
+            assert CongruenceFactor(A, N).solve(b) == \
+                solve_congruences(A, b, N)
+
+    def test_compact_and_signed_input_give_one_solution(self):
+        # a uint8 matrix with entries below N is taken as it stands; a
+        # signed or unreduced one is reduced first, to the same factor
+        A = np.array([[1, 3, 5], [2, 2, 0], [5, 1, 1]], dtype=np.uint8)
+        b = np.array([1, 4, 0])
+        kept = CongruenceFactor(A, 6)
+        signed = CongruenceFactor(A.astype(np.int64) - 6, 6)
+        assert kept.solve(b) == signed.solve(b) == solve_congruences(A, b, 6)
+        assert CongruenceFactor(A, 5).solve(b) == \
+            solve_congruences(A.astype(np.int64), b, 5)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            CongruenceFactor([[1]], 0)
+        with pytest.raises(ValueError):
+            CongruenceFactor([[1, 2]], 5).solve([1, 2])
 
 
 class TestDiagonalizeMod:

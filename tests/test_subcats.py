@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import crossbraid as cb
+from crossbraid import subcats
 from crossbraid.subcats import (
+    PAIRING_FACTORS,
     OmegaBicharacter,
     SubcatData,
     centralizer_subcat,
@@ -577,3 +579,147 @@ class TestFoldedSystem:
             solve_pairings(data, S, unit(D8))
         with pytest.raises(cb.NotNormal):
             verify_bicharacter(OmegaBicharacter(data, S, unit(D8), (0, 0)))
+
+
+def every_pairing_row(data, L, M, killed=None):
+    """(A, b, N'): one row per axiom instance, reduced, none dropped."""
+    mod = working_modulus(data)
+    blocks = list(subcats._axiom_blocks(data, L, M))
+    if killed is not None:
+        pm = [M.elements.index(h) for h in killed.elements]
+        cols = np.arange(L.order)[:, None] * M.order + np.array(pm)
+        blocks.append(((), ((cols, 1),), np.zeros(cols.shape, dtype=np.int64)))
+    b = np.concatenate([offset.ravel() for _, _, offset in blocks])
+    A = np.zeros((b.size, L.order * M.order), dtype=np.int64)
+    start = 0
+    for _axes, terms, offset in blocks:
+        rows = np.arange(start, start + offset.size).reshape(offset.shape)
+        for cols, coef in terms:
+            A[rows, cols] += coef
+        start += offset.size
+    return A % mod, b % mod, mod
+
+
+def solve_before_factoring(data, L, M, killed=None):
+    """solve_congruences on the pairing rows with repeats dropped as
+    (row, offset) pairs, in first-seen order: how solve_pairings solved
+    before it kept one factor per row set.  A row reading 0 = c stays in,
+    and twin rows with different offsets both stay in."""
+    A, b, mod = every_pairing_row(data, L, M, killed)
+    both = np.column_stack([A, b])
+    kept = list(dict.fromkeys(map(tuple, both[both.any(axis=1)].tolist())))
+    kept = np.array(kept, dtype=np.int64).reshape(-1, A.shape[1] + 1)
+    return solve_congruences(kept[:, :-1], kept[:, -1], mod)
+
+
+def infeasible_because(data, L, M):
+    """Why the pairing rows have no solution, read off the rows: a row
+    0 = c, twin rows with different offsets, or neither."""
+    A, b, _ = every_pairing_row(data, L, M)
+    live = A.any(axis=1)
+    if b[~live].any():
+        return "zero row"
+    offsets = {}
+    for row, c in zip(map(tuple, A[live].tolist()), b[live].tolist()):
+        if offsets.setdefault(row, c) != c:
+            return "twin rows"
+    return "elimination"
+
+
+def corrupted_twists(seed):
+    """Stored twists with one omega entry bumped after validation, the way
+    selftest --corrupt-omega breaks a twist; a seeded sample of cells."""
+    rng = random.Random(seed)
+    for name in ("C3", "C4", "S3", "C2xC2"):
+        H = cb.load_h3_fixture(name, verify=False)
+        G = H.group
+        for index in range(2):
+            for _ in range(8):
+                data = TwistedGroupData(G, H.class_representative(index))
+                cell = tuple(rng.randrange(1, G.order) for _ in range(3))
+                data._w[cell] = (data._w[cell] + 1) % data.modulus
+                yield data
+
+
+class TestFactoredPairings:
+    """solve_pairings reuses one factor per row set; every twist, pair and
+    killed subgroup must still get exactly the solution it got before."""
+
+    @pytest.mark.parametrize("name", cb.H3_BATTERY)
+    def test_every_stored_twist_and_pair(self, name):
+        seen = set()
+        for _, _, data in stored_twists([name]):
+            for L, M in cb.commuting_normal_pairs(data.group):
+                want = solve_before_factoring(data, L, M)
+                assert solve_pairings(data, L, M) == want, \
+                    (name, L.elements, M.elements)
+                seen.add(want is None)
+        assert False in seen
+
+    def test_every_killed_system_of_enumerate_rep(self, monkeypatch):
+        calls = []
+        real = subcats.solve_pairings
+
+        def spy(data, L, M, killed=None):
+            calls.append((data, L, M, killed))
+            return real(data, L, M, killed)
+
+        monkeypatch.setattr(subcats, "solve_pairings", spy)
+        for name in cb.H3_BATTERY + ("C8", "C2xC4", "C2xC2xC2"):
+            G = cb.builtin_group(name)
+            for grading in cb.gradings_of_rep(G):
+                cb.enumerate_rep(G, grading.central)
+        assert calls and all(k is not None for *_, k in calls)
+        for data, L, M, killed in calls:
+            assert real(data, L, M, killed) == \
+                solve_before_factoring(data, L, M, killed)
+
+    def test_corrupted_twists_reach_every_infeasible_path(self):
+        # broken twists give rows 0 = c and twin rows with different
+        # offsets, which _dense_rows rejects, and systems that only the
+        # factor's residual test or pivots reject
+        reasons = set()
+        for data in corrupted_twists(20191008):
+            for L, M in cb.commuting_normal_pairs(data.group):
+                want = solve_before_factoring(data, L, M)
+                assert solve_pairings(data, L, M) == want, \
+                    (data.group.name, L.elements, M.elements)
+                if want is None:
+                    reasons.add(infeasible_because(data, L, M))
+        assert reasons == {"zero row", "twin rows", "elimination"}
+
+
+class TestPairingFactorCache:
+    def test_key_holds_modulus_and_shape(self):
+        # the same cells read under another modulus or shape are another
+        # system, and must get their own factor
+        cells = np.array([1, 2, 3, 1], dtype=np.uint8).tobytes()
+        subcats._pairing_factor.cache_clear()
+        for mod, shape in [(6, (2, 2)), (7, (2, 2)), (6, (1, 4)),
+                           (6, (4, 1)), (6, (2, 2))]:
+            A = np.frombuffer(cells, dtype=np.uint8).reshape(shape)
+            factor = subcats._pairing_factor(mod, shape, cells)
+            for b in itertools.product(range(mod), repeat=shape[0]):
+                if b[0] > 2:
+                    break
+                assert factor.solve(b) == solve_congruences(A, b, mod), \
+                    (mod, shape, b)
+        assert subcats._pairing_factor.cache_info().currsize == 4
+
+    def test_never_grows_past_its_bound(self):
+        subcats._pairing_factor.cache_clear()
+        info = subcats._pairing_factor.cache_info()
+        assert info.maxsize == PAIRING_FACTORS
+        for v in range(1, PAIRING_FACTORS + 40):
+            cells = np.array([v], dtype=np.uint16).tobytes()
+            sol = subcats._pairing_factor(1000, (1, 1), cells).solve([v])
+            assert sol is not None
+            assert subcats._pairing_factor.cache_info().currsize <= \
+                PAIRING_FACTORS
+        assert subcats._pairing_factor.cache_info().currsize == \
+            PAIRING_FACTORS
+        # evicting changes no result
+        data = twist("D8", 3)
+        for L, M in cb.commuting_normal_pairs(data.group):
+            assert solve_pairings(data, L, M) == \
+                solve_before_factoring(data, L, M)
