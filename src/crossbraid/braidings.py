@@ -10,6 +10,8 @@ central subgroup.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidGrading, NotCentral, ParentMismatch
 from .groups import (
     FiniteGroup,
@@ -108,8 +110,7 @@ class CrossedBraidingCertificate:
 
 
 def _reindex(M: Subgroup, H: Subgroup) -> tuple[int, ...]:
-    pos = {a: i for i, a in enumerate(M.elements)}
-    return tuple(pos[h] for h in H.elements)
+    return tuple(np.searchsorted(M.elements, H.elements).tolist())
 
 
 def check_theorem_conditions(ambient: TwistedGroupData, grading: GradingSpec,
@@ -188,7 +189,7 @@ def enumerate_rep(G: FiniteGroup, H: Subgroup) -> list[CrossedBraidingCertificat
     data = TwistedGroupData.trivial(G)
     grading = GradingSpec.rep(H)
     h_set = set(H.elements)
-    t = G.table
+    clash = G.table != G.table.T
     out = []
     for M in normal_subgroups(G):
         if not h_set <= set(M.elements):
@@ -201,11 +202,8 @@ def enumerate_rep(G: FiniteGroup, H: Subgroup) -> list[CrossedBraidingCertificat
         for L in normal_subgroups(G):
             if L.order != target:
                 continue
-            if not all(t[a][b] == t[b][a]
-                       for a in L.elements for b in L.elements):
-                continue
-            if not all(t[a][b] == t[b][a]
-                       for a in L.elements for b in M.elements):
+            # L must be abelian and commute with M
+            if clash[np.array(L.elements)[:, None], L.elements + M.elements].any():
                 continue
             nm = M.order
             for s in pair_subcats(data, L, M, killed=H):

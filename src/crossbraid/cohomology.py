@@ -28,7 +28,8 @@ from .errors import (
     ParentMismatch,
 )
 from .exact import diagonalize_mod, smith_normal_form, solve_congruences
-from .groups import FiniteGroup, GroupHom, abelian_coordinates, count_homs_to_abelian, cyclic
+from .groups import (FiniteGroup, GroupHom, abelian_coordinates,
+                     count_homs_to_abelian, cyclic, powers)
 
 MAX_DEGREE = 3
 DEFAULT_BUDGET = 10_000_000
@@ -71,7 +72,7 @@ class CoefficientModule:
     def _check_action(self, act: np.ndarray) -> None:
         A, G = self.group, self.acting_group
         idline = np.arange(A.order)
-        T = A.np_table
+        T = A.table
         for g in G.elements:
             p = act[g]
             if not np.array_equal(np.sort(p), idline):
@@ -80,11 +81,12 @@ class CoefficientModule:
                 raise NotAHomomorphism(f"action of {g} is not an automorphism")
         if not np.array_equal(act[0], idline):
             raise NotAHomomorphism("identity must act trivially")
-        for g in G.elements:
-            for h in G.elements:
-                if not np.array_equal(act[G.mul(g, h)], act[g][act[h]]):
-                    raise NotAHomomorphism(
-                        f"action is not multiplicative at ({g},{h})")
+        # act[gh] against act[g] after act[h], for every (g, h) at once
+        bad = act[G.table] != act[np.arange(G.order)[:, None, None], act]
+        if bad.any():
+            g, h, _ = (int(v) for v in np.argwhere(bad)[0])
+            raise NotAHomomorphism(
+                f"action is not multiplicative at ({g},{h})")
 
     def _scaled_actions(self):
         if self.action is None or self.rank == 0:
@@ -105,10 +107,8 @@ class CoefficientModule:
 
     @property
     def is_trivial_action(self) -> bool:
-        if self.action is None:
-            return True
-        idline = np.arange(self.group.order)
-        return all(np.array_equal(row, idline) for row in self.action)
+        return self.action is None or bool(
+            (self.action == np.arange(self.group.order)).all())
 
     def act(self, g: int, a: int) -> int:
         if self.action is None:
@@ -120,12 +120,6 @@ class CoefficientModule:
         if self._scaled is None:
             return np.eye(self.rank, dtype=np.int64)
         return self._scaled[g]
-
-    def element_of(self, coords) -> int:
-        A, x = self.group, 0
-        for c, g in zip(coords, self.basis):
-            x = A.mul(x, A.power(g, int(c)))
-        return x
 
     def compatible_with(self, other: "CoefficientModule") -> bool:
         if not self.group.same_table(other.group):
@@ -251,19 +245,19 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._match(other)
-        return self._like(self.module.group.np_table[self._array, other._array],
+        return self._like(self.module.group.table[self._array, other._array],
                           self.normalized and other.normalized)
 
     def __neg__(self) -> "Cochain":
-        inverse = np.array(self.module.group.inverse, dtype=np.int64)
-        return self._like(inverse[self._array], self.normalized)
+        return self._like(self.module.group.inverse[self._array],
+                          self.normalized)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
 
     def scale(self, k: int) -> "Cochain":
-        A = self.module.group
-        power = np.array([A.power(a, k) for a in A.elements], dtype=np.int64)
+        M = self.module
+        power = powers(M.group, np.arange(M.group.order), k % M.exponent)
         return self._like(power[self._array], self.normalized)
 
 
@@ -291,8 +285,8 @@ def _differential_values(c: Cochain) -> np.ndarray:
     G, M = c.group, c.module
     A = M.group
     s, n, nA = G.order, c.degree, A.order
-    mul = A.np_table.ravel()
-    inv = np.array(A.inverse, dtype=np.int64)
+    mul = A.table.ravel()
+    inv = A.inverse
     idx = np.indices((s,) * (n + 1), sparse=True)
 
     def at(slots):
@@ -306,7 +300,7 @@ def _differential_values(c: Cochain) -> np.ndarray:
         acc = M.action[idx[0], acc]
     sign = -1
     for i in range(1, n + 1):
-        merged = G.np_table[idx[i - 1], idx[i]]
+        merged = G.table[idx[i - 1], idx[i]]
         term = at(idx[:i - 1] + (merged,) + idx[i + 1:])
         acc = mul[acc * nA + (inv[term] if sign < 0 else term)]
         sign = -sign
@@ -356,7 +350,7 @@ def _bar_matrix(G: FiniteGroup, module: CoefficientModule, n: int,
     sign = -1
     for i in range(1, n + 1):
         merged = h.copy()
-        merged[:, i] = G.np_table[h[:, i - 1], h[:, i]]
+        merged[:, i] = G.table[h[:, i - 1], h[:, i]]
         merged = np.delete(merged, i - 1, axis=1)
         keep = merged[:, i - 1] != 0 if normalized else everything
         add(keep, merged[keep], sign * eye)
@@ -365,52 +359,40 @@ def _bar_matrix(G: FiniteGroup, module: CoefficientModule, n: int,
     return D % e, ins, outs
 
 
-def _scaled_vector(c: Cochain, tuples) -> np.ndarray:
-    """Scaled coordinates of a cochain restricted to the given tuples."""
+def _scaled_vector(c: Cochain) -> np.ndarray:
+    """Scaled coordinates of every value of a cochain, in table order."""
     M = c.module
-    e, k = M.exponent, M.rank
-    out = np.zeros(len(tuples) * k, dtype=np.int64)
-    for i, t in enumerate(tuples):
-        co = M.coords[c.value(*t)]
-        for j in range(k):
-            out[i * k + j] = int(co[j]) * (e // M.orders[j]) % e
-    return out
+    scale = M.exponent // np.array(M.orders, dtype=np.int64)
+    return (M.coords[c._array] * scale % M.exponent).ravel()
 
 
 def _constraint_rows(num_vars: int, module: CoefficientModule) -> np.ndarray:
     """Rows forcing each scaled coordinate into its (e/m_j) Z sublattice."""
-    e, k = module.exponent, module.rank
-    rows = []
-    for v in range(num_vars):
-        m = module.orders[v % k]
-        if m < e:
-            row = np.zeros(num_vars, dtype=np.int64)
-            row[v] = m
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, num_vars), dtype=np.int64)
-    return np.stack(rows)
+    orders = np.resize(np.array(module.orders, dtype=np.int64), num_vars)
+    cols = np.flatnonzero(orders < module.exponent)
+    rows = np.zeros((len(cols), num_vars), dtype=np.int64)
+    rows[np.arange(len(cols)), cols] = orders[cols]
+    return rows
 
 
 def _unscale(module: CoefficientModule, vec: np.ndarray, tuples, G: FiniteGroup,
              degree: int, normalized: bool = True) -> Cochain:
     """Rebuild a dense cochain from scaled coordinates on the given tuples."""
-    e, k = module.exponent, module.rank
-    s = G.order
-    table = [0] * (s ** degree)
-    for i, t in enumerate(tuples):
-        coords = []
-        for j in range(k):
-            scale = e // module.orders[j]
-            x = int(vec[i * k + j]) % e
-            if x % scale:
-                raise NotACocycle("scaled vector leaves the coefficient lattice")
-            coords.append(x // scale)
-        flat = 0
-        for g in t:
-            flat = flat * s + g
-        table[flat] = module.element_of(coords)
-    return Cochain(degree, G, module, tuple(table), normalized=normalized)
+    e, k, s, n = module.exponent, module.rank, G.order, module.group.order
+    scale = e // np.array(module.orders, dtype=np.int64)
+    x = np.asarray(vec, dtype=np.int64).reshape(len(tuples), k) % e
+    if (x % scale).any():
+        raise NotACocycle("scaled vector leaves the coefficient lattice")
+    # coordinates are digits in the mixed radix of the orders, last fastest
+    place = np.array([prod(module.orders[j + 1:]) for j in range(k)],
+                     dtype=np.int64)
+    element_at = np.empty(n, dtype=np.int64)
+    element_at[module.coords @ place] = np.arange(n)
+    slots = np.array(tuples, dtype=np.int64).reshape(len(tuples), degree)
+    table = np.zeros(s ** degree, dtype=np.int64)
+    flat = slots @ s ** np.arange(degree - 1, -1, -1)
+    table[flat] = element_at[(x // scale) @ place]
+    return Cochain(degree, G, module, table, normalized=normalized)
 
 
 def _check_parents(G: FiniteGroup, module: CoefficientModule) -> None:
@@ -427,8 +409,8 @@ def is_coboundary(c: Cochain) -> Cochain | None:
     if M.rank == 0:
         return Cochain.zero(G, M, n - 1)
     e = M.exponent
-    D, ins, outs = _bar_matrix(G, M, n - 1, normalized=False)
-    b = _scaled_vector(c, outs)
+    D, ins, _outs = _bar_matrix(G, M, n - 1, normalized=False)
+    b = _scaled_vector(c)
     cons = _constraint_rows(D.shape[1], M)
     system = np.vstack([D, cons])
     rhs = np.concatenate([b, np.zeros(len(cons), dtype=np.int64)])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -29,51 +29,55 @@ from .exact import UnityExponent
 
 DEFAULT_ORDER_BOUND = 64
 ISO_SEARCH_BOUND = 16
+# largest group built from outside input: names, table files, generators
+MAX_ORDER = 1024
+# cells of the (rows, n, n) blocks the associativity check compares at once
+_ASSOC_BLOCK = 1 << 20
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class FiniteGroup:
     """Immutable finite group given by its full multiplication table.
 
-    The table is a square nested sequence of ids or a 2-D integer array.
+    The table is a square nested sequence of ids or a 2-D integer array,
+    kept as one read-only int64 array with table[a, b] = ab.  Element
+    orders and the exponent are computed on first use.
     """
 
-    __slots__ = ("order", "table", "name", "labels", "inverse", "np_table",
-                 "is_abelian", "element_orders", "exponent")
+    __slots__ = ("order", "table", "name", "labels", "inverse", "is_abelian",
+                 "_orders", "_exponent")
 
     def __init__(self, table, name: str | None = None,
                  labels: tuple[str, ...] | None = None, validate: bool = True):
         try:
-            if isinstance(table, np.ndarray):
-                rows = table.tolist()
-            else:
-                rows = [[int(x) for x in row] for row in table]
-            n = len(rows)
-            if n == 0 or any(len(row) != n for row in rows):
-                raise NotAGroup("table must be square and nonempty")
-            T = np.array(rows, dtype=np.int64)
+            # an integer array is copied as it is: uint64 ids past 2^63 wrap
+            # to negatives, which fail validation
+            if not (isinstance(table, np.ndarray) and table.dtype.kind in "biu"):
+                table = [[int(x) for x in row] for row in table]
+                if any(len(row) != len(table) for row in table):
+                    raise NotAGroup("table must be square and nonempty")
+            T = np.array(table, dtype=np.int64)
         except (TypeError, ValueError, OverflowError):
             raise NotAGroup(
                 "table must be a square nested list of integer ids") from None
+        if T.ndim != 2 or T.shape[0] != T.shape[1] or T.size == 0:
+            raise NotAGroup("table must be square and nonempty")
+        n = len(T)
         if validate:
             self._validate(T, n)
         self.order = n
-        self.table = tuple(map(tuple, rows))
+        self.table = _read_only(T)
         self.name = name
         self.labels = tuple(labels) if labels else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
             raise NotAGroup("label tuple has wrong length")
-        self.np_table = T
-        self.inverse = tuple(int(x) for x in (T == 0).argmax(axis=1))
+        self.inverse = _read_only((T == 0).argmax(axis=1))
         self.is_abelian = bool(np.array_equal(T, T.T))
-        orders = [1] * n
-        for a in range(n):
-            x, k = a, 1
-            while x != 0:
-                x = self.table[x][a]
-                k += 1
-            orders[a] = k
-        self.element_orders = tuple(orders)
-        self.exponent = lcm(*orders)
+        self._orders = self._exponent = None
 
     @staticmethod
     def _validate(T: np.ndarray, n: int):
@@ -85,38 +89,39 @@ class FiniteGroup:
         if not (np.array_equal(np.sort(T, axis=1), np.tile(idline, (n, 1)))
                 and np.array_equal(np.sort(T, axis=0), np.tile(idline[:, None], (1, n)))):
             raise NotAGroup("table is not a Latin square")
-        left = T[T]        # left[a,b,c] = T[T[a,b], c]
-        right = T[:, T]    # right[a,b,c] = T[a, T[b,c]]
-        if not np.array_equal(left, right):
-            a, b, c = (int(v) for v in np.argwhere(left != right)[0])
-            raise NotAGroup(f"associativity fails on ({a},{b},{c})")
-        if not np.all((T == 0).any(axis=1)):
-            raise NotAGroup("some element has no inverse")
+        # (ab)c against a(bc), a block of rows a at a time: O(n^2) memory
+        step = max(1, _ASSOC_BLOCK // (n * n))
+        for lo in range(0, n, step):
+            left = T[T[lo:lo + step]]     # left[a,b,c] = T[T[a,b], c]
+            right = T[lo:lo + step][:, T]  # right[a,b,c] = T[a, T[b,c]]
+            if not np.array_equal(left, right):
+                a, b, c = (int(v) for v in np.argwhere(left != right)[0])
+                raise NotAGroup(f"associativity fails on ({a + lo},{b},{c})")
 
-    # -- basic operations ---------------------------------------------------
+    @property
+    def element_orders(self) -> np.ndarray:
+        """Read-only array of element orders, computed on first use."""
+        if self._orders is None:
+            step, orders = self.table.item, [1] + [0] * (self.order - 1)
+            for a in range(1, self.order):
+                if orders[a]:
+                    continue
+                # walk <a> once: its k-th power has order m / gcd(m, k)
+                cycle, x = [a], step(a, a)
+                while x != 0:
+                    cycle.append(x)
+                    x = step(x, a)
+                m = len(cycle) + 1
+                for k, x in enumerate(cycle, 1):
+                    orders[x] = m // gcd(m, k)
+            self._orders = _read_only(np.array(orders))
+        return self._orders
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def conj(self, g: int, a: int) -> int:
-        """g a g^-1."""
-        return self.table[self.table[g][a]][self.inverse[g]]
-
-    def commutator(self, a: int, b: int) -> int:
-        """a b a^-1 b^-1."""
-        t = self.table
-        return t[t[t[a][b]][self.inverse[a]]][self.inverse[b]]
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inverse[a], -k
-        x = 0
-        for _ in range(k):
-            x = self.table[x][a]
-        return x
+    @property
+    def exponent(self) -> int:
+        if self._exponent is None:
+            self._exponent = lcm(*self.element_orders.tolist())
+        return self._exponent
 
     def check_element(self, a: int) -> None:
         if not 0 <= a < self.order:
@@ -133,32 +138,44 @@ class FiniteGroup:
         return f"FiniteGroup({self.name or 'order ' + str(self.order)})"
 
     def same_table(self, other: "FiniteGroup") -> bool:
-        return self.table == other.table
+        return self is other or np.array_equal(self.table, other.table)
+
+
+# lets Subgroup trust ids the library computed as a subgroup
+_CLOSED = object()
 
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup recorded as a sorted tuple of parent element ids."""
+    """A subgroup recorded as a sorted tuple of parent element ids; ids the
+    library computed as a subgroup skip the closure check."""
 
     parent: FiniteGroup
     elements: tuple[int, ...]
+    origin: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, origin):
+        if origin is _CLOSED:
+            return
         elems = tuple(sorted({int(x) for x in self.elements}))
         object.__setattr__(self, "elements", elems)
         G = self.parent
         if not elems or elems[0] != 0:
             raise NotAGroup("subgroup must contain the identity")
         # ids are sorted from 0, so the largest one range-checks them all
-        # before the closure loops below index the table
+        # before the closure test indexes the table
         G.check_element(elems[-1])
-        inside = set(elems)
+        inside, product = set(elems), G.table.item
         for a in elems:
-            if G.inverse[a] not in inside:
-                raise NotAGroup(f"subgroup not closed under inverse at {a}")
-            for b in elems:
-                if G.table[a][b] not in inside:
-                    raise NotAGroup(f"subgroup not closed under product at ({a},{b})")
+            row = [product(a, b) for b in elems]
+            # a row closed under products holds the inverse of a too, so
+            # the inverse needs a look only in a row that fails
+            if not inside.issuperset(row):
+                if G.inverse[a] not in inside:
+                    raise NotAGroup(f"subgroup not closed under inverse at {a}")
+                b = next(b for b, ab in zip(elems, row) if ab not in inside)
+                raise NotAGroup(
+                    f"subgroup not closed under product at ({a},{b})")
 
     @property
     def order(self) -> int:
@@ -167,9 +184,6 @@ class Subgroup:
     @property
     def index(self) -> int:
         return self.parent.order // len(self.elements)
-
-    def contains(self, a: int) -> bool:
-        return a in self.elements
 
     def sort_key(self):
         return (len(self.elements), self.elements)
@@ -192,10 +206,10 @@ class GroupHom:
             raise NotAHomomorphism("image id out of range")
         if f[0] != 0:
             raise NotAHomomorphism("identity must map to identity")
-        Ts, Tt = self.source.np_table, self.target.np_table
-        if not np.array_equal(f[Ts], Tt[f[:, None], f[None, :]]):
-            a, b = (int(v) for v in
-                    np.argwhere(f[Ts] != Tt[f[:, None], f[None, :]])[0])
+        Ts, Tt = self.source.table, self.target.table
+        bad = f[Ts] != Tt[f[:, None], f[None, :]]
+        if bad.any():
+            a, b = np.argwhere(bad)[0].tolist()
             raise NotAHomomorphism(f"multiplicativity fails at ({a},{b})")
 
     def __call__(self, a: int) -> int:
@@ -203,10 +217,8 @@ class GroupHom:
 
     def kernel(self) -> Subgroup:
         return Subgroup(self.source,
-                        tuple(a for a, x in enumerate(self.images) if x == 0))
-
-    def image_elements(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.images)))
+                        tuple(a for a, x in enumerate(self.images) if x == 0),
+                        _CLOSED)
 
     @property
     def is_surjective(self) -> bool:
@@ -220,11 +232,8 @@ class GroupHom:
         """For each target id, the smallest preimage id (requires surjective)."""
         if not self.is_surjective:
             raise NotSurjective("section requires a surjective homomorphism")
-        sec: list[int | None] = [None] * self.target.order
-        for a, x in enumerate(self.images):
-            if sec[x] is None:
-                sec[x] = a
-        return tuple(sec)  # type: ignore[arg-type]
+        sec = {x: a for a, x in reversed(list(enumerate(self.images)))}
+        return tuple(sec[x] for x in range(self.target.order))
 
 
 # -- builders ---------------------------------------------------------------
@@ -239,7 +248,9 @@ def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise UnknownBuiltin("cyclic order must be >= 1")
     ids = np.arange(n, dtype=np.int64)
-    return FiniteGroup((ids[:, None] + ids) % n, name=f"C{n}", validate=False)
+    table = ids[:, None] + ids
+    table %= n
+    return FiniteGroup(table, name=f"C{n}", validate=False)
 
 
 def product_group(*factors: FiniteGroup, name: str | None = None) -> FiniteGroup:
@@ -251,7 +262,7 @@ def product_group(*factors: FiniteGroup, name: str | None = None) -> FiniteGroup
     sizes = [g.order for g in factors]
     digits = _mixed_radix(sizes).T
     table = np.ravel_multi_index(
-        [g.np_table[d[:, None], d] for g, d in zip(factors, digits)], sizes)
+        [g.table[d[:, None], d] for g, d in zip(factors, digits)], sizes)
     labels = tuple("(" + ",".join(parts) + ")"
                    for parts in itertools.product(*(g.labels for g in factors)))
     return FiniteGroup(table, name=name, labels=labels, validate=False)
@@ -265,17 +276,10 @@ def dihedral(order: int) -> FiniteGroup:
     if order < 2 or order % 2:
         raise UnknownBuiltin(f"dihedral order must be even >= 2, got {order}")
     n = order // 2
-    table = [[0] * order for _ in range(order)]
-    for k1 in (0, 1):
-        for i1 in range(n):
-            a = k1 * n + i1
-            for k2 in (0, 1):
-                for i2 in range(n):
-                    b = k2 * n + i2
-                    if k2 == 0:
-                        table[a][b] = k1 * n + (i1 + i2) % n
-                    else:
-                        table[a][b] = (1 - k1) * n + (i2 - i1) % n
+    k, i = np.divmod(np.arange(order), n)
+    k1, i1, k2, i2 = k[:, None], i[:, None], k[None, :], i[None, :]
+    table = np.where(k2 == 0, k1 * n + (i1 + i2) % n,
+                     (1 - k1) * n + (i2 - i1) % n)
     labels = tuple(f"r{i}" if k == 0 else f"sr{i}" for k in (0, 1) for i in range(n))
     return FiniteGroup(table, name=f"D{order}", labels=labels, validate=False)
 
@@ -307,27 +311,16 @@ def symmetric(n: int) -> FiniteGroup:
 
 
 def quaternion() -> FiniteGroup:
-    """Quaternion group; element order 1, -1, i, -i, j, -j, k, -k."""
-    base = {
-        (2, 2): (-1, 1), (2, 3): (1, 4), (2, 4): (-1, 3),
-        (3, 2): (-1, 4), (3, 3): (-1, 1), (3, 4): (1, 2),
-        (4, 2): (1, 3), (4, 3): (-1, 2), (4, 4): (-1, 1),
-    }
+    """Quaternion group; element order 1, -1, i, -i, j, -j, k, -k.
 
-    def mul_pair(x, y):
-        s1, b1 = x
-        s2, b2 = y
-        if b1 == 1:
-            s, b = 1, b2
-        elif b2 == 1:
-            s, b = 1, b1
-        else:
-            s, b = base[(b1, b2)]
-        return (s1 * s2 * s, b)
-
-    elems = [(1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (-1, 3), (1, 4), (-1, 4)]
-    index = {e: i for i, e in enumerate(elems)}
-    table = [[index[mul_pair(x, y)] for y in elems] for x in elems]
+    Id 2u + s is the unit u of (1, i, j, k) with sign (-1)^s.  Units
+    multiply by xor of their indices, and flip[u, v] marks the products
+    of units that pick up a sign (i i = -1, i k = -j, j i = -k, ...).
+    """
+    flip = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    u, sign = np.divmod(np.arange(8), 2)
+    u1, u2 = u[:, None], u[None, :]
+    table = 2 * (u1 ^ u2) + (sign[:, None] ^ sign[None, :] ^ flip[u1, u2])
     labels = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
     return FiniteGroup(table, name="Q8", labels=labels, validate=False)
 
@@ -350,12 +343,16 @@ def parse_permutation(text: str, degree: int) -> tuple[int, ...]:
 
 
 def from_generators(gens, degree: int, name: str | None = None,
-                    max_order: int = 1024) -> FiniteGroup:
+                    max_order: int = MAX_ORDER) -> FiniteGroup:
     """Group generated by permutations, in breadth-first closure order.
 
     The identity gets id 0; new elements are appended as old*generator
-    products are discovered, scanning generators in the given order.
+    products are discovered, scanning generators in the given order.  max_order
+    bounds the degree too: a group of that order acts faithfully on itself.
     """
+    if degree > max_order:
+        raise GroupTooLarge(
+            f"permutation degree {degree} exceeds the bound {max_order}")
     parsed = []
     for g in gens:
         if isinstance(g, str):
@@ -389,7 +386,26 @@ def from_generators(gens, degree: int, name: str | None = None,
     return FiniteGroup(table, name=name, labels=labels, validate=False)
 
 
+def powers(G: FiniteGroup, a: np.ndarray, k: int) -> np.ndarray:
+    """a^k for an array of ids a and an int k >= 0, by repeated squaring."""
+    T, x = G.table, np.zeros_like(a)
+    while k:
+        if k & 1:
+            x = T[x, a]
+        a, k = T[a, a], k >> 1
+    return x
+
+
+def _check_order(order: int, what: str) -> None:
+    """GroupTooLarge past MAX_ORDER, checked before any table is built."""
+    if order > MAX_ORDER:
+        raise GroupTooLarge(
+            f"{what} has order {order}, above the bound {MAX_ORDER}")
+
+
 def builtin_group(name: str) -> FiniteGroup:
+    """A builtin group by name; its order, read off the name, is bounded
+    by MAX_ORDER before any table is built."""
     name = name.strip()
     if name == "Q8":
         return quaternion()
@@ -398,9 +414,11 @@ def builtin_group(name: str) -> FiniteGroup:
         return symmetric(int(m.group(1)))
     m = re.fullmatch(r"D(\d+)", name)
     if m:
+        _check_order(int(m.group(1)), name)
         return dihedral(int(m.group(1)))
     if re.fullmatch(r"C\d+(?:xC\d+)*", name):
         ns = [int(s) for s in re.findall(r"C(\d+)", name)]
+        _check_order(prod(ns), name)
         if len(ns) == 1:
             return cyclic(ns[0])
         return product_group(*(cyclic(n) for n in ns), name=name)
@@ -420,13 +438,14 @@ def build_group(spec) -> FiniteGroup:
     """Build a group from a builtin name, a JSON-style dict, or a raw table.
 
     Any other value, or a dict field of the wrong type, raises NotAGroup.
+    A table's row count is bounded by MAX_ORDER before it is converted.
     """
     if isinstance(spec, FiniteGroup):
         return spec
     if isinstance(spec, str):
         return builtin_group(spec)
     if isinstance(spec, (list, tuple, np.ndarray)):
-        return FiniteGroup(spec)
+        spec = {"table": spec}
     if not isinstance(spec, dict):
         raise NotAGroup(
             f"cannot build a group from a {type(spec).__name__}")
@@ -446,6 +465,8 @@ def build_group(spec) -> FiniteGroup:
         return from_generators(gens, json_int(spec["degree"], "degree"),
                                name=name)
     if "table" in spec:
+        if isinstance(spec["table"], (list, tuple, np.ndarray)):
+            _check_order(len(spec["table"]), "group table")
         g = FiniteGroup(spec["table"], name=name)
         if "order" in spec and json_int(spec["order"], "order") != g.order:
             raise NotAGroup("declared order does not match table size")
@@ -460,33 +481,56 @@ def trivial_group() -> FiniteGroup:
 # -- structure queries ------------------------------------------------------
 
 
+def conjugation_table(G: FiniteGroup) -> np.ndarray:
+    """The conjugation table: entry [g, a] is g a g^-1."""
+    return G.table[G.table, G.inverse[:, None]]
+
+
+def _masks(subs: list[Subgroup], n: int) -> np.ndarray:
+    """Membership matrix: entry [i, a] says whether a lies in subs[i]."""
+    mask = np.zeros((len(subs), n), dtype=bool)
+    sizes = [S.order for S in subs]
+    ids = np.fromiter(itertools.chain.from_iterable(S.elements for S in subs),
+                      dtype=np.int64, count=sum(sizes))
+    mask.ravel()[np.repeat(np.arange(len(subs)) * n, sizes) + ids] = True
+    return mask
+
+
 def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, tuple[int, ...]]]:
     """Conjugacy classes as (representative, members), representatives
     ascending; the representative is the least id in its class."""
-    seen = [False] * G.order
-    out = []
-    for a in G.elements:
-        if seen[a]:
-            continue
-        orbit = sorted({G.conj(g, a) for g in G.elements})
-        for x in orbit:
-            seen[x] = True
-        out.append((a, tuple(orbit)))
-    return out
+    classes: dict[int, list[int]] = {}
+    for a, rep in enumerate(conjugation_table(G).min(axis=0).tolist()):
+        # rep <= a, so each class is met first at its representative
+        classes.setdefault(rep, []).append(a)
+    return [(rep, tuple(members)) for rep, members in classes.items()]
 
 
 def centralizer(G: FiniteGroup, a: int) -> Subgroup:
     G.check_element(a)
-    t = G.table
-    return Subgroup(G, tuple(g for g in G.elements if t[g][a] == t[a][g]))
+    T = G.table
+    return Subgroup(G, tuple(np.flatnonzero(T[:, a] == T[a]).tolist()), _CLOSED)
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    t = G.table
-    return Subgroup(
-        G,
-        tuple(a for a in G.elements if all(t[a][g] == t[g][a] for g in G.elements)),
-    )
+    T = G.table
+    return Subgroup(G, tuple(np.flatnonzero((T == T.T).all(axis=1)).tolist()),
+                    _CLOSED)
+
+
+def _close(rows, cols, gens) -> tuple[int, ...]:
+    """The ids reached from gens by right multiplication, sorted; row x of
+    rows holds x times each generator at the positions cols."""
+    have = set(gens)
+    frontier = list(gens)
+    while frontier:
+        row = rows[frontier.pop()]
+        for j in cols:
+            z = row[j]
+            if z not in have:
+                have.add(z)
+                frontier.append(z)
+    return tuple(sorted(have))
 
 
 def closure(G: FiniteGroup, seed) -> tuple[int, ...]:
@@ -499,21 +543,12 @@ def closure(G: FiniteGroup, seed) -> tuple[int, ...]:
     gens = sorted({0, *(int(s) for s in seed)})
     for s in gens:
         G.check_element(s)
-    have = set(gens)
-    frontier = list(gens)
-    while frontier:
-        row = G.table[frontier.pop()]
-        for s in gens:
-            z = row[s]
-            if z not in have:
-                have.add(z)
-                frontier.append(z)
-    return tuple(sorted(have))
+    return _close(G.table[:, gens].tolist(), range(len(gens)), gens)
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    comms = {G.commutator(a, b) for a in G.elements for b in G.elements}
-    return Subgroup(G, closure(G, comms))
+    comms = G.table[conjugation_table(G), G.inverse]  # [a, b] = a b a^-1 b^-1
+    return Subgroup(G, closure(G, np.unique(comms).tolist()), _CLOSED)
 
 
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -529,10 +564,11 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
             f"subgroup enumeration capped at order {DEFAULT_ORDER_BOUND}, "
             f"group has {G.order}"
         )
+    rows = G.table.tolist()
     # each distinct cyclic subgroup, with its least generator
     cyclics: dict[tuple[int, ...], int] = {}
     for a in G.elements:
-        cyclics.setdefault(closure(G, (a,)), a)
+        cyclics.setdefault(_close(rows, (a,), (0, a)), a)
     # each subgroup found so far, with a generating set
     found = {elems: (a,) for elems, a in cyclics.items()}
     work = list(found)
@@ -541,11 +577,11 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
         inside, gens = set(elems), found[elems]
         for c in cyclics.values():
             if c not in inside:
-                join = closure(G, gens + (c,))
+                join = _close(rows, gens + (c,), (0,) + gens + (c,))
                 if join not in found:
                     found[join] = gens + (c,)
                     work.append(join)
-    subs = [Subgroup(G, elems) for elems in found]
+    subs = [Subgroup(G, elems, _CLOSED) for elems in found]
     subs.sort(key=Subgroup.sort_key)
     return subs
 
@@ -553,12 +589,20 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
 def is_normal(G: FiniteGroup, S: Subgroup) -> bool:
     if S.parent is not G:
         S = Subgroup(G, S.elements)
-    inside = set(S.elements)
-    return all(G.conj(g, a) in inside for g in G.elements for a in S.elements)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[list(S.elements)] = True
+    T = G.table
+    return bool(inside[T[T[:, S.elements], G.inverse[:, None]]].all())
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    return [S for S in all_subgroups(G) if is_normal(G, S)]
+    subs = all_subgroups(G)
+    if G.is_abelian:
+        return subs
+    mask = _masks(subs, G.order)
+    # S is normal when a in S puts every g a g^-1 in S
+    normal = (mask[:, conjugation_table(G)] >= mask[:, None, :]).all(axis=(1, 2))
+    return [S for S, ok in zip(subs, normal.tolist()) if ok]
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
@@ -572,10 +616,10 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     if not is_normal(G, N):
         raise NotNormal(f"subgroup {N.elements} is not normal")
     # rep_of[a] is the least id of the coset aN
-    rep_of = G.np_table[:, list(N.elements)].min(axis=1)
+    rep_of = G.table[:, list(N.elements)].min(axis=1)
     reps = np.unique(rep_of)
     proj_ids = np.searchsorted(reps, rep_of)
-    table = proj_ids[G.np_table[reps[:, None], reps]]
+    table = proj_ids[G.table[reps[:, None], reps]]
     name = None
     if G.name:
         name = f"{G.name}/{{{','.join(str(x) for x in N.elements)}}}"
@@ -592,9 +636,10 @@ def subgroup_as_group(S: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     """
     G = S.parent
     elems = S.elements
+    ids = np.array(elems)
     pos = np.zeros(G.order, dtype=np.int64)
-    pos[list(elems)] = np.arange(len(elems))
-    table = pos[G.np_table[np.ix_(elems, elems)]]
+    pos[ids] = np.arange(len(elems))
+    table = pos[G.table[ids[:, None], ids]]
     labels = tuple(G.labels[a] for a in elems)
     name = None
     if G.name:
@@ -605,13 +650,13 @@ def subgroup_as_group(S: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
 def commuting_normal_pairs(G: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
     """Ordered pairs (L, M) of normal subgroups commuting elementwise."""
     normals = normal_subgroups(G)
-    t = G.table
-    out = []
-    for L in normals:
-        for M in normals:
-            if all(t[a][b] == t[b][a] for a in L.elements for b in M.elements):
-                out.append((L, M))
-    return out
+    if G.is_abelian:
+        return [(L, M) for L in normals for M in normals]
+    mask = _masks(normals, G.order).astype(np.int64)
+    # clash[i, j] counts the pairs in normals[i] x normals[j] that do not commute
+    clash = mask @ (G.table != G.table.T) @ mask.T
+    rows, cols = np.nonzero(clash == 0)
+    return [(normals[i], normals[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 # -- abelian structure ------------------------------------------------------
@@ -635,24 +680,23 @@ def enumerate_homs_to_abelian(G: FiniteGroup, A: FiniteGroup) -> list[tuple[int,
     if not A.is_abelian:
         raise NotAbelian("target of hom enumeration must be abelian")
     gens = _greedy_generators(G)
+    steps = G.table[:, gens].tolist()
     out = []
     for imgs in itertools.product(A.elements, repeat=len(gens)):
+        images = A.table[:, imgs].tolist()
         table = {0: 0}
         ok = True
         frontier = [0]
         while frontier and ok:
             x = frontier.pop()
             fx = table[x]
-            for s, v in zip(gens, imgs):
-                y = G.table[x][s]
-                fy = A.table[fx][v]
-                if y in table:
-                    if table[y] != fy:
-                        ok = False
-                        break
-                else:
+            for y, fy in zip(steps[x], images[fx]):
+                if y not in table:
                     table[y] = fy
                     frontier.append(y)
+                elif table[y] != fy:
+                    ok = False
+                    break
         if ok and len(table) == G.order:
             out.append(tuple(table[a] for a in G.elements))
     out.sort()
@@ -669,14 +713,8 @@ def count_homs_to_abelian(G: FiniteGroup, A: FiniteGroup) -> int:
     if not A.is_abelian:
         raise NotAbelian("target of hom enumeration must be abelian")
     ab = G if G.is_abelian else quotient(G, derived_subgroup(G))[0]
-    return prod(gcd(d, e) for _, d in abelian_basis(ab)
-                for _, e in abelian_basis(A))
-
-
-def _is_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
+    targets = [e for _, e in abelian_basis(A)]
+    return prod(gcd(d, e) for _, d in abelian_basis(ab) for e in targets)
 
 
 def abelian_basis(A: FiniteGroup) -> list[tuple[int, int]]:
@@ -690,35 +728,39 @@ def abelian_basis(A: FiniteGroup) -> list[tuple[int, int]]:
         raise NotAbelian("basis requires an abelian group")
     if A.order == 1:
         return []
-    primes = [p for p in range(2, A.order + 1)
-              if A.order % p == 0 and all(p % q for q in range(2, p))]
+    order_of = A.element_orders.tolist()
+    primes = sorted({next(p for p in range(2, o + 1) if o % p == 0)
+                     for o in set(order_of) - {1}})
     per_prime: dict[int, list[tuple[int, int]]] = {}
     for p in primes:
-        members = [a for a in A.elements if _is_power(A.element_orders[a], p)]
+        part = gcd(A.order, p ** A.order)
+        # orders divide |A|, so the p-powers are those dividing its p-part
+        members = [a for a, o in enumerate(order_of) if part % o == 0]
         basis_p: list[tuple[int, int]] = []
-        span = closure(A, ())
-        size = 1
+        span, size, socle = {0}, 1, None
         while size < len(members):
-            span_set = set(span)
+            # a lifts with its full order exactly when <a> meets the span
+            # trivially, i.e. when its power of order p, a^(ord(a)/p), lies
+            # outside the span; while the span is {0} that is every a != 0
+            if len(span) > 1 and socle is None:
+                x = np.array(members)
+                while (big := A.element_orders[x] > p).any():
+                    x[big] = powers(A, x[big], p)
+                socle = dict(zip(members, x.tolist()))
+            # the first lift of the largest order wins
             best = None
             for a in members:
-                if a in span_set:
-                    continue
-                x, k = a, 1
-                while x not in span_set:
-                    x = A.table[x][a]
-                    k += 1
-                # k = least power of a landing in the span; accept only lifts
-                # whose true order matches (guarantees a direct summand)
-                if A.element_orders[a] == k and (best is None or k > best[1]):
-                    best = (a, k)
+                if (socle[a] if socle else a) not in span and \
+                        (best is None or order_of[a] > best[1]):
+                    best = (a, order_of[a])
             if best is None:
                 raise NotAGroup("abelian basis construction failed")
             basis_p.append(best)
-            span = closure(A, [g for g, _ in basis_p])
             size *= best[1]
-            if len(span) != size:
-                raise NotAGroup("abelian basis construction failed")
+            if size < len(members):
+                span = set(closure(A, [g for g, _ in basis_p]))
+                if len(span) != size:
+                    raise NotAGroup("abelian basis construction failed")
         basis_p.sort(key=lambda t: -t[1])
         per_prime[p] = basis_p
     width = max(len(b) for b in per_prime.values())
@@ -728,7 +770,7 @@ def abelian_basis(A: FiniteGroup) -> list[tuple[int, int]]:
         for p in primes:
             if i < len(per_prime[p]):
                 gp, op = per_prime[p][i]
-                g = A.table[g][gp]
+                g = int(A.table[g, gp])
                 order *= op
         out.append((g, order))
     if prod(o for _, o in out) != A.order:
@@ -746,40 +788,30 @@ def abelian_coordinates(A: FiniteGroup) -> tuple[list[tuple[int, int]], np.ndarr
     digits = _mixed_radix([m for _, m in basis])
     elems = np.zeros(len(digits), dtype=np.int64)
     for (g, m), column in zip(basis, digits.T):
-        powers = [0]
+        step, cycle = A.table[:, g].tolist(), [0]
         for _ in range(m - 1):
-            powers.append(A.table[powers[-1]][g])
-        elems = A.np_table[elems, np.array(powers)[column]]
+            cycle.append(step[cycle[-1]])
+        elems = A.table[elems, np.array(cycle)[column]]
     coords = np.empty_like(digits)
     coords[elems] = digits
     return basis, coords
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualGroup:
     """Character group of a finite abelian group, with the exact pairing.
 
-    pairing[chi][a] is the exponent of chi(a) as a root of unity modulo
-    `modulus` (the exponent of the source group).
+    pairing[chi, a], a read-only int64 array, is the exponent of chi(a) as
+    a root of unity modulo `modulus` (the exponent of the source group).
     """
 
     group: FiniteGroup
     source: FiniteGroup
-    pairing: tuple[tuple[int, ...], ...]
+    pairing: np.ndarray
     modulus: int
 
     def character(self, chi: int, a: int) -> UnityExponent:
-        return UnityExponent(self.pairing[chi][a], self.modulus)
-
-    def annihilator(self, H: Subgroup) -> Subgroup:
-        """Characters trivial on H, as a subgroup of the dual."""
-        if H.parent is not self.source:
-            H = Subgroup(self.source, H.elements)
-        members = tuple(
-            chi for chi in self.group.elements
-            if all(self.pairing[chi][h] == 0 for h in H.elements)
-        )
-        return Subgroup(self.group, members)
+        return UnityExponent(int(self.pairing[chi, a]), self.modulus)
 
 
 def dual_group(A: FiniteGroup) -> DualGroup:
@@ -800,22 +832,27 @@ def dual_group(A: FiniteGroup) -> DualGroup:
     char_id = np.empty_like(by_value)
     char_id[by_value] = np.arange(len(by_value))
     # characters multiply as their coordinates add in the product of Z/m_i
-    coord_table = product_group(*(cyclic(m) for m in orders.tolist())).np_table
-    table = char_id[coord_table[np.ix_(by_value, by_value)]]
+    coord_table = product_group(*(cyclic(m) for m in orders.tolist())).table
+    table = char_id[coord_table[by_value[:, None], by_value]]
     name = f"dual({A.name})" if A.name else None
     grp = FiniteGroup(table, name=name, validate=False)
-    return DualGroup(grp, A, tuple(map(tuple, values[by_value].tolist())), e)
+    return DualGroup(grp, A, _read_only(values[by_value]), e)
 
 
 def annihilator(dual: DualGroup, H: Subgroup) -> Subgroup:
-    return dual.annihilator(H)
+    """Characters trivial on H, as a subgroup of the dual."""
+    if H.parent is not dual.source:
+        H = Subgroup(dual.source, H.elements)
+    trivial = ~dual.pairing[:, H.elements].any(axis=1)
+    return Subgroup(dual.group, tuple(np.flatnonzero(trivial).tolist()), _CLOSED)
 
 
 # -- isomorphism testing ----------------------------------------------------
 
 
-def _hom_extend(G1: FiniteGroup, G2: FiniteGroup, partial: dict, a: int, fa: int):
-    """Close partial (a multiplicative map) after adding a -> fa; None on clash."""
+def _hom_extend(T1, T2, partial: dict, a: int, fa: int):
+    """Close partial (a multiplicative map between the groups with table
+    rows T1 and T2) after adding a -> fa; None on clash."""
     new = dict(partial)
     work = [(a, fa)]
     while work:
@@ -826,20 +863,20 @@ def _hom_extend(G1: FiniteGroup, G2: FiniteGroup, partial: dict, a: int, fa: int
             continue
         new[x] = fx
         for b, fb in list(new.items()):
-            work.append((G1.table[x][b], G2.table[fx][fb]))
-            work.append((G1.table[b][x], G2.table[fb][fx]))
+            work.append((T1[x][b], T2[fx][fb]))
+            work.append((T1[b][x], T2[fb][fx]))
     return new
 
 
-def _iso_search(G1, G2, gens, cand_lists, partial):
+def _iso_search(T1, T2, gens, cand_lists, partial):
     if not gens:
-        return len(partial) == G1.order
+        return len(partial) == len(T1)
     g, rest = gens[0], gens[1:]
     for img in cand_lists[0]:
-        new = _hom_extend(G1, G2, partial, g, img)
+        new = _hom_extend(T1, T2, partial, g, img)
         if new is None or len(set(new.values())) != len(new):
             continue
-        if _iso_search(G1, G2, rest, cand_lists[1:], new):
+        if _iso_search(T1, T2, rest, cand_lists[1:], new):
             return True
     return False
 
@@ -851,7 +888,8 @@ def is_isomorphic(G1: FiniteGroup, G2: FiniteGroup,
         return False
     if G1.order > bound:
         raise GroupTooLarge(f"isomorphism search capped at order {bound}")
-    if sorted(G1.element_orders) != sorted(G2.element_orders):
+    o1, o2 = G1.element_orders, G2.element_orders
+    if not np.array_equal(np.sort(o1), np.sort(o2)):
         return False
     if G1.is_abelian != G2.is_abelian:
         return False
@@ -860,8 +898,6 @@ def is_isomorphic(G1: FiniteGroup, G2: FiniteGroup,
     if sizes1 != sizes2:
         return False
     gens = _greedy_generators(G1)
-    cand_lists = [
-        [h for h in G2.elements if G2.element_orders[h] == G1.element_orders[g]]
-        for g in gens
-    ]
-    return _iso_search(G1, G2, gens, cand_lists, {0: 0})
+    cand_lists = [np.flatnonzero(o2 == o1[g]).tolist() for g in gens]
+    return _iso_search(G1.table.tolist(), G2.table.tolist(), gens,
+                       cand_lists, {0: 0})

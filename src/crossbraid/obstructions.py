@@ -9,6 +9,8 @@ of splittings).
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cohomology import (
     Cochain,
     CoefficientModule,
@@ -48,29 +50,33 @@ class ExtensionData:
     cocycle: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        E, G = self.group, self.base
-        lam, n = self.section, self.cocycle
+        TE, TG = self.group.table, self.base.table
+        lam, n = np.array(self.section), np.array(self.cocycle)
         if lam[0] != 0:
             raise ValueError("section must start at the identity")
-        inside = set(self.normal.elements)
-        for g in G.elements:
-            if self.projection(lam[g]) != g:
-                raise ValueError(f"section does not split the projection at {g}")
-            for h in G.elements:
-                x = n[g][h]
-                if x not in inside:
-                    raise ValueError(f"cocycle value at ({g},{h}) is outside N")
-                if E.mul(lam[g], lam[h]) != E.mul(lam[G.mul(g, h)], x):
-                    raise ValueError(f"section identity fails at ({g},{h})")
-        for g in G.elements:
-            for h in G.elements:
-                for k in G.elements:
-                    left = E.mul(n[G.mul(g, h)][k],
-                                 E.conj(E.inv(lam[k]), n[g][h]))
-                    right = E.mul(n[g][G.mul(h, k)], n[h][k])
-                    if left != right:
-                        raise ValueError(
-                            f"cocycle identity fails at ({g},{h},{k})")
+        _raise_first(np.array(self.projection.images)[lam] != np.arange(len(lam)),
+                     "section does not split the projection at {}")
+        _raise_first(~np.isin(n, self.normal.elements),
+                     "cocycle value at ({},{}) is outside N")
+        _raise_first(TE[lam[:, None], lam] != TE[lam[TG], n],
+                     "section identity fails at ({},{})")
+        g, h, k = np.ix_(*(range(len(lam)),) * 3)
+        # n(gh, k) (lam_k^-1 n(g, h) lam_k) = n(g, hk) n(h, k)
+        inner = TE[TE[self.group.inverse[lam[k]], n[g, h]], lam[k]]
+        _raise_first(TE[n[TG[g, h], k], inner] != TE[n[g, TG[h, k]], n[h, k]],
+                     "cocycle identity fails at ({},{},{})")
+
+
+def _raise_first(bad: np.ndarray, message: str) -> None:
+    """ValueError with the first flagged index filled into message, if any."""
+    if bad.any():
+        raise ValueError(message.format(*np.argwhere(bad)[0].tolist()))
+
+
+def _section_cocycle(E: FiniteGroup, G: FiniteGroup, lam: np.ndarray):
+    """lam(gh)^-1 lam(g) lam(h) for every (g, h), as an array of E ids."""
+    TE = E.table
+    return TE[E.inverse[lam[G.table]], TE[lam[:, None], lam]]
 
 
 def extension_cocycle(E: FiniteGroup, N: Subgroup) -> ExtensionData:
@@ -81,11 +87,8 @@ def extension_cocycle(E: FiniteGroup, N: Subgroup) -> ExtensionData:
         raise NotNormal(f"subgroup {N.elements} is not normal in the ambient group")
     G, proj = quotient(E, N)
     lam = proj.min_section()
-    n = tuple(
-        tuple(E.mul(E.inv(lam[G.mul(g, h)]), E.mul(lam[g], lam[h]))
-              for h in G.elements)
-        for g in G.elements)
-    return ExtensionData(E, N, G, proj, lam, n)
+    n = _section_cocycle(E, G, np.array(lam))
+    return ExtensionData(E, N, G, proj, lam, tuple(map(tuple, n.tolist())))
 
 
 @dataclass(frozen=True)
@@ -114,23 +117,22 @@ def fibered_enrichment_extends(E: FiniteGroup, N: Subgroup) -> FiberedReport:
     if not is_normal(E, N):
         raise NotNormal(f"fiber subgroup {N.elements} is not normal in the ambient group")
     G, proj = quotient(E, N)
-    cent = [x for x in E.elements
-            if all(E.mul(x, a) == E.mul(a, x) for a in N.elements)]
-    lam: list[int | None] = [None] * G.order
-    for x in cent:
-        g = proj(x)
-        if lam[g] is None:
-            lam[g] = x
-    if any(x is None for x in lam):
+    TE, ids = E.table, list(N.elements)
+    # whether each element of E commutes with every element of N
+    commutes = (TE[:, ids] == TE[ids].T).all(axis=1).tolist()
+    # the least centralizing lift of each element of the quotient
+    lift: dict[int, int] = {}
+    for x, g in enumerate(proj.images):
+        if commutes[x]:
+            lift.setdefault(g, x)
+    if len(lift) < G.order:
         return FiberedReport(False, "conjugation acts nontrivially on N")
-    zn = tuple(z for z in N.elements
-               if all(E.mul(z, a) == E.mul(a, z) for a in N.elements))
+    zn = tuple(z for z in N.elements if commutes[z])
     Zgrp, emb = subgroup_as_group(Subgroup(E, zn))
-    pos = {a: i for i, a in enumerate(emb)}
     module = trivial_module(Zgrp)
-    table = tuple(
-        pos[E.mul(E.inv(lam[G.mul(g, h)]), E.mul(lam[g], lam[h]))]
-        for g in G.elements for h in G.elements)
+    lam = np.array([lift[g] for g in G.elements])
+    # cocycle values lie in Z(N), whose sorted ids emb number Zgrp
+    table = np.searchsorted(emb, _section_cocycle(E, G, lam)).ravel()
     c = Cochain(2, G, module, table, normalized=True)
     if not is_cocycle(c):
         raise NotACocycle("extension 2-cochain fails the cocycle identity")

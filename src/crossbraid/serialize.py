@@ -29,7 +29,7 @@ def group_to_json(G: FiniteGroup) -> dict:
     if G.name:
         out["name"] = G.name
     out["order"] = G.order
-    out["table"] = [list(row) for row in G.table]
+    out["table"] = G.table.tolist()
     return out
 
 

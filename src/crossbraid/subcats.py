@@ -128,8 +128,7 @@ def _axiom_blocks(data: TwistedGroupData, L: Subgroup, M: Subgroup):
     """
     G = data.group
     lift = G.exponent
-    T = G.np_table
-    inv = np.array(G.inverse)
+    T, inv = G.table, G.inverse
     beta = data.beta_table
     Le, Me = np.array(L.elements), np.array(M.elements)
     pl, pm = _positions(G, L), _positions(G, M)
@@ -220,12 +219,12 @@ class SubcatData:
         G = self.parent.group
         if not (is_normal(G, self.L) and is_normal(G, self.M)):
             raise NotNormal("L and M must both be normal")
-        t = G.table
-        for a in self.L.elements:
-            for b in self.M.elements:
-                if t[a][b] != t[b][a]:
-                    raise NotCentral(
-                        f"L and M must commute elementwise; ({a}, {b}) do not")
+        L, M = np.array(self.L.elements), np.array(self.M.elements)
+        clash = G.table[L[:, None], M] != G.table[M[:, None], L].T
+        if clash.any():
+            i, j = np.argwhere(clash)[0].tolist()
+            raise NotCentral(
+                f"L and M must commute elementwise; ({L[i]}, {M[j]}) do not")
         report = verify_bicharacter(self.B)
         if not report:
             raise ValueError(
@@ -321,7 +320,7 @@ def solve_pairings(data: TwistedGroupData, L: Subgroup, M: Subgroup,
     G = data.group
     if not (L.parent.same_table(G) and M.parent.same_table(G)):
         raise ParentMismatch("subgroups live over a different group")
-    T = G.np_table
+    T = G.table
     Le, Me = np.array(L.elements), np.array(M.elements)
     if not np.array_equal(T[Le[:, None], Me], T[Me, Le[:, None]]):
         raise NotCentral("L and M must commute elementwise")

@@ -9,8 +9,6 @@ counts and dimension aggregates are produced; no representations are built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from .cohomology import Cochain, is_cocycle, mu_module
@@ -22,6 +20,7 @@ from .groups import (
     center,
     centralizer,
     conjugacy_classes,
+    conjugation_table,
     derived_subgroup,
     dual_group,
     product_group,
@@ -51,7 +50,9 @@ class TwistedGroupData:
         self.omega = omega
         self.modulus = A.order
         s = group.order
-        # a private, writable copy: the selftest corrupts it in place
+        # a private, writable copy: the selftest corrupts it in place.  Every
+        # beta read goes through beta_table, which is built from it once, so
+        # a corruption must come before the first beta read to be seen.
         self._w = omega._array.reshape((s, s, s)).copy()
         self._beta = None
 
@@ -59,29 +60,17 @@ class TwistedGroupData:
     def trivial(cls, group: FiniteGroup, modulus: int = 1) -> "TwistedGroupData":
         return cls(group, Cochain.zero(group, mu_module(modulus), 3))
 
-    def omega_exp(self, g: int, h: int, k: int) -> int:
-        return int(self._w[g, h, k])
-
-    def beta_exp(self, a: int, g: int, h: int) -> int:
-        """Exponent of beta_a(g,h) = w(a,g,h) w(g,h,(gh)^-1 a gh) / w(g, g^-1 a g, h)."""
-        G = self.group
-        gh = G.mul(g, h)
-        t1 = self._w[a, g, h]
-        t2 = self._w[g, h, G.conj(G.inv(gh), a)]
-        t3 = self._w[g, G.conj(G.inv(g), a), h]
-        return int(t1 + t2 - t3) % self.modulus
-
     @property
     def beta_table(self) -> np.ndarray:
-        """beta_exp(a, g, h) for every triple, as an (s, s, s) array.
+        """Exponents of beta_a(g,h) = w(a,g,h) w(g,h,(gh)^-1 a gh) / w(g, g^-1 a g, h),
+        one per triple at [a, g, h], as an (s, s, s) array.
 
         Built on first use and kept, read-only, for the life of the datum.
         """
         if self._beta is None:
             G = self.group
-            T = G.np_table
-            inv = np.array(G.inverse)
-            conj = T[T, inv[:, None]]          # conj[x, a] = x a x^-1
+            T, inv = G.table, G.inverse
+            conj = conjugation_table(G)        # conj[x, a] = x a x^-1
             s = G.order
             a = np.arange(s)[:, None, None]
             g = np.arange(s)[None, :, None]
@@ -106,7 +95,7 @@ class TwistedGroupData:
 def beta(data: TwistedGroupData, a: int, g: int, h: int) -> UnityExponent:
     for x in (a, g, h):
         data.group.check_element(x)
-    return UnityExponent(data.beta_exp(a, g, h), data.modulus)
+    return UnityExponent(int(data.beta_table[a, g, h]), data.modulus)
 
 
 def beta_restricted_cocycle(data: TwistedGroupData, a: int) -> Cochain:
@@ -114,8 +103,8 @@ def beta_restricted_cocycle(data: TwistedGroupData, a: int) -> Cochain:
     data.group.check_element(a)
     C = centralizer(data.group, a)
     Cgrp, emb = subgroup_as_group(C)
-    table = tuple(data.beta_exp(a, emb[x], emb[y])
-                  for x in Cgrp.elements for y in Cgrp.elements)
+    ids = np.array(emb)
+    table = data.beta_table[a, ids[:, None], ids].ravel()
     c = Cochain(2, Cgrp, mu_module(data.modulus), table)
     if not is_cocycle(c):
         raise BetaNotCocycle(
@@ -145,34 +134,26 @@ class CenterCensus:
     fpdim_square_total: int
 
 
-def _is_beta_regular(data: TwistedGroupData, a: int, x: int,
-                     centralizer_elems: Iterable[int]) -> bool:
-    G = data.group
-    for h in centralizer_elems:
-        if G.mul(h, x) != G.mul(x, h):
-            continue
-        if data.beta_exp(a, x, h) != data.beta_exp(a, h, x):
-            return False
-    return True
-
-
 def simple_census(data: TwistedGroupData) -> CenterCensus:
     """Count the simples (a, chi): one label per conjugacy class of G, with
     chi running over irreducible beta_a-projective characters of C_G(a).
 
     The character count equals the number of beta_a-regular classes of the
-    centralizer; the squared-dimension sum is its order, so the census always
-    totals |G|^2.
+    centralizer C: x is regular when beta_a(x, h) = beta_a(h, x) for every
+    h in C commuting with x, read off the beta table as one mask per class.
+    The squared-dimension sum is |C|, so the census always totals |G|^2.
     """
     G = data.group
+    conj = conjugation_table(G)
     labels = []
     for a, members in conjugacy_classes(G):
         C = centralizer(G, a)
-        Cgrp, emb = subgroup_as_group(C)
-        count = 0
-        for x_local, _ in conjugacy_classes(Cgrp):
-            if _is_beta_regular(data, a, emb[x_local], C.elements):
-                count += 1
+        rows, cols = np.array(C.elements)[:, None], C.elements
+        B, T = data.beta_table[a, rows, cols], G.table[rows, cols]
+        regular = ~((T == T.T) & (B != B.T)).any(axis=1)
+        # x represents its class of C when it is the least id in it
+        least = conj[rows, cols].min(axis=0)
+        count = int((regular & (least == cols)).sum())
         labels.append(SimpleLabel(a, len(members), C.order, count, C.order))
     total_sq = sum(l.fpdim_square for l in labels)
     if total_sq != G.order ** 2:

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -427,6 +428,62 @@ class TestFileInputs:
         if obj["degree"] != 40:
             with pytest.raises(cb.NotACocycle):
                 cb.cochain_from_json(cb.cyclic(2), obj)
+
+
+def traced_peak(fn):
+    """fn's result and the peak of the memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOrderBound:
+    """Every group built from outside input is bounded by MAX_ORDER before
+    any table is built, and refused with GroupTooLarge (exit 2)."""
+
+    def assert_refused(self, argv):
+        (code, doc), peak = traced_peak(lambda: go_json(*argv))
+        assert code == 2
+        assert doc["error"] == "GroupTooLarge"
+        assert str(cb.groups.MAX_ORDER) in doc["reason"]
+        assert peak < 2 ** 20, peak
+
+    @pytest.mark.parametrize("name", ["C100000", "C2xC1000", "D4096"])
+    def test_builtin_name(self, name):
+        self.assert_refused(("group", "--group", name))
+
+    @pytest.mark.parametrize("obj", [
+        {"table": [[0]] * 1025},
+        {"generators": [], "degree": 3000000},
+    ], ids=["table-rows", "generator-degree"])
+    def test_group_file(self, obj, tmp_path):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(obj))
+        self.assert_refused(("group", "--group", str(path)))
+
+
+class TestLargeModulus:
+    """An admitted modulus near the gate builds one read-only mu_n table."""
+
+    def test_mu_module_peaks_below_three_tables(self):
+        # the tuple copy of the table once took more than this on its own
+        module, peak = traced_peak(lambda: cb.mu_module(3000))
+        assert module.group.order == 3000
+        assert peak < 3 * 3000 ** 2 * 8, peak
+
+    def test_obstruction_output_is_unchanged(self):
+        code, text = go("obstruction", "--group", "C2", "--modulus", "3000")
+        assert code == 0
+        assert text == (
+            '{\n  "group": "C2",\n  "omega": "trivial",\n'
+            '  "vanishes": true,\n  "splitting_count": 2,\n'
+            '  "reason": "second obstruction vanishes"\n}\n')
+        code, doc = go_json("obstruction", "--group", "C2",
+                            "--modulus", "1000000")
+        assert (code, doc["error"]) == (2, "BudgetExceeded")
 
 
 def clear_process_caches():

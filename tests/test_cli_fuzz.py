@@ -125,13 +125,13 @@ def test_every_argv_ends_in_a_document_and_an_exit_code(argv):
 # keys of the group and cochain schemas, so random objects reach their checks
 SCHEMA_KEYS = ("table", "generators", "degree", "builtin", "order", "name",
                "modulus", "module", "entries", "normalized")
-# strings hold no digits past the sampled names, so no builtin like C99999
-# asks for a huge table
+# strings may hold digits: numeric strings reach int() fields such as a
+# degree or a modulus, and every group from a file is bounded in order
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 12),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(("C2", "S3", "1,1,1", "0,1", "(0 1)", "e")),
-    st.text(alphabet="abxy,() ", max_size=4))
+    st.text(alphabet="abxy,() 0123456789", max_size=4))
 json_values = st.recursive(
     scalars,
     lambda inner: st.one_of(

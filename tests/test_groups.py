@@ -6,6 +6,7 @@ join-closure enumerator is checked against something with no shared logic.
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,8 +113,8 @@ class TestBuilders:
         Q8 = cb.quaternion()
         assert sorted(Q8.element_orders) == [1, 2, 4, 4, 4, 4, 4, 4]
         # i * j = k, j * i = -k
-        assert Q8.labels[Q8.mul(2, 4)] == "k"
-        assert Q8.labels[Q8.mul(4, 2)] == "-k"
+        assert Q8.labels[Q8.table[2, 4]] == "k"
+        assert Q8.labels[Q8.table[4, 2]] == "-k"
 
     def test_symmetric(self):
         S3 = cb.symmetric(3)
@@ -159,10 +160,13 @@ class TestBuilders:
 
     def test_element_ops(self):
         S3 = cb.symmetric(3)
+        T, inv = S3.table, S3.inverse
         for a in S3.elements:
-            assert S3.mul(a, S3.inv(a)) == 0
-            assert S3.power(a, S3.element_orders[a]) == 0
-            assert S3.power(a, -1) == S3.inv(a)
+            assert T[a, inv[a]] == T[inv[a], a] == 0
+            x, k = a, 1
+            while x != 0:
+                x, k = T[x, a], k + 1
+            assert k == S3.element_orders[a]
         with pytest.raises(InvalidElement):
             S3.check_element(6)
 
@@ -389,7 +393,8 @@ class TestAbelianBasis:
             for coeffs in itertools.product(*(range(o) for _, o in basis)):
                 x = 0
                 for c, (g, _) in zip(coeffs, basis):
-                    x = A.table[x][A.power(g, c)]
+                    for _ in range(c):
+                        x = A.table[x, g]
                 seen.add(x)
             assert len(seen) == A.order
 
@@ -403,7 +408,8 @@ class TestDualGroup:
         D = cb.dual_group(cb.cyclic(4))
         assert D.modulus == 4
         # characters sorted lexicographically: id k pairs as e(k,a) = k*a mod 4
-        assert D.pairing == ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 0, 2), (0, 3, 2, 1))
+        assert D.pairing.tolist() == [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2],
+                                      [0, 3, 2, 1]]
         assert D.character(1, 3).value == 3
 
     def test_dual_is_isomorphic(self):
@@ -481,7 +487,12 @@ def test_labels_roundtrip():
 
 # -- per-entry reference builders -------------------------------------------
 # The constructions the library used before its tables became index maps
-# into the parent's np_table; kept here as independent oracles.
+# into the parent's table; kept here as independent oracles.
+
+
+def rows(table):
+    """An id array as a tuple of row tuples, the form the references build."""
+    return tuple(map(tuple, table.tolist()))
 
 
 def ref_cyclic_table(n):
@@ -575,9 +586,9 @@ class TestBuildersAgainstReference:
     def test_cyclic(self):
         for n in range(1, 17):
             G = cb.cyclic(n)
-            assert G.table == ref_cyclic_table(n)
+            assert rows(G.table) == ref_cyclic_table(n)
             assert G.name == f"C{n}"
-            assert G.np_table.dtype == np.int64
+            assert G.table.dtype == np.int64
 
     @pytest.mark.parametrize("name", ORDER_LE_16)
     def test_quotients_subgroups_and_products(self, name):
@@ -585,27 +596,28 @@ class TestBuildersAgainstReference:
         for N in cb.normal_subgroups(G):
             Q, proj = cb.quotient(G, N)
             table, labels, qname, images = ref_quotient(G, N)
-            assert (Q.table, Q.labels, Q.name, proj.images) == \
+            assert (rows(Q.table), Q.labels, Q.name, proj.images) == \
                 (table, labels, qname, images)
             Ngrp, emb = cb.subgroup_as_group(N)
-            assert (Ngrp.table, Ngrp.labels, Ngrp.name) == ref_subgroup_as_group(N)
+            assert (rows(Ngrp.table), Ngrp.labels, Ngrp.name) == \
+                ref_subgroup_as_group(N)
             assert emb == N.elements
             P = cb.product_group(Ngrp, Q)
-            assert (P.table, P.labels, P.name) == ref_product(Ngrp, Q)
+            assert (rows(P.table), P.labels, P.name) == ref_product(Ngrp, Q)
             assert P.same_table(cb.FiniteGroup(P.table))
 
     def test_multifactor_products(self):
         for names in (("C2", "C3", "C4"), ("S3", "C2", "Q8"), ("C1", "D8")):
             factors = [cb.builtin_group(n) for n in names]
             P = cb.product_group(*factors)
-            assert (P.table, P.labels, P.name) == ref_product(*factors)
+            assert (rows(P.table), P.labels, P.name) == ref_product(*factors)
 
     @pytest.mark.parametrize("name", ("C1",) + tuple(
         n for n in ORDER_LE_16 if cb.builtin_group(n).is_abelian))
     def test_dual_group(self, name):
         A = cb.builtin_group(name)
         D = cb.dual_group(A)
-        assert (D.pairing, D.group.table) == ref_dual(A)
+        assert (rows(D.pairing), rows(D.group.table)) == ref_dual(A)
         assert D.modulus == A.exponent
 
     def test_closure_from_random_seeds(self):
@@ -623,3 +635,181 @@ class TestBuildersAgainstReference:
         G = cb.builtin_group(name)
         for H in central_subgroups(G):
             assert GradingSpec.rep(H).grading_group().order == H.order
+
+
+# -- loop references for the whole-group array passes ------------------------
+# The per-element loops the library ran before its queries became array
+# passes over the table; kept here as independent oracles.
+
+
+def ref_conjugacy_classes(G):
+    t, inv = G.table.tolist(), G.inverse.tolist()
+    seen = [False] * G.order
+    out = []
+    for a in G.elements:
+        if seen[a]:
+            continue
+        orbit = sorted({t[t[g][a]][inv[g]] for g in G.elements})
+        for x in orbit:
+            seen[x] = True
+        out.append((a, tuple(orbit)))
+    return out
+
+
+def ref_centralizer(G, a):
+    t = G.table.tolist()
+    return tuple(g for g in G.elements if t[g][a] == t[a][g])
+
+
+def ref_center(G):
+    t = G.table.tolist()
+    return tuple(a for a in G.elements
+                 if all(t[a][g] == t[g][a] for g in G.elements))
+
+
+def ref_is_normal(G, S):
+    t, inv = G.table.tolist(), G.inverse.tolist()
+    inside = set(S.elements)
+    return all(t[t[g][a]][inv[g]] in inside
+               for g in G.elements for a in S.elements)
+
+
+def ref_commuting_normal_pairs(G):
+    t = G.table.tolist()
+    normals = [S for S in cb.all_subgroups(G) if ref_is_normal(G, S)]
+    return [(L.elements, M.elements) for L in normals for M in normals
+            if all(t[a][b] == t[b][a] for a in L.elements for b in M.elements)]
+
+
+def ref_annihilator(D, H):
+    pairing = D.pairing.tolist()
+    return tuple(chi for chi in D.group.elements
+                 if all(pairing[chi][h] == 0 for h in H.elements))
+
+
+def ref_subgroup_error(G, elems):
+    """The message of the closure loop Subgroup once ran, or None."""
+    t, inv = G.table.tolist(), G.inverse.tolist()
+    inside = set(elems)
+    for a in elems:
+        if inv[a] not in inside:
+            return f"subgroup not closed under inverse at {a}"
+        for b in elems:
+            if t[a][b] not in inside:
+                return f"subgroup not closed under product at ({a},{b})"
+    return None
+
+
+class TestWholeGroupQueriesAgainstLoops:
+    @pytest.mark.parametrize("name", ORDER_LE_16 + ("S4",))
+    def test_queries_match_loops(self, name):
+        G = cb.builtin_group(name)
+        assert cb.conjugacy_classes(G) == ref_conjugacy_classes(G)
+        assert cb.center(G).elements == ref_center(G)
+        for a in G.elements:
+            assert cb.centralizer(G, a).elements == ref_centralizer(G, a)
+        subs = cb.all_subgroups(G)
+        assert [cb.is_normal(G, S) for S in subs] == \
+            [ref_is_normal(G, S) for S in subs]
+        assert [S.elements for S in cb.normal_subgroups(G)] == \
+            [S.elements for S in subs if ref_is_normal(G, S)]
+        assert [(L.elements, M.elements)
+                for L, M in cb.commuting_normal_pairs(G)] == \
+            ref_commuting_normal_pairs(G)
+        if G.is_abelian:
+            D = cb.dual_group(G)
+            for S in subs:
+                assert cb.annihilator(D, S).elements == ref_annihilator(D, S)
+
+    @pytest.mark.parametrize("name", ("S3", "D8", "Q8", "C2xC4"))
+    def test_subgroup_check_names_the_loop_witness(self, name):
+        G = cb.builtin_group(name)
+        for r in range(G.order):
+            for extra in itertools.combinations(range(1, G.order), r):
+                elems = (0, *extra)
+                want = ref_subgroup_error(G, elems)
+                if want is None:
+                    assert cb.Subgroup(G, elems).elements == elems
+                else:
+                    with pytest.raises(NotAGroup) as err:
+                        cb.Subgroup(G, elems)
+                    assert str(err.value) == want
+
+    def test_tables_are_read_only(self):
+        G = cb.builtin_group("S3")
+        D = cb.dual_group(cb.builtin_group("C2xC2"))
+        for array in (G.table, G.inverse, G.element_orders, D.pairing):
+            with pytest.raises(ValueError):
+                array[1] = 0
+
+    def test_caller_array_is_copied(self):
+        given = cb.cyclic(3).table.copy()
+        G = cb.FiniteGroup(given)
+        given[1, 1] = 0
+        assert G.table[1, 1] == 2
+
+    def test_nested_lists_keep_their_messages(self):
+        cases = [([[0, 1], [1]], "table must be square and nonempty"),
+                 ([], "table must be square and nonempty"),
+                 ([[0, "x"], [1, 0]], "square nested list of integer ids"),
+                 ([0, 1], "square nested list of integer ids"),
+                 ([[0, 1], [1, 7]], "table entry out of range")]
+        for table, message in cases:
+            with pytest.raises(NotAGroup, match=message):
+                cb.FiniteGroup(table)
+
+    def test_associativity_blocks_name_the_same_triple(self, monkeypatch):
+        # the order-5 loop of test_rejects_non_associative, one row per block
+        table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                 [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        with pytest.raises(NotAGroup) as whole:
+            cb.FiniteGroup(table)
+        monkeypatch.setattr(cb.groups, "_ASSOC_BLOCK", 1)
+        with pytest.raises(NotAGroup) as rows_:
+            cb.FiniteGroup(table)
+        assert str(whole.value) == str(rows_.value)
+        assert str(whole.value).startswith("associativity fails on (")
+
+    def test_validation_memory_is_quadratic(self):
+        # the whole-table check held two n^3 arrays: 2 x 216 MB at n = 300
+        table = cb.cyclic(300).table.copy()
+        tracemalloc.start()
+        try:
+            cb.FiniteGroup(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20, peak
+
+
+class TestOrderBound:
+    @pytest.mark.parametrize("name", ["C100000", "C2xC1000", "D4096",
+                                      "C1025", "C32xC33"])
+    def test_builtin_names_are_bounded_before_any_table(self, name):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupTooLarge, match=str(cb.groups.MAX_ORDER)):
+                cb.builtin_group(name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+
+    def test_bound_admits_its_own_order(self):
+        assert cb.builtin_group("C2xC512").order == cb.groups.MAX_ORDER
+
+    def test_table_rows_are_counted_before_conversion(self):
+        # rows that are not even lists: only their count is read
+        with pytest.raises(GroupTooLarge):
+            cb.build_group({"table": [None] * 1025})
+        with pytest.raises(GroupTooLarge):
+            cb.build_group([None] * 1025)
+        with pytest.raises(NotAGroup):
+            cb.build_group({"table": [None] * 1024})
+
+    def test_generator_degree_is_bounded(self):
+        with pytest.raises(GroupTooLarge):
+            cb.build_group({"generators": [], "degree": 3000000})
+        with pytest.raises(GroupTooLarge):
+            cb.from_generators([], 1025)
+        assert cb.from_generators(["(0 1)"], 1024).order == 2

@@ -178,7 +178,7 @@ class TestFiberedEnrichmentExtends:
                     continue
                 Q, _ = quotient(E, N)
                 zn = tuple(z for z in N.elements
-                           if all(E.mul(z, a) == E.mul(a, z)
+                           if all(E.table[z, a] == E.table[a, z]
                                   for a in N.elements))
                 Zgrp, _ = subgroup_as_group(Subgroup(E, zn))
                 assert report.torsor_count == count_homs_to_abelian(Q, Zgrp)

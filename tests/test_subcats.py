@@ -24,6 +24,7 @@ from crossbraid.subcats import (
 )
 from crossbraid.exact import solve_congruences
 from crossbraid.twisted_center import TwistedGroupData
+from test_twisted_center import corrupted_twists, scalar_beta
 
 C2 = cb.cyclic(2)
 C3 = cb.cyclic(3)
@@ -422,27 +423,34 @@ def reference_verify(cand):
     mod = cand.modulus
     lift = mod // data.modulus
     b = cand.exponent_at
-    beta = data.beta_exp
+    T, inv = G.table, G.inverse
+
+    def beta(a, g, h):
+        return scalar_beta(data, a, g, h)
+
+    def conj(g, a):  # g a g^-1
+        return T[T[g, a], inv[g]]
+
     for l in cand.L.elements:
         for m1 in cand.M.elements:
             for m2 in cand.M.elements:
                 rhs = (b(l, m1) + b(l, m2) - lift * beta(l, m1, m2)) % mod
-                if b(l, G.mul(m1, m2)) != rhs:
+                if b(l, T[m1, m2]) != rhs:
                     return BicharacterReport(False, 1, (l, m1, m2))
     for k in cand.L.elements:
         for l in cand.L.elements:
             for m in cand.M.elements:
                 rhs = (b(k, m) + b(l, m) + lift * beta(m, k, l)) % mod
-                if b(G.mul(k, l), m) != rhs:
+                if b(T[k, l], m) != rhs:
                     return BicharacterReport(False, 2, (k, l, m))
     for g in G.elements:
-        gi = G.inv(g)
+        gi = inv[g]
         for l in cand.L.elements:
             for m in cand.M.elements:
-                off = (beta(l, g, m) + beta(l, G.mul(g, m), gi)
+                off = (beta(l, g, m) + beta(l, T[g, m], gi)
                        - beta(l, g, gi))
-                rhs = (b(l, G.conj(g, m)) + lift * off) % mod
-                if b(G.conj(gi, l), m) != rhs:
+                rhs = (b(l, conj(g, m)) + lift * off) % mod
+                if b(conj(gi, l), m) != rhs:
                     return BicharacterReport(False, 3, (g, l, m))
     return BicharacterReport(True)
 
@@ -469,17 +477,17 @@ def reference_lattice(data, L, M, axioms):
             i = pos_l[l] * nm
             for m1 in M.elements:
                 for m2 in M.elements:
-                    row([(i + pos_m[G.mul(m1, m2)], 1), (i + pos_m[m1], -1),
+                    row([(i + pos_m[G.table[m1, m2]], 1), (i + pos_m[m1], -1),
                          (i + pos_m[m2], -1)],
-                        -lift * data.beta_exp(l, m1, m2))
+                        -lift * scalar_beta(data, l, m1, m2))
     if 2 in axioms:
         for k in L.elements:
             for l in L.elements:
                 for m in M.elements:
                     j = pos_m[m]
-                    row([(pos_l[G.mul(k, l)] * nm + j, 1),
+                    row([(pos_l[G.table[k, l]] * nm + j, 1),
                          (pos_l[k] * nm + j, -1), (pos_l[l] * nm + j, -1)],
-                        lift * data.beta_exp(m, k, l))
+                        lift * scalar_beta(data, m, k, l))
     return solve_congruences(np.array(rows, dtype=np.int64),
                              np.array(rhs, dtype=np.int64), mod)
 
@@ -624,21 +632,6 @@ def infeasible_because(data, L, M):
         if offsets.setdefault(row, c) != c:
             return "twin rows"
     return "elimination"
-
-
-def corrupted_twists(seed):
-    """Stored twists with one omega entry bumped after validation, the way
-    selftest --corrupt-omega breaks a twist; a seeded sample of cells."""
-    rng = random.Random(seed)
-    for name in ("C3", "C4", "S3", "C2xC2"):
-        H = cb.load_h3_fixture(name, verify=False)
-        G = H.group
-        for index in range(2):
-            for _ in range(8):
-                data = TwistedGroupData(G, H.class_representative(index))
-                cell = tuple(rng.randrange(1, G.order) for _ in range(3))
-                data._w[cell] = (data._w[cell] + 1) % data.modulus
-                yield data
 
 
 class TestFactoredPairings:

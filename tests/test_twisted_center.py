@@ -1,5 +1,6 @@
 """Twisted-center counting: beta cocycles, census identities, invertibles."""
 
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,67 @@ S3 = cb.builtin_group("S3")
 def all_classes(name):
     H = load_h3_fixture(name, verify=False)
     return H.group, [H.class_representative(i) for i in range(H.order)]
+
+
+def stored_data():
+    """A datum for every stored twist of every battery group."""
+    for name in H3_BATTERY:
+        G, classes = all_classes(name)
+        for omega in classes:
+            yield TwistedGroupData(G, omega)
+
+
+def corrupted_twists(seed):
+    """Stored twists with one omega entry bumped after validation, the way
+    selftest --corrupt-omega breaks a twist; a seeded sample of cells."""
+    rng = random.Random(seed)
+    for name in ("C3", "C4", "S3", "C2xC2"):
+        H = cb.load_h3_fixture(name, verify=False)
+        G = H.group
+        for index in range(2):
+            for _ in range(8):
+                data = TwistedGroupData(G, H.class_representative(index))
+                cell = tuple(rng.randrange(1, G.order) for _ in range(3))
+                data._w[cell] = (data._w[cell] + 1) % data.modulus
+                yield data
+
+
+# -- scalar oracles: beta and the census loop the library once ran ---------
+
+def scalar_beta(data, a, g, h):
+    """Exponent of beta_a(g,h) = w(a,g,h) w(g,h,(gh)^-1 a gh) / w(g, g^-1 a g, h),
+    evaluated one scalar at a time from the twist's cells."""
+    T, inv, w = data.group.table, data.group.inverse, data._w
+
+    def conj(x, y):  # x y x^-1
+        return T[T[x, y], inv[x]]
+
+    gh = T[g, h]
+    return int(w[a, g, h] + w[g, h, conj(inv[gh], a)]
+               - w[g, conj(inv[g], a), h]) % data.modulus
+
+
+def scalar_is_regular(data, a, x, centralizer_elems):
+    """Whether beta_a(x, h) = beta_a(h, x) for every h commuting with x."""
+    T = data.group.table
+    for h in centralizer_elems:
+        if T[h, x] != T[x, h]:
+            continue
+        if scalar_beta(data, a, x, h) != scalar_beta(data, a, h, x):
+            return False
+    return True
+
+
+def scalar_irrep_counts(data):
+    """The census's irrep_count per class, by the scalar regularity loop."""
+    G = data.group
+    counts = []
+    for a, _ in cb.conjugacy_classes(G):
+        C = cb.centralizer(G, a)
+        Cgrp, emb = cb.subgroup_as_group(C)
+        counts.append(sum(scalar_is_regular(data, a, emb[x], C.elements)
+                          for x, _ in cb.conjugacy_classes(Cgrp)))
+    return counts
 
 
 class TestTwistedGroupData:
@@ -83,11 +145,31 @@ class TestBeta:
             G, classes = all_classes(name)
             for omega in classes:
                 data = TwistedGroupData(G, omega)
-                for x in G.elements:
-                    for y in G.elements:
-                        assert data.beta_exp(0, x, y) == 0
-                        assert data.beta_exp(x, 0, y) == 0
-                        assert data.beta_exp(x, y, 0) == 0
+                bt = data.beta_table
+                assert not bt[0].any()
+                assert not bt[:, 0].any()
+                assert not bt[:, :, 0].any()
+
+    def test_beta_table_matches_scalar_formula(self):
+        # every stored twist and every corrupted one, entry by entry
+        count = 0
+        for data in itertools.chain(stored_data(), corrupted_twists(7)):
+            s = data.group.order
+            want = [scalar_beta(data, a, g, h)
+                    for a, g, h in itertools.product(range(s), repeat=3)]
+            assert data.beta_table.ravel().tolist() == want
+            count += 1
+        assert count == 77 + 64
+
+    def test_beta_reads_the_table(self):
+        data = next(corrupted_twists(3))
+        for a, g, h in itertools.product(data.group.elements, repeat=3):
+            assert beta(data, a, g, h).value == scalar_beta(data, a, g, h)
+
+    def test_beta_table_is_read_only(self):
+        data = TwistedGroupData.trivial(S3)
+        with pytest.raises(ValueError):
+            data.beta_table[1, 1, 1] = 1
 
     def test_element_validation(self):
         data = TwistedGroupData.trivial(C2)
@@ -170,6 +252,13 @@ class TestSimpleCensus:
                 census = simple_census(TwistedGroupData(G, shifted))
                 assert [l.irrep_count for l in census.labels] == \
                        [l.irrep_count for l in base.labels]
+
+    def test_irrep_counts_match_scalar_loop(self):
+        # every stored twist and every corrupted one, class by class
+        for data in itertools.chain(stored_data(), corrupted_twists(11)):
+            census = simple_census(data)
+            assert [l.irrep_count for l in census.labels] == \
+                scalar_irrep_counts(data), data
 
     def test_nonabelian_trivial_counts(self):
         for name, total in (("D8", 22), ("Q8", 22)):
