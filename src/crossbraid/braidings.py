@@ -190,8 +190,9 @@ def enumerate_rep(G: FiniteGroup, H: Subgroup) -> list[CrossedBraidingCertificat
     grading = GradingSpec.rep(H)
     h_set = set(H.elements)
     clash = G.table != G.table.T
+    normals = normal_subgroups(G)
     out = []
-    for M in normal_subgroups(G):
+    for M in normals:
         if not h_set <= set(M.elements):
             continue
         Mgrp, _ = subgroup_as_group(M)
@@ -199,7 +200,7 @@ def enumerate_rep(G: FiniteGroup, H: Subgroup) -> list[CrossedBraidingCertificat
         if not Q.is_abelian:
             continue
         target = M.order // H.order
-        for L in normal_subgroups(G):
+        for L in normals:
             if L.order != target:
                 continue
             # L must be abelian and commute with M

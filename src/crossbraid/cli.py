@@ -72,7 +72,6 @@ from .serialize import (
     cochain_from_json,
     cochain_to_json,
     dump_json,
-    group_to_json,
     h3_class_representative,
     load_h3_fixture,
     subcat_to_json,

@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .braidings import CrossedBraidingCertificate, GradingSpec
-from .cohomology import Cochain, CohomologyGroup, CoefficientModule, \
-    class_combination, is_cocycle, mu_module, trivial_module
+from .cohomology import Cochain, CohomologyGroup, class_combination, \
+    is_cocycle, mu_module, trivial_module
 from .errors import NotACocycle, NotAGroup
 from .groups import FiniteGroup, build_group, builtin_group, json_int
 from .subcats import SubcatData, fpdim

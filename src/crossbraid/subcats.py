@@ -8,9 +8,11 @@ all three conditions are linear congruences: enumeration solves them as
 one system, so verification and enumeration are exact.
 """
 
+from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
+from math import prod
 
 import numpy as np
 
@@ -27,7 +29,8 @@ from .twisted_center import TwistedGroupData
 
 DEFAULT_BUDGET = 1_000_000
 
-# pairing systems whose factors one process keeps (see _pairing_factor)
+# pairing systems, and their factors, one process keeps (see
+# _pairing_system and _pairing_factor)
 PAIRING_FACTORS = 256
 
 
@@ -110,26 +113,27 @@ def _positions(G, S: Subgroup) -> np.ndarray:
     return pos
 
 
-def _axiom_blocks(data: TwistedGroupData, L: Subgroup, M: Subgroup):
+def _axiom_blocks(G, L: Subgroup, M: Subgroup):
     """The three pairing axioms over L x M as linear forms in the table.
 
     Unknown i * |M| + j is the entry at (L.elements[i], M.elements[j]).
     One block per axiom, in the order verify_bicharacter reports them:
-    (axes, terms, offset), where offset holds one cell per axiom instance,
-    terms are (columns, coefficient) with column arrays broadcasting to
-    offset's shape, and the instance reads
+    (axes, terms, offset).  axes name the element ids along each array
+    axis: (l, m1, m2) for the right slot, (k, l, m) for the left slot and
+    (g, l, m) for invariance, in the sweep order of the witnesses; the
+    block holds one axiom instance per cell of that shape.  terms are
+    (columns, coefficient) and offset is ((a, g, h), sign), both with
+    index arrays broadcasting to the block's shape; (a, g, h) index a
+    twist's beta_table.  The instance reads
 
-        sum of coefficient * table[columns]  ==  offset  (mod N').
+        sum of coefficient * table[columns]
+            ==  lift * sum of sign * beta_table[a, g, h]   (mod N')
 
-    axes name the element ids along each array axis: (l, m1, m2) for the
-    right slot, (k, l, m) for the left slot and (g, l, m) for invariance,
-    in the sweep order of the witnesses.  Beta offsets are read from the
-    twist's beta table, so the blocks cost a few array gathers.
+    with lift = exponent(G), which carries mu_N into mu_N'.  Nothing here
+    depends on the twist: it enters only through the beta values the
+    offsets gather.
     """
-    G = data.group
-    lift = G.exponent
     T, inv = G.table, G.inverse
-    beta = data.beta_table
     Le, Me = np.array(L.elements), np.array(M.elements)
     pl, pm = _positions(G, L), _positions(G, M)
     nm = M.order
@@ -144,18 +148,18 @@ def _axiom_blocks(data: TwistedGroupData, L: Subgroup, M: Subgroup):
     right = ((L.elements, M.elements, M.elements),
              ((u[:, pm[T[Me[:, None], Me]]], 1),
               (u[:, :, None], -1), (u[:, None, :], -1)),
-             -lift * beta[Le[:, None, None], Me[:, None], Me])
+             (((Le[:, None, None], Me[:, None], Me), -1),))
     # B(kl, m) - B(k, m) - B(l, m) = lift beta_m(k, l)
     left = ((L.elements, L.elements, M.elements),
             ((u[pl[T[Le[:, None], Le]]], 1), (u[:, None, :], -1), (u, -1)),
-            lift * beta[Me, Le[:, None, None], Le[:, None]])
+            (((Me, Le[:, None, None], Le[:, None]), 1),))
     # B(g^-1 l g, m) - B(l, g m g^-1)
     #   = lift (beta_l(g, m) + beta_l(gm, g^-1) - beta_l(g, g^-1))
     l, g3, gi3 = Le[:, None], g[:, :, None], inv[:, None, None]
-    off = beta[l, g3, Me] + beta[l, T[g3, Me], gi3] - beta[l, g3, gi3]
     invariant = ((G.elements, L.elements, M.elements),
                  ((u[inner_l], 1), (u[:, :1] + inner_m[:, None, :], -1)),
-                 lift * off)
+                 (((l, g3, Me), 1), ((l, T[g3, Me], gi3), 1),
+                  ((l, g3, gi3), -1)))
     return right, left, invariant
 
 
@@ -171,10 +175,12 @@ def verify_bicharacter(cand: OmegaBicharacter) -> BicharacterReport:
     assumed to commute.
     """
     mod = cand.modulus
+    G = cand.parent.group
+    beta = cand.parent.beta_table
     table = np.array(cand.table, dtype=np.int64)
-    blocks = _axiom_blocks(cand.parent, cand.L, cand.M)
+    blocks = _axiom_blocks(G, cand.L, cand.M)
     for axiom, (axes, terms, offset) in enumerate(blocks, start=1):
-        resid = -offset
+        resid = -G.exponent * sum(sign * beta[at] for at, sign in offset)
         for cols, coef in terms:
             resid = resid + coef * table[cols]
         bad = resid % mod != 0
@@ -261,35 +267,6 @@ def contains(s1: SubcatData, s2: SubcatData) -> bool:
                for l in s2.L.elements for m in s1.M.elements)
 
 
-def _dense_rows(blocks, nunk: int, mod: int):
-    """One congruence row per axiom instance, reduced mod N'.
-
-    Rows that read 0 = 0 and repeated rows are dropped; a row reading
-    0 = c with c nonzero, or two equal rows with different offsets, means
-    no pairing exists, and None is returned.  The kept rows come back in
-    the smallest unsigned type holding N', their offsets as int64.
-    """
-    b = np.concatenate([offset.ravel() for _, _, offset in blocks]) % mod
-    A = np.zeros((b.size, nunk), dtype=np.int64)
-    start = 0
-    for _axes, terms, offset in blocks:
-        rows = np.arange(start, start + offset.size).reshape(offset.shape)
-        for cols, coef in terms:
-            A[rows, cols] += coef    # one column per row and term: no clash
-        start += offset.size
-    A %= mod
-    live = A.any(axis=1)
-    if b[~live].any():
-        return None
-    A, b = A[live].astype(np.min_scalar_type(mod)), b[live]
-    keys = A.view(np.dtype((np.void, A.itemsize * nunk))).ravel()
-    _, first, twin = np.unique(keys, return_index=True, return_inverse=True)
-    if (b != b[first][twin.ravel()]).any():
-        return None
-    first.sort()
-    return A[first], b[first]
-
-
 @lru_cache(maxsize=PAIRING_FACTORS)
 def _pairing_factor(mod: int, shape: tuple[int, int],
                     cells: bytes) -> CongruenceFactor:
@@ -306,6 +283,114 @@ def _pairing_factor(mod: int, shape: tuple[int, int],
     return CongruenceFactor(A, mod)
 
 
+class _PairingSystem:
+    """The pairing rows over one (G, L, M, killed subgroup, N'), without
+    the twist.
+
+    The coefficient rows are built once, to find the rows that read 0 = 0,
+    the repeated rows (each with the index of its first twin) and the rows
+    kept for the factor.  What stays is the beta gather of every row's
+    offset, as int32 flat indices into a beta table with the spans of rows
+    each part adds to, those index sets and the factor of the kept rows.
+    Nothing the twist decides is held: solve reads every offset from the
+    beta table it is given.  Construction raises NotCentral, NotNormal or
+    InvalidElement (a killed subgroup outside M) for a bad structure.
+    """
+
+    __slots__ = ("_lift", "_mod", "_rows", "_gather", "_spans", "_zero",
+                 "_dup", "_twin", "_kept", "_factor")
+
+    def __init__(self, G, L: Subgroup, M: Subgroup, killed: Subgroup | None,
+                 mod: int):
+        T = G.table
+        Le, Me = np.array(L.elements), np.array(M.elements)
+        if not np.array_equal(T[Le[:, None], Me], T[Me, Le[:, None]]):
+            raise NotCentral("L and M must commute elementwise")
+        blocks = list(_axiom_blocks(G, L, M))
+        if killed is not None:
+            pm = _positions(G, M)[list(killed.elements)]
+            if (pm < 0).any():
+                raise InvalidElement("killed subgroup must lie inside M")
+            cols = np.arange(L.order)[:, None] * M.order + pm
+            blocks.append(((L.elements, killed.elements), ((cols, 1),), ()))
+        nrows = sum(prod(map(len, axes)) for axes, _, _ in blocks)
+        A = np.zeros((nrows, L.order * M.order), dtype=np.int64)
+        gather, spans, start = [], [], 0
+        for axes, terms, offset in blocks:
+            shape = tuple(map(len, axes))
+            stop = start + prod(shape)
+            rows = np.arange(start, stop).reshape(shape)
+            for cols, coef in terms:
+                A[rows, cols] += coef    # one column per row and term: no clash
+            for (a, g, h), sign in offset:
+                flat = (a * G.order + g) * G.order + h
+                gather.append(np.broadcast_to(flat, shape).ravel())
+                spans.append((start, stop, sign))
+            start = stop
+        A %= mod
+        live = A.any(axis=1)
+        live_rows = np.flatnonzero(live)
+        A = A[live].astype(np.min_scalar_type(mod))
+        keys = A.view(np.dtype((np.void, A.itemsize * A.shape[1]))).ravel()
+        _, first, twin = np.unique(keys, return_index=True, return_inverse=True)
+        twin = first[twin.ravel()]
+        dup = np.flatnonzero(twin != np.arange(twin.size))
+        first.sort()
+        self._lift, self._mod, self._rows = G.exponent, mod, nrows
+        self._gather = np.concatenate(gather).astype(np.int32)
+        self._spans = tuple(spans)
+        self._zero = np.flatnonzero(~live).astype(np.int32)
+        self._dup = live_rows[dup].astype(np.int32)
+        self._twin = live_rows[twin[dup]].astype(np.int32)
+        self._kept = live_rows[first].astype(np.int32)
+        A = A[first]
+        self._factor = _pairing_factor(mod, A.shape, A.tobytes())
+
+    def solve(self, beta: np.ndarray) -> CongruenceSolution | None:
+        """Every pairing for the twist with this beta table, or None.
+
+        A row reading 0 = c with c nonzero, or twin rows with different
+        offsets, mean no pairing exists.
+        """
+        part = beta.ravel()[self._gather]
+        b = np.zeros(self._rows, dtype=np.int64)
+        at = 0
+        for start, stop, sign in self._spans:
+            b[start:stop] += sign * part[at:at + stop - start]
+            at += stop - start
+        b *= self._lift
+        b %= self._mod
+        if b[self._zero].any() or (b[self._dup] != b[self._twin]).any():
+            return None
+        return self._factor.solve(b[self._kept])
+
+
+# pairing systems one process keeps, least recently used first
+_SYSTEMS: OrderedDict = OrderedDict()
+
+
+def _pairing_system(G, L: Subgroup, M: Subgroup, killed: Subgroup | None,
+                    mod: int) -> _PairingSystem:
+    """The pairing system of this structure, built on first use.
+
+    Keyed by content (N', the group table and the element ids of L, M and
+    the killed subgroup), so equal structures share a system whatever
+    objects carry them.  A structure that fails to build is not kept, so
+    it raises again on every call.  Least recently used systems are
+    dropped past PAIRING_FACTORS.
+    """
+    key = (mod, G.table.tobytes(), L.elements, M.elements,
+           None if killed is None else killed.elements)
+    system = _SYSTEMS.get(key)
+    if system is None:
+        system = _SYSTEMS[key] = _PairingSystem(G, L, M, killed, mod)
+        if len(_SYSTEMS) > PAIRING_FACTORS:
+            _SYSTEMS.popitem(last=False)
+    else:
+        _SYSTEMS.move_to_end(key)
+    return system
+
+
 def solve_pairings(data: TwistedGroupData, L: Subgroup, M: Subgroup,
                    killed: Subgroup | None = None) -> CongruenceSolution | None:
     """Every valid pairing L x M -> mu_N', as one solved congruence lattice.
@@ -315,28 +400,14 @@ def solve_pairings(data: TwistedGroupData, L: Subgroup, M: Subgroup,
     linear row.  Every lattice point is a valid pairing.  With killed, a
     subgroup of M, the pairing must also vanish on L x killed.  L and M
     must be commuting normal subgroups.  Returns None when no pairing
-    exists.
+    exists.  The rows are built once per structure (_pairing_system); each
+    call gathers its own offsets from the twist's beta table.
     """
     G = data.group
     if not (L.parent.same_table(G) and M.parent.same_table(G)):
         raise ParentMismatch("subgroups live over a different group")
-    T = G.table
-    Le, Me = np.array(L.elements), np.array(M.elements)
-    if not np.array_equal(T[Le[:, None], Me], T[Me, Le[:, None]]):
-        raise NotCentral("L and M must commute elementwise")
-    blocks = list(_axiom_blocks(data, L, M))
-    if killed is not None:
-        pm = _positions(G, M)[list(killed.elements)]
-        if (pm < 0).any():
-            raise InvalidElement("killed subgroup must lie inside M")
-        cols = np.arange(L.order)[:, None] * M.order + pm
-        blocks.append(((), ((cols, 1),), np.zeros(cols.shape, dtype=np.int64)))
-    mod = working_modulus(data)
-    rows = _dense_rows(blocks, L.order * M.order, mod)
-    if rows is None:
-        return None
-    A, b = rows
-    return _pairing_factor(mod, A.shape, A.tobytes()).solve(b)
+    system = _pairing_system(G, L, M, killed, working_modulus(data))
+    return system.solve(data.beta_table)
 
 
 def _solved_subcats(data: TwistedGroupData, L: Subgroup, M: Subgroup,

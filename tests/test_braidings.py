@@ -4,7 +4,6 @@ import pytest
 
 import crossbraid as cb
 from crossbraid.braidings import (
-    CrossedBraidingCertificate,
     GradingSpec,
     check_theorem_conditions,
     enumerate_pointed,
@@ -17,7 +16,6 @@ from crossbraid.subcats import (
     SubcatData,
     contains,
     enumerate_subcats,
-    fpdim,
     unit_subcat,
     verify_bicharacter,
 )

@@ -15,7 +15,6 @@ import crossbraid as cb
 from crossbraid import cli, serialize, subcats
 from crossbraid.cli import DEFAULT_SEED, RunConfig, run
 from crossbraid.cohomology import Cochain, trivial_module
-from crossbraid.twisted_center import TwistedGroupData
 
 
 def go(*argv):
@@ -489,14 +488,15 @@ class TestLargeModulus:
 def clear_process_caches():
     cli._parser.cache_clear()
     subcats._pairing_factor.cache_clear()
+    subcats._SYSTEMS.clear()
     for cached in (serialize._fixture, serialize._stored,
                    serialize._stored_representative):
         cached.cache_clear()
 
 
 class TestProcessCaches:
-    """The stored fixture and the pairing factors outlive a run; neither
-    may carry anything of one twist into the next."""
+    """The stored fixture, the pairing systems and their factors outlive a
+    run; none may carry anything of one twist into the next."""
 
     # (verb, group, earlier twist j, later twist k)
     TWISTS = [("subcats", "D8", 1, 5), ("subcats", "C2xC2", 3, 6),
@@ -512,9 +512,11 @@ class TestProcessCaches:
         clear_process_caches()
         go(verb, "--group", group, "--omega", f"repr:{j}")
         built = subcats._pairing_factor.cache_info().misses
+        systems = set(subcats._SYSTEMS)
         assert go(verb, "--group", group, "--omega", f"repr:{k}") == fresh
-        # twist k solved on factors built for twist j alone
+        # twist k solved on systems and factors built for twist j alone
         assert subcats._pairing_factor.cache_info().misses == built
+        assert set(subcats._SYSTEMS) == systems
 
     def test_repr_builds_only_the_representatives_it_uses(self):
         clear_process_caches()
@@ -550,6 +552,7 @@ class TestProcessCaches:
         info = subcats._pairing_factor.cache_info()
         assert info.maxsize == subcats.PAIRING_FACTORS
         assert 0 < info.currsize <= info.maxsize
+        assert 0 < len(subcats._SYSTEMS) <= subcats.PAIRING_FACTORS
         assert serialize._stored.cache_info().currsize == 3
 
     def test_sequence_script_under_optimized_mode(self):

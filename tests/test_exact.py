@@ -8,6 +8,7 @@ implementations are checked against something independently simple.
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -609,3 +610,74 @@ class TestChunkedPivotSearch:
         A = tall_matrix(rng, 2 * CHUNK + 4, 3, [2 * big, -3 * big, 5])
         assert smith_normal_form(A).U.dtype == object
         assert_matches_dense(smith_normal_form, A)
+
+
+# -- array enumeration of a solution's lattice points -----------------------
+
+def product_points(sol):
+    """The lattice points one at a time in Python ints, in the order of
+    itertools.product over the generators' ranges."""
+    for ts in itertools.product(*(range(o) for _, o in sol.generators)):
+        x = list(sol.particular)
+        for t, (gen, _) in zip(ts, sol.generators):
+            x = [a + t * g for a, g in zip(x, gen)]
+        yield tuple(a % sol.modulus for a in x)
+
+
+def random_solution(rng, N, n, orders):
+    gens = tuple((tuple(rng.randrange(N) for _ in range(n)), order)
+                 for order in orders)
+    return CongruenceSolution(N, tuple(rng.randrange(N) for _ in range(n)),
+                              gens)
+
+
+class TestEnumerate:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+    def test_matches_product_reference(self, k):
+        rng = random.Random(f"enumerate:{k}")
+        for _ in range(40):
+            N = rng.choice([1, 2, 6, 12, 97, 1000])
+            orders = [rng.choice([1, 2, 3, 4, 7]) for _ in range(k)]
+            sol = random_solution(rng, N, rng.randrange(0, 6), orders)
+            got = list(sol.enumerate())
+            assert got == list(product_points(sol))
+            assert len(got) == sol.count
+            assert all(type(v) is int for x in got for v in x)
+
+    @pytest.mark.parametrize("orders", [
+        [exact._ENUM_BLOCK * 3 + 5],           # one generator cut in chunks
+        [3, exact._ENUM_BLOCK // 2 + 1, 2],    # a chunked middle generator
+        [5, 4, exact._ENUM_BLOCK // 4],        # a tail of exactly one block
+        [2] * 13,                              # products across many blocks
+    ])
+    def test_block_boundaries(self, orders):
+        rng = random.Random(str(orders))
+        sol = random_solution(rng, 10_007, 3, orders)
+        assert list(sol.enumerate()) == list(product_points(sol))
+
+    def test_python_int_fallback(self):
+        # k (N - 1)^2 >= 2^63 takes Python ints; with N near 2^60 and
+        # coefficients up to a block, int64 products would wrap
+        rng = random.Random(20191009)
+        for N in (3 * 2**31, 2**60 + 33):
+            k = 4
+            assert k * (N - 1) ** 2 >= 1 << 63
+            sol = random_solution(rng, N, 3, [2, 3, 5, exact._ENUM_BLOCK * 2])
+            got = list(itertools.islice(sol.enumerate(), 3 * exact._ENUM_BLOCK))
+            want = list(itertools.islice(product_points(sol),
+                                         3 * exact._ENUM_BLOCK))
+            assert got == want
+
+    def test_memory_stays_bounded(self):
+        rng = random.Random(7)
+        sol = random_solution(rng, 1_000_003, 4, [10, 100, 100])
+        assert sol.count == 10**5
+        tracemalloc.start()
+        try:
+            seen = sum(1 for _ in sol.enumerate())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seen == 10**5
+        # every point kept at once would take some 20 MB
+        assert peak < 1024 * 1024, peak

@@ -591,16 +591,24 @@ class TestFoldedSystem:
 
 def every_pairing_row(data, L, M, killed=None):
     """(A, b, N'): one row per axiom instance, reduced, none dropped."""
+    G = data.group
     mod = working_modulus(data)
-    blocks = list(subcats._axiom_blocks(data, L, M))
+    blocks = list(subcats._axiom_blocks(G, L, M))
     if killed is not None:
         pm = [M.elements.index(h) for h in killed.elements]
         cols = np.arange(L.order)[:, None] * M.order + np.array(pm)
-        blocks.append(((), ((cols, 1),), np.zeros(cols.shape, dtype=np.int64)))
-    b = np.concatenate([offset.ravel() for _, _, offset in blocks])
+        blocks.append(((L.elements, killed.elements), ((cols, 1),), ()))
+    beta = data.beta_table
+    offsets = []
+    for axes, _terms, offset in blocks:
+        total = np.zeros([len(ax) for ax in axes], dtype=np.int64)
+        for at, sign in offset:
+            total = total + sign * beta[at]
+        offsets.append(G.exponent * total)
+    b = np.concatenate([offset.ravel() for offset in offsets])
     A = np.zeros((b.size, L.order * M.order), dtype=np.int64)
     start = 0
-    for _axes, terms, offset in blocks:
+    for (_axes, terms, _), offset in zip(blocks, offsets):
         rows = np.arange(start, start + offset.size).reshape(offset.shape)
         for cols, coef in terms:
             A[rows, cols] += coef
@@ -669,8 +677,8 @@ class TestFactoredPairings:
 
     def test_corrupted_twists_reach_every_infeasible_path(self):
         # broken twists give rows 0 = c and twin rows with different
-        # offsets, which _dense_rows rejects, and systems that only the
-        # factor's residual test or pivots reject
+        # offsets, which the pairing system rejects before its factor, and
+        # systems that only the factor's residual test or pivots reject
         reasons = set()
         for data in corrupted_twists(20191008):
             for L, M in cb.commuting_normal_pairs(data.group):
@@ -716,3 +724,99 @@ class TestPairingFactorCache:
         for L, M in cb.commuting_normal_pairs(data.group):
             assert solve_pairings(data, L, M) == \
                 solve_before_factoring(data, L, M)
+
+
+def clear_pairing_caches():
+    subcats._SYSTEMS.clear()
+    subcats._pairing_factor.cache_clear()
+
+
+def by_group(twists):
+    """The twists' (data, L, M) jobs, one list per group table in order."""
+    groups = {}
+    for data in twists:
+        jobs = groups.setdefault(data.group.table.tobytes(), [])
+        jobs.extend((data, L, M)
+                    for L, M in cb.commuting_normal_pairs(data.group))
+    return list(groups.values())
+
+
+class TestPairingSystemCache:
+    """solve_pairings keeps one system per (G, L, M, killed, N'); a system
+    built for one twist must give every later twist its own solution."""
+
+    @pytest.mark.parametrize("source", ["stored", "corrupted"])
+    def test_cold_then_warm_systems_match_the_oracle(self, source):
+        twists = ([data for _, _, data in stored_twists()]
+                  if source == "stored" else corrupted_twists(20191009))
+        reused = 0
+        for jobs in by_group(twists):
+            want = [solve_before_factoring(*job) for job in jobs]
+            clear_pairing_caches()
+            # cold: the first twist of the group builds each system and
+            # every later twist solves on it
+            for job, w in zip(jobs, want):
+                assert solve_pairings(*job) == w, job
+            built = dict(subcats._SYSTEMS)
+            assert len(built) < len(jobs) and len(built) <= PAIRING_FACTORS
+            reused += len(jobs) - len(built)
+            # warm: the same systems, no new ones
+            for job, w in zip(jobs, want):
+                assert solve_pairings(*job) == w, job
+            assert subcats._SYSTEMS.keys() == built.keys()
+            assert all(subcats._SYSTEMS[k] is v for k, v in built.items())
+        assert reused
+
+    def test_never_holds_more_than_its_bound(self):
+        clear_pairing_caches()
+        G = cb.builtin_group("C2xC2")
+        jobs = [(TwistedGroupData.trivial(G, modulus=k), L, M)
+                for k in range(1, 13) for L, M in cb.commuting_normal_pairs(G)]
+        assert len(jobs) > PAIRING_FACTORS
+        for data, L, M in jobs:
+            assert solve_pairings(data, L, M) == \
+                solve_before_factoring(data, L, M)
+            assert len(subcats._SYSTEMS) <= PAIRING_FACTORS
+        assert len(subcats._SYSTEMS) == PAIRING_FACTORS
+        # the first systems were evicted; rebuilding them changes nothing
+        for data, L, M in jobs[:30]:
+            assert solve_pairings(data, L, M) == \
+                solve_before_factoring(data, L, M)
+        assert len(subcats._SYSTEMS) == PAIRING_FACTORS
+
+    def test_two_working_moduli_get_two_systems(self):
+        clear_pairing_caches()
+        G = cb.builtin_group("C4")
+        L = M = whole(G)
+        for k in (2, 3, 2):
+            data = TwistedGroupData.trivial(G, modulus=k)
+            assert solve_pairings(data, L, M) == \
+                solve_before_factoring(data, L, M)
+        assert sorted(key[0] for key in subcats._SYSTEMS) == [8, 12]
+
+    def test_structural_errors_raise_on_every_call(self):
+        D8 = cb.builtin_group("D8")
+        data = TwistedGroupData.trivial(D8)
+        V, W = _klein_normals(D8)
+        S = _nonnormal_order2(D8)
+        H = cb.center(D8)
+        clear_pairing_caches()
+        for L, M in cb.commuting_normal_pairs(D8):
+            solve_pairings(data, L, M)
+            solve_pairings(data, L, M, killed=unit(D8))
+        held = len(subcats._SYSTEMS)
+        for _ in range(2):
+            with pytest.raises(cb.NotCentral):
+                solve_pairings(data, V, W)
+            with pytest.raises(cb.NotNormal):
+                solve_pairings(data, S, unit(D8))
+            with pytest.raises(cb.InvalidElement):
+                solve_pairings(data, unit(D8), unit(D8), killed=H)
+        assert len(subcats._SYSTEMS) == held
+        # the ids of a held system's subgroups, over another group's table
+        Q8 = cb.builtin_group("Q8")
+        for L in (unit(Q8), whole(Q8)):
+            with pytest.raises(cb.ParentMismatch):
+                solve_pairings(data, L, whole(D8))
+            with pytest.raises(cb.ParentMismatch):
+                solve_pairings(data, whole(D8), L)
