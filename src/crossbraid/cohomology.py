@@ -5,7 +5,11 @@ coefficient group.  Internally every computation is pushed through an exact
 integer lattice: a coefficient group with invariant factors (m_1 >= m_2 >= ...)
 embeds into (Z/e)^k by scaling the i-th coordinate by e/m_i, where e is the
 exponent.  Kernels, images and quotients then reduce to Smith normal form and
-congruence solving from the exact module.
+congruence solving from the exact module.  The kernel-lattice rule lives
+there too: exact._Lattice turns a diagonal reduction mod e into one step
+per column, and cohomology_group reads the cocycle generators, their
+orders, the coboundaries' coordinates and the check that none escapes
+the cocycle lattice off those steps.
 """
 
 from __future__ import annotations
@@ -13,13 +17,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from math import gcd, log2, prod
+from math import log2, prod
 
 import numpy as np
 
 from .errors import (
     BudgetExceeded,
-    CrossbraidError,
     DegreeTooHigh,
     NonTrivialAction,
     NotACocycle,
@@ -27,7 +30,8 @@ from .errors import (
     NotAHomomorphism,
     ParentMismatch,
 )
-from .exact import diagonalize_mod, smith_normal_form, solve_congruences
+from .exact import (_Lattice, _matvec_mod, diagonalize_mod, smith_normal_form,
+                    solve_congruences)
 from .groups import (FiniteGroup, GroupHom, abelian_coordinates,
                      count_homs_to_abelian, cyclic, powers)
 
@@ -424,20 +428,6 @@ def is_coboundary(c: Cochain) -> Cochain | None:
     return witness
 
 
-def _kernel_generators(D: np.ndarray, e: int):
-    """Generators (columns, orders) of {x : D x = 0 mod e} via diagonalization."""
-    cols = D.shape[1]
-    diag, V, Vinv = diagonalize_mod(D, e)
-    gens, orders = [], []
-    for j in range(cols):
-        d = diag[j] if j < len(diag) else 0
-        g = gcd(d, e)
-        if g > 1:
-            gens.append((V[:, j].astype(np.int64) * (e // g)) % e)
-            orders.append(g)
-    return gens, orders, Vinv, diag
-
-
 @dataclass(frozen=True, eq=False)
 class CohomologyGroup:
     """H^n(G, A): invariant factors in ascending divisibility order plus one
@@ -519,54 +509,38 @@ def cohomology_group(G: FiniteGroup, degree: int, module: CoefficientModule,
         return _trivial_cohomology(G, degree, module)
 
     D_n, ins, _outs = _bar_matrix(G, module, degree, normalized=True)
-    cons = _constraint_rows(num_vars, module)
-    stacked = np.vstack([D_n, cons])
-    gens, gen_orders, Vinv, diag = _kernel_generators(stacked, e)
-    if not gens:
+    stacked = np.vstack([D_n, _constraint_rows(num_vars, module)])
+    diag, V, Vinv = diagonalize_mod(stacked, e)
+    cocycles = _Lattice(diag, V, e)
+    kernel, step, orders = cocycles.kernel, cocycles.step, cocycles.orders
+    if not kernel.any():
         return _trivial_cohomology(G, degree, module)
-    r = len(gens)
 
-    # image generators of d_{n-1}, expressed in kernel-generator coordinates
+    # every variable's column of d_{n-1}, scaled into the lattice and read
+    # in y = Vinv x coordinates, must sit on each column's step; on the
+    # kernel columns, y / step are its kernel-generator coordinates
     if degree == 0:
-        tau = np.zeros((r, 0), dtype=np.int64)
+        tau = np.zeros((orders.size, 0), dtype=np.int64)
     else:
-        D_prev, _pins, pouts = _bar_matrix(G, module, degree - 1, normalized=True)
-        if pouts != ins:
-            raise CrossbraidError(
-                f"bar complex degrees {degree - 1} and {degree} disagree "
-                "on their shared coordinates")
-        im_cols = []
-        for v in range(D_prev.shape[1]):
-            m = module.orders[v % k]
-            col = (D_prev[:, v] * (e // m)) % e
-            if col.any():
-                im_cols.append(col)
-        tau = np.zeros((r, len(im_cols)), dtype=np.int64)
-        kept = [j for j in range(num_vars)
-                if gcd(diag[j] if j < len(diag) else 0, e) > 1]
-        for p, w in enumerate(im_cols):
-            y = Vinv.astype(np.int64).dot(w) % e
-            for j in range(num_vars):
-                d = diag[j] if j < len(diag) else 0
-                g = gcd(d, e)
-                if y[j] % (e // g):
-                    raise NotACocycle("image vector escapes the cocycle kernel")
-            for jj, j in enumerate(kept):
-                g = gen_orders[jj]
-                tau[jj, p] = (y[j] // (e // g)) % g
+        D_prev = _bar_matrix(G, module, degree - 1, normalized=True)[0]
+        scale = e // np.resize(np.array(module.orders, dtype=np.int64),
+                               D_prev.shape[1])
+        W = D_prev * scale % e
+        Y = _matvec_mod(Vinv, W[:, W.any(axis=0)], e)
+        if (Y % step[:, None]).any():
+            raise NotACocycle("image vector escapes the cocycle kernel")
+        tau = Y[kernel] // step[kernel, None]
         if tau.shape[1]:
             tau = np.unique(tau, axis=1)
 
-    relations = np.hstack([tau, np.diag(np.array(gen_orders, dtype=np.int64))])
-    snf = smith_normal_form(relations)
+    snf = smith_normal_form(np.hstack([tau, np.diag(orders)]))
     factors, reps = [], []
-    kgen = np.stack(gens, axis=1)  # num_vars x r
     for i, d in enumerate(snf.diagonal):
         if d <= 1:
             continue
-        u = np.array([int(snf.Uinv[j, i]) % gen_orders[j] for j in range(r)],
-                     dtype=np.int64)
-        vec = kgen.dot(u) % e
+        # Uinv holds Python ints when the Smith form left int64
+        u = (snf.Uinv[:, i] % orders).astype(np.int64)
+        vec = _matvec_mod(cocycles.basis, u, e)
         rep = _unscale(module, vec, ins, G, degree)
         if not is_cocycle(rep):
             raise NotACocycle("representative failed the cocycle check")

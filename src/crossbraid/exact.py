@@ -8,9 +8,10 @@ modulo a fixed N and never touch floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 
@@ -502,33 +503,41 @@ class _Lattice:
     """The solutions of D y = c (mod N), pulled back through x = V y.
 
     D is the diagonal of a reduction U A V = D mod N and V its column
-    transform; this is the tail both solvers share.  The pivots are the
-    leading nonzero entries of D: each constrains one y_i, and it solves
-    when gcd(d_i, N) divides c_i.  Every column j whose d_j (zero past the
-    pivots) shares a factor g > 1 with N contributes a kernel generator of
-    order g.  Both depend on A alone, so they are read off once here.
+    transform; this is the tail both solvers share, and cohomology_group
+    reads its kernel off it too.  The pivots are the leading nonzero
+    entries of D: each constrains one y_j, and it solves when gcd(d_j, N)
+    divides c_j.  Column j, with d_j zero past the pivots, leaves y_j free
+    up to multiples of its step s_j = N / gcd(d_j, N); when s_j < N it
+    carries the kernel generator V[:, j] s_j of order N / s_j.  All of it
+    depends on A alone, so it is read off once here.
     """
 
     def __init__(self, d, V: np.ndarray, modulus: int, dtype=np.int64):
         d = [x % modulus for x in d]
         rank = next((i for i, x in enumerate(d) if not x), len(d))
         V = V % modulus
-        g = [gcd(x, modulus) for x in d[:rank]]
-        gens = []
-        for j in range(V.shape[0]):
-            gj = gcd(d[j] if j < rank else 0, modulus)
-            if gj > 1:
-                vec = V[:, j] * (modulus // gj) % modulus
-                gens.append((tuple(vec.tolist()), gj))
+        g = np.gcd(np.array(d[:rank] + [0] * (V.shape[1] - rank),
+                            dtype=np.int64), modulus)
         self.modulus = modulus
         self.rank = rank
-        self.generators = tuple(gens)
-        self._g = np.array(g, dtype=np.int64)
-        self._step = modulus // self._g
+        self.step = modulus // g
+        # the columns that carry a kernel generator, as a mask
+        self.kernel = g > 1
+        self.orders = g[self.kernel]
+        # v s = (v mod N/s) s (mod N), and the right side stays below N
+        self.basis = V[:, self.kernel] % self.orders * self.step[self.kernel]
+        self._g = g[:rank]
         self._inv = np.array([pow(x // gi, -1, modulus // gi)
-                              for x, gi in zip(d, g)], dtype=np.int64)
+                              for x, gi in zip(d, self._g.tolist())],
+                             dtype=np.int64)
         # only the pivot columns enter a particular solution
         self._v = V[:, :rank].astype(dtype)
+
+    @functools.cached_property
+    def generators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The kernel generators as (vector, order) pairs, in column order."""
+        return tuple(zip(map(tuple, self.basis.T.tolist()),
+                         self.orders.tolist()))
 
     def particular(self, c: np.ndarray) -> np.ndarray | None:
         """x0 = V y0 with y0 solving the pivot rows D y = c, or None.
@@ -537,7 +546,7 @@ class _Lattice:
         """
         if (c % self._g).any():
             return None
-        y0 = (c // self._g) * self._inv % self._step
+        y0 = (c // self._g) * self._inv % self.step[:self.rank]
         return _matvec_mod(self._v, y0, self.modulus)
 
     def solution(self, x0: np.ndarray) -> CongruenceSolution:

@@ -611,6 +611,38 @@ class TestSelftest:
             ["subcat-duality"]
         assert "pairing fails axiom 1" in rows["subcat-duality"]["detail"]
 
+    def test_battery_is_built_once_per_run(self, monkeypatch):
+        calls = []
+        real = cli._battery_twists
+        monkeypatch.setattr(cli, "_battery_twists",
+                            lambda cfg: calls.append(cfg) or real(cfg))
+        assert go("selftest")[0] == 0
+        assert go("selftest", "--corrupt-omega")[0] == 1
+        assert [cfg.corrupt_omega for cfg in calls] == [False, True]
+
+    def test_failed_battery_build_fails_each_row_reading_it(self, monkeypatch):
+        def unreadable(name):
+            raise cb.NotACocycle("fixture unreadable")
+
+        monkeypatch.setattr(cli, "load_h3_fixture", unreadable)
+        code, doc = go_json("selftest")
+        assert code == 1
+        failed = {row["property"]: row["detail"]
+                  for row in doc["properties"] if not row["ok"]}
+        assert failed == dict.fromkeys(
+            ["beta-cocycle", "census-total", "pointed-uniqueness"],
+            "fixture unreadable")
+
+    def test_census_row_fails_when_the_census_does(self, monkeypatch):
+        # every class given the whole group as centralizer breaks |G|^2
+        from crossbraid import twisted_center
+        whole = lambda G, a: cb.groups.Subgroup(G, tuple(G.elements))
+        monkeypatch.setattr(twisted_center, "centralizer", whole)
+        _, doc = go_json("selftest")
+        rows = {row["property"]: row for row in doc["properties"]}
+        assert not rows["census-total"]["ok"]
+        assert "|G|^2 identity" in rows["census-total"]["detail"]
+
     def test_seed_variation_keeps_verdicts(self):
         _, doc1 = go_json("selftest", "--seed", "1")
         _, doc2 = go_json("selftest", "--seed", "999")

@@ -335,6 +335,22 @@ class TestCohomologyGroupStructure:
         H = cohomology_group(S3, 2, trivial_module(cb.trivial_group()))
         assert H.order == 1 and H.representatives == ()
 
+    def test_escaping_image_vector_is_caught(self, monkeypatch):
+        # rows of a wrong column inverse carry coboundaries off the steps of
+        # the cocycle lattice, which the escape check must see
+        from crossbraid import cohomology
+        real = cohomology.diagonalize_mod
+
+        def rolled(A, modulus):
+            d, V, Vinv = real(A, modulus)
+            return d, V, np.roll(Vinv, 1, axis=0)
+
+        assert cohomology_group(C4, 2, mu_module(4)).invariant_factors == (4,)
+        monkeypatch.setattr(cohomology, "diagonalize_mod", rolled)
+        with pytest.raises(cb.NotACocycle,
+                           match="escapes the cocycle kernel"):
+            cohomology_group(C4, 2, mu_module(4))
+
     def test_deterministic(self):
         a = cohomology_group(V4, 2, trivial_module(C4))
         b = cohomology_group(V4, 2, trivial_module(C4))

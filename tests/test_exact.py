@@ -7,6 +7,7 @@ implementations are checked against something independently simple.
 
 import dataclasses
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -329,6 +330,32 @@ class TestDiagonalizeMod:
                     x = tuple(int(v) % N for v in (V @ np.array(y)))
                     described.add(x)
             assert described == brute_congruence(A, [0] * m, N)
+
+
+class TestLattice:
+    """exact._Lattice's kernel rule: column j has step s_j = N / gcd(d_j, N)
+    (d_j zero past the diagonal) and, when s_j < N, the generator
+    V[:, j] s_j of order N / s_j."""
+
+    def test_matches_the_per_column_rule(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            N = rng.choice([2, 4, 6, 8, 12, 30])
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            d, V, _ = diagonalize_mod(A, N)
+            lattice = exact._Lattice(d, V, N)
+            g = [math.gcd(d[j] if j < len(d) else 0, N) for j in range(n)]
+            assert lattice.step.tolist() == [N // x for x in g]
+            assert lattice.generators == tuple(
+                (tuple(int(v) * (N // g[j]) % N for v in V[:, j]), g[j])
+                for j in range(n) if g[j] > 1)
+
+    def test_generators_are_exact_past_int64_products(self):
+        # (N - 1) * N / 3 overflows int64; ((N - 1) mod 3) * N / 3 does not
+        N = 3 * 10**12 + 3
+        lattice = exact._Lattice([3], np.array([[N - 1]], dtype=np.int64), N)
+        assert lattice.generators == (((2 * (N // 3),), 3),)
 
 
 def test_as_int_matrix_rejects_non_integer():
