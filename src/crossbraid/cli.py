@@ -562,11 +562,13 @@ def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process.
 
     parse_args keeps no state between calls, so every run may share it.
+    Options not given stay out of the namespace: RunConfig has defaults.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--budget", type=int, default=None)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=("json", "table"))
+    common.add_argument("--budget", type=int)
+    common.add_argument("--seed", type=int)
 
     parser = argparse.ArgumentParser(
         prog="crossbraid",
@@ -574,30 +576,31 @@ def _parser() -> argparse.ArgumentParser:
                     "enrichment obstructions over finite group data.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def verb(name):
+        return sub.add_parser(name, parents=[common],
+                              argument_default=argparse.SUPPRESS)
 
     for name in ("group", "subgroups", "gradings-rep"):
         verb(name).add_argument("--group", required=True)
 
     p = verb("cohomology")
     p.add_argument("--group", required=True)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--modulus", type=int, default=None)
+    p.add_argument("--degree", type=int)
+    p.add_argument("--modulus", type=int)
 
     for name in ("center-census", "subcats"):
         p = verb(name)
         p.add_argument("--group", required=True)
-        p.add_argument("--omega", default="trivial")
+        p.add_argument("--omega")
 
     p = verb("crossed-pointed")
     p.add_argument("--group", required=True)
-    p.add_argument("--omega", default="trivial")
-    p.add_argument("--grading", default="full")
+    p.add_argument("--omega")
+    p.add_argument("--grading")
 
     p = verb("crossed-rep")
     p.add_argument("--group", required=True)
-    p.add_argument("--center-subgroup", default="full")
+    p.add_argument("--center-subgroup")
 
     p = verb("fibered")
     p.add_argument("--extension", required=True)
@@ -606,12 +609,12 @@ def _parser() -> argparse.ArgumentParser:
     p = verb("zesting")
     p.add_argument("--fiber", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--omega", default="trivial")
+    p.add_argument("--omega")
 
     p = verb("obstruction")
     p.add_argument("--group", required=True)
-    p.add_argument("--omega", default="trivial")
-    p.add_argument("--modulus", type=int, default=None)
+    p.add_argument("--omega")
+    p.add_argument("--modulus", type=int)
 
     verb("selftest").add_argument("--corrupt-omega", action="store_true")
 
@@ -619,23 +622,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv) -> RunConfig:
-    ns = _parser().parse_args(argv)
-    return RunConfig(
-        verb=ns.verb,
-        group=getattr(ns, "group", None),
-        omega=getattr(ns, "omega", "trivial"),
-        grading=getattr(ns, "grading", "full"),
-        center_subgroup=getattr(ns, "center_subgroup", "full"),
-        extension=getattr(ns, "extension", None),
-        normal=getattr(ns, "normal", None),
-        fiber=getattr(ns, "fiber", None),
-        degree=getattr(ns, "degree", 3),
-        modulus=getattr(ns, "modulus", None),
-        format=ns.format,
-        budget=ns.budget,
-        seed=ns.seed,
-        corrupt_omega=getattr(ns, "corrupt_omega", False),
-    )
+    return RunConfig(**vars(_parser().parse_args(argv)))
 
 
 def _render_table(report: dict) -> str:

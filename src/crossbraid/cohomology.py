@@ -30,7 +30,7 @@ from .errors import (
     NotAHomomorphism,
     ParentMismatch,
 )
-from .exact import (_Lattice, _matvec_mod, diagonalize_mod, smith_normal_form,
+from .exact import (_Lattice, _matvec_mod, _smith, diagonalize_mod,
                     solve_congruences)
 from .groups import (FiniteGroup, GroupHom, abelian_coordinates,
                      count_homs_to_abelian, cyclic, powers)
@@ -533,13 +533,13 @@ def cohomology_group(G: FiniteGroup, degree: int, module: CoefficientModule,
         if tau.shape[1]:
             tau = np.unique(tau, axis=1)
 
-    snf = smith_normal_form(np.hstack([tau, np.diag(orders)]))
+    relations = _smith(np.hstack([tau, np.diag(orders)]), want_uinv=True)
     factors, reps = [], []
-    for i, d in enumerate(snf.diagonal):
+    for i, d in enumerate(relations.diagonal()):
         if d <= 1:
             continue
         # Uinv holds Python ints when the Smith form left int64
-        u = (snf.Uinv[:, i] % orders).astype(np.int64)
+        u = (relations.uinv[:, i] % orders).astype(np.int64)
         vec = _matvec_mod(cocycles.basis, u, e)
         rep = _unscale(module, vec, ins, G, degree)
         if not is_cocycle(rep):

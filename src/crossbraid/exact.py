@@ -1,9 +1,10 @@
 """Exact integer linear algebra: roots of unity, Smith normal form, congruences.
 
 Matrices are plain numpy integer arrays (rows x cols).  All reductions are
-exact; the int64 fast path promotes itself to Python-int (object dtype) arrays
-if entries threaten to overflow.  Roots of unity are stored as exponents
-modulo a fixed N and never touch floating point.
+exact and run on one engine, _Reduction, over Z and Z/N; one predicate,
+_fits_int64, picks int64 or Python ints (object dtype) everywhere here.
+Roots of unity are stored as exponents modulo a fixed N and never touch
+floating point.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
-
-# safe bound for the int64 path: with entries below this, a nearest-quotient
-# elimination step (q*entry + entry) cannot overflow 63 bits
-_INT64_GUARD = 1 << 31
 
 # pivot-search key of a zero entry: |0| - 1 wrapped to uint64
 _NO_PIVOT = np.iinfo(np.uint64).max
@@ -75,6 +72,11 @@ class UnityExponent:
         return f"zeta_{self.modulus}^{self.value}"
 
 
+def _magnitude(arr: np.ndarray) -> int:
+    """The largest |entry| of an integer array, 0 when it is empty."""
+    return int(np.abs(arr).max()) if arr.size else 0
+
+
 def as_int_matrix(data) -> np.ndarray:
     """Coerce to a 2-D integer array, rejecting anything non-integral."""
     arr = np.array(data)
@@ -110,35 +112,47 @@ def int_det(mat) -> int:
     return sign * a[-1][-1]
 
 
-class _Overflow(Exception):
-    pass
+def _fits_int64(terms: int, factor: int) -> bool:
+    """Whether `terms` products of ints up to `factor`, summed, fit int64."""
+    return terms * factor * factor < 1 << 63
 
 
 class _Reduction:
     """In-place diagonalization workspace with optional transform tracking.
 
-    Row operations accumulate U (and Uinv / carried right-hand sides), column
-    operations accumulate V (and Vinv).  With ``mod`` set, every array is kept
-    reduced to symmetric representatives mod N; the transforms then only make
-    sense modulo N, which is all the congruence solvers need.
+    Row operations accumulate Uinv and the carried columns (updated in
+    place when already in the working dtype), column operations V and
+    Vinv; U is the carried identity, carry=eye(m).  With ``mod`` set,
+    every array is kept reduced to symmetric representatives mod N; the
+    transforms then only make sense modulo N, which is all the
+    congruence solvers need.
+
+    A sweep adds at most max(m, n) + 2 products of entries of magnitude
+    w to an entry (Uinv and Vinv take dot products): the arrays are int64
+    while _fits_int64 allows that, else Python ints.  Mod N, w = N // 2
+    fixes the width at construction; over Z, _guard widens every array
+    in place once w outgrows the bound, and the exact int64 steps before
+    make that equal to a reduction in Python ints throughout.
     """
 
-    def __init__(self, a, mod=None, want_u=False, want_uinv=False,
-                 want_v=False, want_vinv=False, carry=None, dtype=np.int64):
+    def __init__(self, a, mod=None, want_uinv=False, want_v=False,
+                 want_vinv=False, carry=None):
         self.mod = mod
-        a = np.array(a, dtype=dtype)
-        self.a = a
+        a = np.asarray(a)
         m, n = a.shape
-        eye = lambda k: np.eye(k, dtype=dtype) if dtype != object else np.array(
-            [[int(i == j) for j in range(k)] for i in range(k)], dtype=object)
-        self.u = eye(m) if want_u else None
-        self.uinv = eye(m) if want_uinv else None
-        self.v = eye(n) if want_v else None
-        self.vinv = eye(n) if want_vinv else None
-        self.carry = None if carry is None else np.array(carry, dtype=dtype)
-        if self.carry is not None and self.carry.ndim == 1:
-            self.carry = self.carry[:, None]
+        self._terms = max(m, n) + 2
+        w = _magnitude(a) if mod is None else mod // 2
+        dtype = np.int64 if _fits_int64(self._terms, w + 1) else object
+        self.a = np.array(a, dtype=dtype)
+        self.uinv = np.eye(m, dtype=dtype) if want_uinv else None
+        self.v = np.eye(n, dtype=dtype) if want_v else None
+        self.vinv = np.eye(n, dtype=dtype) if want_vinv else None
+        self.carry = None if carry is None else np.asarray(carry, dtype)
         self._reduce_all()
+
+    def _tracked(self) -> dict:
+        names = ("a", "uinv", "v", "vinv", "carry")
+        return {k: v for k in names if (v := getattr(self, k)) is not None}
 
     # -- representative handling ------------------------------------------
 
@@ -154,19 +168,17 @@ class _Reduction:
         return arr
 
     def _reduce_all(self):
-        for arr in (self.a, self.u, self.uinv, self.v, self.vinv, self.carry):
+        for arr in self._tracked().values():
             self._sym(arr)
 
     def _guard(self):
         if self.mod is not None or self.a.dtype == object:
             return
-        worst = max(
-            int(np.max(np.abs(arr))) if arr.size else 0
-            for arr in (self.a, self.u, self.uinv, self.v, self.vinv, self.carry)
-            if arr is not None
-        )
-        if worst > _INT64_GUARD:
-            raise _Overflow
+        tracked = self._tracked()
+        if not _fits_int64(self._terms,
+                           max(map(_magnitude, tracked.values())) + 1):
+            for name, arr in tracked.items():
+                setattr(self, name, arr.astype(object))
 
     # -- elementary operations --------------------------------------------
 
@@ -174,8 +186,6 @@ class _Reduction:
         if i == j:
             return
         self.a[[i, j]] = self.a[[j, i]]
-        if self.u is not None:
-            self.u[[i, j]] = self.u[[j, i]]
         if self.uinv is not None:
             self.uinv[:, [i, j]] = self.uinv[:, [j, i]]
         if self.carry is not None:
@@ -222,8 +232,6 @@ class _Reduction:
         nz = q.nonzero()[0]
         q, rows = q[nz], t + 1 + nz
         self._axpy(self.a[:, t:], rows, q, self.a[t, t:])
-        if self.u is not None:
-            self._axpy(self.u, rows, q, self.u[t])
         if self.uinv is not None:
             self.uinv[:, t] += self.uinv[:, rows].dot(q)
             self._sym(self.uinv[:, t])
@@ -252,9 +260,6 @@ class _Reduction:
     def negate_row(self, i):
         self.a[i] = -self.a[i]
         self._sym(self.a[i])
-        if self.u is not None:
-            self.u[i] = -self.u[i]
-            self._sym(self.u[i])
         if self.uinv is not None:
             self.uinv[:, i] = -self.uinv[:, i]
             self._sym(self.uinv[:, i])
@@ -425,17 +430,18 @@ def smith_normal_form(A) -> SmithDecomposition:
     ties), so the reduction is deterministic.
     """
     A = as_int_matrix(A)
-    for dtype in (np.int64, object):
-        try:
-            red = _Reduction(A, want_u=True, want_uinv=True,
-                             want_v=True, want_vinv=True, dtype=dtype)
-            red.diagonalize()
-            red.enforce_chain()
-            break
-        except _Overflow:
-            continue
-    return SmithDecomposition(tuple(red.diagonal()), red.u, red.v,
+    red = _smith(A, want_uinv=True, want_v=True, want_vinv=True,
+                 carry=np.eye(A.shape[0], dtype=np.int64))
+    return SmithDecomposition(tuple(red.diagonal()), red.carry, red.v,
                               red.uinv, red.vinv)
+
+
+def _smith(A, **want) -> _Reduction:
+    """A reduced to Smith form over Z, tracking the transforms asked for."""
+    red = _Reduction(A, **want)
+    red.diagonalize()
+    red.enforce_chain()
+    return red
 
 
 @dataclass(frozen=True)
@@ -494,7 +500,7 @@ class CongruenceSolution:
 def _matvec_mod(M: np.ndarray, v: np.ndarray, modulus: int) -> np.ndarray:
     """M @ v reduced mod N, for entries in [0, N): in int64 while every dot
     product fits, in Python ints beyond."""
-    if M.shape[1] * (modulus - 1) ** 2 < 1 << 63:
+    if _fits_int64(M.shape[1], modulus - 1):
         return M @ v % modulus
     return (M.astype(object) @ v.astype(object) % modulus).astype(np.int64)
 
@@ -546,7 +552,10 @@ class _Lattice:
         """
         if (c % self._g).any():
             return None
-        y0 = (c // self._g) * self._inv % self.step[:self.rank]
+        y0 = c // self._g  # below N, and so is inv
+        if not _fits_int64(1, self.modulus):
+            y0 = y0.astype(object)
+        y0 = y0 * self._inv % self.step[:self.rank]
         return _matvec_mod(self._v, y0, self.modulus)
 
     def solution(self, x0: np.ndarray) -> CongruenceSolution:
@@ -570,7 +579,8 @@ def solve_congruences(A, b, modulus: int) -> CongruenceSolution | None:
         raise ValueError("modulus must be positive")
     if modulus == 1:
         return CongruenceSolution(1, (0,) * n, ())
-    red = _Reduction(A % modulus, mod=modulus, want_v=True, carry=b % modulus)
+    red = _Reduction(A % modulus, mod=modulus, want_v=True,
+                     carry=(b % modulus)[:, None])
     lattice = _Lattice(red.diagonalize(), red.v, modulus)
     c = red.carry[:, 0] % modulus
     # rows past the pivots read 0 = c_i
@@ -601,10 +611,11 @@ class CongruenceFactor:
         if (A.ndim != 2 or A.dtype != compact
                 or (A.size and A.max() >= modulus)):
             A = (as_int_matrix(A) % modulus).astype(compact)
-        red = _Reduction(A, mod=modulus, want_u=True, want_v=True)
+        red = _Reduction(A, mod=modulus, want_v=True,
+                         carry=np.eye(A.shape[0], dtype=np.int64))
         self._lattice = _Lattice(red.diagonalize(), red.v, modulus, compact)
         self._a = A
-        self._u = (red.u[:self._lattice.rank] % modulus).astype(compact)
+        self._u = (red.carry[:self._lattice.rank] % modulus).astype(compact)
 
     def solve(self, b) -> CongruenceSolution | None:
         """Every x with A x = b (mod N), or None when there is none."""

@@ -384,9 +384,6 @@ class DenseReduction(exact._Reduction):
     def bulk_row_clear(self, t, q):
         self.a[t + 1:, t:] -= np.outer(q, self.a[t, t:])
         self._sym(self.a[t + 1:, t:])
-        if self.u is not None:
-            self.u[t + 1:] -= np.outer(q, self.u[t])
-            self._sym(self.u[t + 1:])
         if self.uinv is not None:
             self.uinv[:, t] += self.uinv[:, t + 1:].dot(q)
             self._sym(self.uinv[:, t])
@@ -477,7 +474,7 @@ def random_matrix(rng, m, n, lo, hi, density=1.0):
 
 def reduce_with_carry(engine, A, b, N):
     """The raw workspace of solve_congruences after diagonalization."""
-    red = engine(A % N, mod=N, want_v=True, carry=b % N)
+    red = engine(A % N, mod=N, want_v=True, carry=(b % N)[:, None])
     d = red.diagonalize()
     return d, red.a, red.v, red.carry
 
@@ -531,6 +528,91 @@ class TestMatchesDenseSweeps:
         got = with_engine(SkipOneRow, diagonalize_mod, A, 12)
         assert not identical(got, with_engine(DenseReduction, diagonalize_mod,
                                               A, 12))
+
+
+# -- moduli past the int64 sweeps, checked in Python ints ---------------------
+
+def mod_product(A, x, N):
+    """A x mod N in Python ints."""
+    return [sum(int(a) * int(v) for a, v in zip(row, x)) % N for row in A]
+
+
+def large_modulus_system(rng, m, n, N):
+    """A with entries 3, 6, N // 3 or uniform mod N, and a feasible b = A x."""
+    A = np.array([[rng.choice((3, 6, N // 3, rng.randrange(N)))
+                   for _ in range(n)] for _ in range(m)], dtype=np.int64)
+    x = [rng.randrange(N) for _ in range(n)]
+    return A, np.array(mod_product(A, x, N), dtype=np.int64)
+
+
+def assert_solves_exactly(A, b, N):
+    """solve_congruences and CongruenceFactor agree on a feasible system,
+    and the particular solution and every generator check in Python ints;
+    V Vinv = I (mod N) for diagonalize_mod."""
+    sol = solve_congruences(A, b, N)
+    assert sol is not None, "feasible system reported infeasible"
+    assert mod_product(A, sol.particular, N) == [int(v) % N for v in b]
+    for gen, order in sol.generators:
+        assert mod_product(A, gen, N) == [0] * A.shape[0]
+        assert all(order * v % N == 0 for v in gen)
+    assert CongruenceFactor(A, N).solve(b) == sol
+    _, V, Vinv = diagonalize_mod(A, N)
+    n = A.shape[1]
+    eye = np.eye(n, dtype=object)
+    assert np.array_equal(V.astype(object) @ Vinv.astype(object) % N, eye)
+    return sol
+
+
+class TestLargeModuli:
+    """Past (max(m, n) + 2) (N // 2 + 1)^2 >= 2^63 the sweeps take Python
+    ints; every answer is checked without numpy arithmetic."""
+
+    @pytest.mark.parametrize("N", [10**10 + 19, 3 * 10**12 + 3])
+    @pytest.mark.parametrize("shape", [(3, 3), (12, 9), (5, 40)])
+    def test_random_systems(self, N, shape):
+        rng = random.Random(f"large:{N}:{shape}")
+        for _ in range(5):
+            assert_solves_exactly(*large_modulus_system(rng, *shape, N), N)
+
+    def test_width_boundary(self):
+        # the largest N whose sweeps fit int64 for a 6 x 5 system, and the
+        # next one, which must take Python ints
+        m, n = 6, 5
+        h = math.isqrt(((1 << 63) - 1) // (max(m, n) + 2))
+        rng = random.Random(101)
+        for N, dtype in ((2 * h - 1, np.int64), (2 * h, object)):
+            for _ in range(3):
+                A, b = large_modulus_system(rng, m, n, N)
+                assert exact._Reduction(A % N, mod=N).a.dtype == dtype
+                assert_solves_exactly(A, b, N)
+                assert_matches_dense(solve_congruences, A, b, N)
+                assert_matches_dense(diagonalize_mod, A, N)
+
+
+# -- an independent Smith-form oracle past int64 -------------------------------
+
+class TestSmithAgainstSympy:
+    """DenseReduction inherits the engine's width handling, so it cannot
+    catch a widening fault; sympy's invariant factors can."""
+
+    def test_invariant_factors(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+        rng = random.Random(103)
+        cases = [np.array([[2**70, 3], [5, 7]], dtype=object)]
+        for bound in (2**70, 2**40, 2**24, 50):
+            for _ in range(6):
+                m, n = rng.randint(1, 5), rng.randint(1, 5)
+                cases.append(np.array(
+                    [[rng.randint(-bound, bound) if rng.random() < 0.8 else 0
+                      for _ in range(n)] for _ in range(m)], dtype=object))
+        for A in cases:
+            snf = smith_normal_form(A)
+            assert snf.verify(A)
+            want = invariant_factors(sympy.Matrix(A.tolist()),
+                                     domain=sympy.ZZ)
+            assert snf.invariant_factors == tuple(
+                int(f) for f in want if f != 0)
 
 
 # -- the chunked pivot search against the dense argmin ------------------------
