@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the stored H^3(G, mu_|G|) representatives for the test battery.
 
-Writes src/crossbraid/data/h3_reps.json.  Deterministic end to end, so the
-output is stable across runs; differences mean the engine changed.
+Writes src/crossbraid/data/h3_reps.json through serialize.dump_json, the
+writer the CLI uses.  Deterministic end to end, so the output is stable
+across runs; differences mean the engine or the writer changed.
 
 With --check, nothing is written: the fixture is recomputed and compared
 with the stored file byte for byte, and the exit code is 1 on any
@@ -10,7 +11,6 @@ difference.
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -19,7 +19,11 @@ sys.path.insert(0, str(SRC))
 
 from crossbraid.cohomology import cohomology_group, mu_module  # noqa: E402
 from crossbraid.groups import builtin_group  # noqa: E402
-from crossbraid.serialize import H3_BATTERY, cochain_to_json  # noqa: E402
+from crossbraid.serialize import (  # noqa: E402
+    H3_BATTERY,
+    cochain_to_json,
+    dump_json,
+)
 
 
 def main() -> int:
@@ -38,7 +42,7 @@ def main() -> int:
             "representatives": [cochain_to_json(rep) for rep in H.representatives],
         }
         print(f"{name}: factors={H.invariant_factors} classes={H.order}")
-    text = json.dumps(doc, indent=2) + "\n"
+    text = dump_json(doc)
     out = SRC / "crossbraid" / "data" / "h3_reps.json"
     if args.check:
         if out.is_file() and out.read_bytes() == text.encode():

@@ -272,21 +272,21 @@ class _Reduction:
     def _pick_pivot(self, t):
         """First smallest nonzero |entry| of the trailing block, row-major.
 
-        No nonzero magnitude is below 1, so the search stops at the first
-        entry of magnitude 1.  The int64 path scans _PIVOT_CHUNK rows at a
-        time: each chunk's argmin is its first smallest key, and a later
-        chunk replaces the best only with a strictly smaller key, so the
-        chunk height cannot change the pivot.  None when the block is zero.
+        In Python ints it is one argmin over the magnitudes of the nonzero
+        entries, taken in row-major order; argmin returns the first of
+        equal minima.  The int64 path scans _PIVOT_CHUNK rows at a time:
+        each chunk's argmin is its first smallest key, and a later chunk
+        replaces the best only with a strictly smaller key, so the chunk
+        height cannot change the pivot.  No nonzero magnitude is below 1,
+        so the scan stops at the first chunk holding a unit.  None when the
+        block is zero.
         """
         where = None
         if self.a.dtype == object:
-            best = None
-            for (i, j), x in np.ndenumerate(self.a[t:, t:]):
-                val = abs(int(x))
-                if val and (best is None or val < best):
-                    best, where = val, (t + i, t + j)
-                    if val == 1:
-                        break
+            rows, cols = np.nonzero(self.a[t:, t:])
+            if rows.size:
+                k = int(np.abs(self.a[t + rows, t + cols]).argmin())
+                where = (t + int(rows[k]), t + int(cols[k]))
         else:
             m, n = self.a.shape
             best = _NO_PIVOT

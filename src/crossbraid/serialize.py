@@ -11,6 +11,7 @@ import functools
 import json
 from collections.abc import Mapping
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -132,12 +133,18 @@ def grading_to_json(g: GradingSpec) -> dict:
 
 
 def certificate_to_json(cert: CrossedBraidingCertificate) -> dict:
+    """Certificate document.  Its "ambient" dict (the group table and the
+    twist) is shared: every certificate over the same TwistedGroupData gets
+    the same object, built on the first call, so callers must not mutate
+    it.  dump_json encodes a shared subtree once."""
     data = cert.witness.parent
-    return {
-        "ambient": {
+    if data._ambient_json is None:
+        data._ambient_json = {
             "group": group_to_json(data.group),
             "omega": cochain_to_json(data.omega),
-        },
+        }
+    return {
+        "ambient": data._ambient_json,
         "grading": grading_to_json(cert.grading),
         "witness": subcat_to_json(cert.witness),
         "checks": {
@@ -227,6 +234,104 @@ def h3_class_representative(name: str, index: int) -> Cochain:
         lambda j: _stored_representative(name, j), index)
 
 
+# exact types json writes the same at every depth
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _flat(level: int):
+    """JSONEncoder.encode with items separated by a comma, a newline and
+    the indent of depth level.
+
+    indent stays None, so CPython encodes a whole container of scalars in
+    C; the caller adds the newlines around its brackets.  A scalar's text
+    is the same at every depth.
+    """
+    return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
+
+
+@functools.cache
+def _breaks(level: int) -> tuple[str, str, str]:
+    """The first-item break, the item separator and the closing break of
+    a container at depth level."""
+    inner = "\n" + "  " * (level + 1)
+    return inner, "," + inner, "\n" + "  " * level
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a str encoded, any other scalar's
+    JSON text encoded as a str."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(_flat(0)(key))
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _write(obj, level: int, out: list, memo: dict, active: set) -> None:
+    """Append to out the text json.dumps(obj, indent=2) gives obj at
+    nesting depth level.
+
+    A container of scalars is one C call.  Any other container is walked
+    here, and memo keeps the span of out its text fills under (id, depth),
+    so a subtree met again at the same depth is copied from that span, not
+    encoded again.  active holds the ids of the containers being walked,
+    to reject a cycle as json does.
+    """
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))):
+        # a scalar, or TypeError from JSONEncoder.default
+        out.append(_flat(level)(obj))
+        return
+    if not obj:
+        out.append("{}" if is_dict else "[]")
+        return
+    inner, sep, outer = _breaks(level)
+    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+        text = _flat(level + 1)(obj)
+        out += (text[0], inner, text[1:-1], outer, text[-1])
+        return
+    key = (id(obj), level)
+    span = memo.get(key)
+    if span is not None:
+        out += out[span[0]:span[1]]
+        return
+    if id(obj) in active:
+        raise ValueError("Circular reference detected")
+    active.add(id(obj))
+    start = len(out)
+    brk = inner
+    if is_dict:
+        out.append("{")
+        for k, v in obj.items():
+            out.append(brk + _key_text(k) + ": ")
+            brk = sep
+            _write(v, level + 1, out, memo, active)
+        out += (outer, "}")
+    else:
+        out.append("[")
+        for v in obj:
+            out.append(brk)
+            brk = sep
+            _write(v, level + 1, out, memo, active)
+        out += (outer, "]")
+    active.discard(id(obj))
+    memo[key] = start, len(out)
+
+
 def dump_json(obj) -> str:
-    """Canonical one-true-format dump used by the CLI for byte-stable output."""
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """Canonical dump used by the CLI: json.dumps(obj, indent=2) plus a
+    newline, byte for byte, with the same TypeError or ValueError.
+
+    CPython up to 3.12 encodes indent in pure Python, so this writer walks
+    the containers itself (_write): a container of scalars goes to the C
+    encoder in one call, and a subtree that appears more than once at one
+    depth, such as the ambient every crossed-braiding certificate shares,
+    is encoded once per call.  CPython 3.13 encodes indent in C, so the
+    writer can give way to json.dumps once requires-python reaches 3.13.
+    """
+    out: list[str] = []
+    _write(obj, 0, out, {}, set())
+    out.append("\n")
+    return "".join(out)

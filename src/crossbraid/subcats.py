@@ -31,7 +31,7 @@ DEFAULT_BUDGET = 1_000_000
 
 # pairing systems, and their factors, one process keeps (see
 # _pairing_system and _pairing_factor)
-PAIRING_FACTORS = 256
+PAIRING_FACTORS = 1024
 
 
 def working_modulus(data: TwistedGroupData) -> int:
@@ -73,6 +73,17 @@ class OmegaBicharacter:
         mod = self.modulus
         object.__setattr__(self, "table",
                            tuple(int(x) % mod for x in self.table))
+
+    @classmethod
+    def _reduced(cls, parent: TwistedGroupData, L: Subgroup, M: Subgroup,
+                 table: tuple[int, ...]) -> "OmegaBicharacter":
+        """A table already reduced modulo the working modulus, over
+        subgroups of parent's group, built with no check: a point that
+        CongruenceSolution.enumerate reads off a pairing lattice of
+        parent."""
+        self = object.__new__(cls)
+        self.__dict__.update(parent=parent, L=L, M=M, table=table)
+        return self
 
     @property
     def modulus(self) -> int:
@@ -413,8 +424,8 @@ def solve_pairings(data: TwistedGroupData, L: Subgroup, M: Subgroup,
 def _solved_subcats(data: TwistedGroupData, L: Subgroup, M: Subgroup,
                     sol: CongruenceSolution) -> Iterator[SubcatData]:
     for tab in sol.enumerate():
-        yield SubcatData(data, L, M, OmegaBicharacter(data, L, M, tab),
-                         _SOLVED)
+        B = OmegaBicharacter._reduced(data, L, M, tab)
+        yield SubcatData(data, L, M, B, _SOLVED)
 
 
 def pair_subcats(data: TwistedGroupData, L: Subgroup, M: Subgroup,

@@ -32,7 +32,7 @@ from .groups import (
 class TwistedGroupData:
     """A finite group together with a verified normalized 3-cocycle twist."""
 
-    __slots__ = ("group", "omega", "modulus", "_w", "_beta")
+    __slots__ = ("group", "omega", "modulus", "_w", "_beta", "_ambient_json")
 
     def __init__(self, group: FiniteGroup, omega: Cochain):
         if not omega.group.same_table(group):
@@ -55,6 +55,8 @@ class TwistedGroupData:
         # a corruption must come before the first beta read to be seen.
         self._w = omega._array.reshape((s, s, s)).copy()
         self._beta = None
+        # serialize.certificate_to_json's ambient document, built on first use
+        self._ambient_json = None
 
     @classmethod
     def trivial(cls, group: FiniteGroup, modulus: int = 1) -> "TwistedGroupData":

@@ -615,6 +615,60 @@ class TestSmithAgainstSympy:
                 int(f) for f in want if f != 0)
 
 
+# -- the object pivot search against the row-major walk -----------------------
+
+def walk_pivot(block):
+    """First smallest nonzero |entry| of block, row-major, by the walk the
+    Python-int pivot search once was: it stops at the first unit."""
+    best, where = None, None
+    for (i, j), x in np.ndenumerate(block):
+        val = abs(int(x))
+        if val and (best is None or val < best):
+            best, where = val, (i, j)
+            if val == 1:
+                break
+    return where
+
+
+class TestObjectPivotSearch:
+    """The one-pass search in Python ints picks the walk's entry on ties,
+    negative entries, entries past int64 and all-zero blocks."""
+
+    VALUES = ((0,), (0, 0, 0, 2, -2, 4), (0, 1, -1, 3, -3),
+              (0, 5, -5, 10, 15), (0, 2**70, -(2**70), 2**64 + 3, -3 * 2**64))
+
+    def test_matches_the_walk(self):
+        rng = random.Random(139)
+        red = exact._Reduction(np.zeros((1, 1), dtype=np.int64))
+        seen = {"none": 0, "tie": 0}
+        for _ in range(400):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            values = rng.choice(self.VALUES)
+            A = np.empty((m, n), dtype=object)
+            for i in range(m):
+                for j in range(n):
+                    A[i, j] = rng.choice(values)
+            t = rng.randint(0, min(m, n) - 1)
+            red.a = A
+            want = walk_pivot(A[t:, t:])
+            got = red._pick_pivot(t)
+            if want is None:
+                seen["none"] += 1
+                assert got is None
+                continue
+            assert got == (t + want[0], t + want[1])
+            mags = [abs(int(x)) for x in A[t:, t:].ravel()]
+            seen["tie"] += mags.count(min(x for x in mags if x)) > 1
+        assert seen["none"] > 10 and seen["tie"] > 100
+
+    def test_later_row_earlier_column_loses_a_tie(self):
+        A = np.array([[0, 0, 0], [0, 6, -4], [-4, 4, 0]], dtype=object)
+        red = exact._Reduction(np.zeros((1, 1), dtype=np.int64))
+        red.a = A
+        assert red._pick_pivot(0) == (1, 2) == walk_pivot(A)
+        assert red._pick_pivot(2) is None
+
+
 # -- the chunked pivot search against the dense argmin ------------------------
 
 CHUNK = exact._PIVOT_CHUNK

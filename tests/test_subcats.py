@@ -91,6 +91,24 @@ class TestOmegaBicharacter:
         with pytest.raises(cb.InvalidElement):
             b.exponent_at(1, 0)
 
+    def test_lattice_tables_equal_public_construction(self):
+        # enumerate_subcats builds its tables with no check; the public
+        # constructor, given the same entries shifted by multiples of N',
+        # must reduce them to an equal value
+        for data in (twist("C2", 1), twist("C4", 3), twist("Q8", 2),
+                     twist("D8", 5), TwistedGroupData.trivial(S3)):
+            mod = working_modulus(data)
+            subs = enumerate_subcats(data)
+            assert subs
+            for s in subs:
+                assert all(type(x) is int and 0 <= x < mod for x in s.B.table)
+                shifted = tuple(x + mod * (i % 3 - 1)
+                                for i, x in enumerate(s.B.table))
+                public = OmegaBicharacter(data, s.L, s.M, shifted)
+                assert s.B == public and hash(s.B) == hash(public)
+                assert [s.B.exponent_at(l, m) for l in s.L.elements
+                        for m in s.M.elements] == list(public.table)
+
 
 class TestVerifyBicharacter:
     def test_trivial_pairing_trivial_twist(self):
@@ -770,8 +788,11 @@ class TestPairingSystemCache:
     def test_never_holds_more_than_its_bound(self):
         clear_pairing_caches()
         G = cb.builtin_group("C2xC2")
+        pairs = cb.commuting_normal_pairs(G)
+        # one working modulus per k: enough structures to pass the bound
         jobs = [(TwistedGroupData.trivial(G, modulus=k), L, M)
-                for k in range(1, 13) for L, M in cb.commuting_normal_pairs(G)]
+                for k in range(1, PAIRING_FACTORS // len(pairs) + 2)
+                for L, M in pairs]
         assert len(jobs) > PAIRING_FACTORS
         for data, L, M in jobs:
             assert solve_pairings(data, L, M) == \
@@ -783,6 +804,28 @@ class TestPairingSystemCache:
             assert solve_pairings(data, L, M) == \
                 solve_before_factoring(data, L, M)
         assert len(subcats._SYSTEMS) == PAIRING_FACTORS
+
+    def test_a_sequence_past_the_old_bound_builds_no_system_twice(
+            self, monkeypatch):
+        # one pairings benchmark pass needs 701 structures; these three
+        # groups need 356, past the former bound of 256
+        built = []
+
+        class Counted(subcats._PairingSystem):
+            __slots__ = ()
+
+            def __init__(self, G, L, M, killed, mod):
+                built.append((mod, G.table.tobytes(), L.elements, M.elements))
+                super().__init__(G, L, M, killed, mod)
+
+        monkeypatch.setattr(subcats, "_PairingSystem", Counted)
+        monkeypatch.setattr(subcats, "_SYSTEMS", type(subcats._SYSTEMS)())
+        runs = [TwistedGroupData.trivial(cb.builtin_group(name))
+                for name in ("C2xC2xC2", "C2xC4", "C3xC3")]
+        counts = [len(enumerate_subcats(data)) for data in runs]
+        assert len(built) > 256
+        assert [len(enumerate_subcats(data)) for data in runs] == counts
+        assert len(set(built)) == len(built)
 
     def test_two_working_moduli_get_two_systems(self):
         clear_pairing_caches()
