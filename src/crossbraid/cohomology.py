@@ -30,8 +30,8 @@ from .errors import (
     NotAHomomorphism,
     ParentMismatch,
 )
-from .exact import (_Lattice, _matvec_mod, _smith, diagonalize_mod,
-                    solve_congruences)
+from .exact import (_Lattice, _matvec_mod, _smith, _sweep_dtype,
+                    diagonalize_mod, solve_congruences)
 from .groups import (FiniteGroup, GroupHom, abelian_coordinates,
                      count_homs_to_abelian, cyclic, powers)
 
@@ -324,12 +324,14 @@ def is_cocycle(c: Cochain) -> bool:
 
 
 def _bar_matrix(G: FiniteGroup, module: CoefficientModule, n: int,
-                normalized: bool):
+                normalized: bool, out: np.ndarray | None = None):
     """Matrix of the degree-n differential on scaled coordinates.
 
     Rows index (n+1)-tuples, columns index n-tuples, both in lex order over
     range(1, s) when restricted to the normalized subcomplex and range(s)
-    otherwise.  Returns (matrix mod e, input tuples, output tuples).
+    otherwise.  Returns (matrix mod e, input tuples, output tuples).  The
+    matrix is int64, or written into `out`, a zeroed array of its shape
+    whose type holds e + n + 1.
     """
     s, k, e = G.order, module.rank, module.exponent
     lo = 1 if normalized else 0
@@ -340,7 +342,8 @@ def _bar_matrix(G: FiniteGroup, module: CoefficientModule, n: int,
     place = (s - lo) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     blk = np.arange(k)
     rows = (np.arange(len(outs)) * k)[:, None] + blk
-    D = np.zeros((len(outs) * k, len(ins) * k), dtype=np.int64)
+    shape = (len(outs) * k, len(ins) * k)
+    D = np.zeros(shape, dtype=np.int64) if out is None else out
 
     def add(keep, tuples, blocks):
         """D[block(o, tuples[o])] += blocks[o] for the output tuples kept."""
@@ -348,9 +351,11 @@ def _bar_matrix(G: FiniteGroup, module: CoefficientModule, n: int,
         np.add.at(D, (rows[keep][:, :, None], cols[:, None, :]), blocks)
 
     everything = slice(None)
+    # blocks of D's own type keep np.add.at on its fast path
     acts = np.stack([module.scaled_action(g) for g in range(s)])
+    acts = acts.astype(D.dtype, copy=False)
     add(everything, h[:, 1:], acts[h[:, 0]])
-    eye = np.eye(k, dtype=np.int64)
+    eye = np.eye(k, dtype=D.dtype)
     sign = -1
     for i in range(1, n + 1):
         merged = h.copy()
@@ -360,7 +365,29 @@ def _bar_matrix(G: FiniteGroup, module: CoefficientModule, n: int,
         add(keep, merged[keep], sign * eye)
         sign = -sign
     add(everything, h[:, :n], sign * eye)
-    return D % e, ins, outs
+    D %= e
+    return D, ins, outs
+
+
+def _bar_system(G: FiniteGroup, module: CoefficientModule, n: int,
+                normalized: bool):
+    """[d_n; constraint rows] mod e in one array, and d_n's input tuples.
+
+    The constraint rows force each scaled coordinate into its (e/m_j) Z
+    sublattice.  The array is built at the width that a reduction mod e
+    of its shape sweeps in, so the reduction's one copy is at that width.
+    """
+    k, e = module.rank, module.exponent
+    size = G.order - (1 if normalized else 0)
+    num_vars = size ** n * k
+    orders = np.resize(np.array(module.orders, dtype=np.int64), num_vars)
+    cols = np.flatnonzero(orders < e)
+    rows = size ** (n + 1) * k
+    shape = (rows + cols.size, num_vars)
+    system = np.zeros(shape, dtype=_sweep_dtype(e, shape))
+    ins = _bar_matrix(G, module, n, normalized, out=system[:rows])[1]
+    system[rows + np.arange(cols.size), cols] = orders[cols]
+    return system, ins
 
 
 def _scaled_vector(c: Cochain) -> np.ndarray:
@@ -368,15 +395,6 @@ def _scaled_vector(c: Cochain) -> np.ndarray:
     M = c.module
     scale = M.exponent // np.array(M.orders, dtype=np.int64)
     return (M.coords[c._array] * scale % M.exponent).ravel()
-
-
-def _constraint_rows(num_vars: int, module: CoefficientModule) -> np.ndarray:
-    """Rows forcing each scaled coordinate into its (e/m_j) Z sublattice."""
-    orders = np.resize(np.array(module.orders, dtype=np.int64), num_vars)
-    cols = np.flatnonzero(orders < module.exponent)
-    rows = np.zeros((len(cols), num_vars), dtype=np.int64)
-    rows[np.arange(len(cols)), cols] = orders[cols]
-    return rows
 
 
 def _unscale(module: CoefficientModule, vec: np.ndarray, tuples, G: FiniteGroup,
@@ -412,13 +430,11 @@ def is_coboundary(c: Cochain) -> Cochain | None:
     n = c.degree
     if M.rank == 0:
         return Cochain.zero(G, M, n - 1)
-    e = M.exponent
-    D, ins, _outs = _bar_matrix(G, M, n - 1, normalized=False)
+    system, ins = _bar_system(G, M, n - 1, normalized=False)
+    rhs = np.zeros(system.shape[0], dtype=np.int64)
     b = _scaled_vector(c)
-    cons = _constraint_rows(D.shape[1], M)
-    system = np.vstack([D, cons])
-    rhs = np.concatenate([b, np.zeros(len(cons), dtype=np.int64)])
-    sol = solve_congruences(system, rhs, e)
+    rhs[:b.size] = b
+    sol = solve_congruences(system, rhs, M.exponent)
     if sol is None:
         return None
     witness = _unscale(M, np.array(sol.particular, dtype=np.int64), ins, G,
@@ -508,8 +524,7 @@ def cohomology_group(G: FiniteGroup, degree: int, module: CoefficientModule,
     if k == 0 or num_vars == 0:
         return _trivial_cohomology(G, degree, module)
 
-    D_n, ins, _outs = _bar_matrix(G, module, degree, normalized=True)
-    stacked = np.vstack([D_n, _constraint_rows(num_vars, module)])
+    stacked, ins = _bar_system(G, module, degree, normalized=True)
     diag, V, Vinv = diagonalize_mod(stacked, e)
     cocycles = _Lattice(diag, V, e)
     kernel, step, orders = cocycles.kernel, cocycles.step, cocycles.orders

@@ -1,10 +1,12 @@
 """Exact integer linear algebra: roots of unity, Smith normal form, congruences.
 
 Matrices are plain numpy integer arrays (rows x cols).  All reductions are
-exact and run on one engine, _Reduction, over Z and Z/N; one predicate,
-_fits_int64, picks int64 or Python ints (object dtype) everywhere here.
-Roots of unity are stored as exponents modulo a fixed N and never touch
-floating point.
+exact and run on one engine, _Reduction, over Z and Z/N.  Over Z the arrays
+are int64 while _fits_int64 allows, else Python ints (object dtype).  Mod N
+they take the narrowest signed type (int8, int16, int32 or int64) whose
+max is at least N + (N//2)^2, the most one sweep can reach; past int64,
+_fits_int64 picks Python ints there too.  Roots of unity are stored as
+exponents modulo a fixed N and never touch floating point.
 """
 
 from __future__ import annotations
@@ -16,10 +18,17 @@ from math import prod
 
 import numpy as np
 
-# pivot-search key of a zero entry: |0| - 1 wrapped to uint64
-_NO_PIVOT = np.iinfo(np.uint64).max
+# the signed widths of a modular sweep, narrowest first, with their max
+_WIDTHS = tuple((np.dtype(t), int(np.iinfo(t).max))
+                for t in (np.int8, np.int16, np.int32, np.int64))
 
-# rows per slice of the int64 pivot search; any height gives the same pivot
+# per signed width, the unsigned type its pivot-search keys are viewed as
+# and the key of a zero entry, |0| - 1 wrapped: that type's max
+_KEYS = {np.dtype(s): (np.dtype(u), int(np.iinfo(u).max))
+         for s, u in ((np.int8, np.uint8), (np.int16, np.uint16),
+                      (np.int32, np.uint32), (np.int64, np.uint64))}
+
+# rows per slice of the integer pivot search; any height gives the same pivot
 _PIVOT_CHUNK = 64
 
 # lattice points per array pass of CongruenceSolution.enumerate
@@ -72,21 +81,31 @@ class UnityExponent:
         return f"zeta_{self.modulus}^{self.value}"
 
 
+def _wide(x: np.ndarray) -> np.ndarray:
+    """x in int64, or as it is in Python ints: a dot product with it is
+    summed there whatever the width of the other factor."""
+    return x if x.dtype == object else x.astype(np.int64)
+
+
 def _magnitude(arr: np.ndarray) -> int:
     """The largest |entry| of an integer array, 0 when it is empty."""
     return int(np.abs(arr).max()) if arr.size else 0
 
 
 def as_int_matrix(data) -> np.ndarray:
-    """Coerce to a 2-D integer array, rejecting anything non-integral."""
-    arr = np.array(data)
+    """Coerce to a 2-D integer array, rejecting anything non-integral.
+
+    An integer array narrower than 64 bits, or already int64, is returned
+    as it is, not copied; uint64 becomes int64.
+    """
+    arr = np.asarray(data)
     if arr.ndim != 2:
         raise ValueError(f"expected 2-D matrix, got shape {arr.shape}")
     if arr.dtype == object:
         return arr
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"expected integer entries, got dtype {arr.dtype}")
-    return arr.astype(np.int64)
+    return arr if arr.dtype.itemsize < 8 else arr.astype(np.int64, copy=False)
 
 
 def int_det(mat) -> int:
@@ -117,37 +136,87 @@ def _fits_int64(terms: int, factor: int) -> bool:
     return terms * factor * factor < 1 << 63
 
 
+def _sweep_dtype(modulus: int, shape) -> np.dtype:
+    """The dtype of a reduction mod N of a matrix of this shape.
+
+    A sweep subtracts one product of two representatives, each at most
+    N // 2 in magnitude, from a representative, and _sym then adds
+    (N - 1) // 2: no entry passes N + (N//2)^2.  The narrowest signed
+    width whose max reaches that holds every sweep.  The Uinv and Vinv
+    dot products sum up to max(m, n) such products in int64, so past
+    _fits_int64 every array takes Python ints.
+    """
+    if not _fits_int64(max(shape) + 2, modulus // 2 + 1):
+        return np.dtype(object)
+    bound = modulus + (modulus // 2) ** 2
+    return next(dtype for dtype, top in _WIDTHS if top >= bound)
+
+
+def _residues(x, modulus: int, dtype: np.dtype) -> np.ndarray:
+    """x mod N as a new array of the given dtype, entries in [0, N).
+
+    The remainder is taken in an integer type holding both x and N and
+    cast buffer by buffer into the result, its one allocation.  Where no
+    integer type holds both, it is taken in Python ints.
+    """
+    x = np.asarray(x)
+    loop = np.promote_types(x.dtype, dtype)
+    if loop.kind not in "iu":
+        # object, or uint64 beside a signed type, which promotes to float64
+        out = x.astype(object)
+        out %= modulus
+        return out.astype(dtype, copy=False)
+    out = np.empty(x.shape, dtype)
+    np.remainder(x, loop.type(modulus), out=out, casting="unsafe")
+    return out
+
+
 class _Reduction:
     """In-place diagonalization workspace with optional transform tracking.
 
     Row operations accumulate Uinv and the carried columns (updated in
     place when already in the working dtype), column operations V and
-    Vinv; U is the carried identity, carry=eye(m).  With ``mod`` set,
-    every array is kept reduced to symmetric representatives mod N; the
-    transforms then only make sense modulo N, which is all the
-    congruence solvers need.
+    Vinv; want_u carries the identity, so the carried columns become U.
+    With ``mod`` set, every array is kept reduced to symmetric
+    representatives mod N; the transforms then only make sense modulo N,
+    which is all the congruence solvers need.
 
-    A sweep adds at most max(m, n) + 2 products of entries of magnitude
-    w to an entry (Uinv and Vinv take dot products): the arrays are int64
-    while _fits_int64 allows that, else Python ints.  Mod N, w = N // 2
-    fixes the width at construction; over Z, _guard widens every array
-    in place once w outgrows the bound, and the exact int64 steps before
-    make that equal to a reduction in Python ints throughout.
+    Mod N, a and carry may hold any integers: each is reduced into one new
+    array of _sweep_dtype's width, the narrowest signed type that holds a
+    sweep, or Python ints past int64.  Over Z, a sweep adds at most
+    max(m, n) + 2 products of entries of magnitude w to an entry (Uinv and
+    Vinv take dot products): the arrays are int64 while _fits_int64 allows
+    that, else Python ints, and _guard widens every array in place once w
+    outgrows the bound; the exact int64 steps before make that equal to a
+    reduction in Python ints throughout.
     """
 
-    def __init__(self, a, mod=None, want_uinv=False, want_v=False,
-                 want_vinv=False, carry=None):
+    def __init__(self, a, mod=None, want_u=False, want_uinv=False,
+                 want_v=False, want_vinv=False, carry=None):
         self.mod = mod
-        a = np.asarray(a)
-        m, n = a.shape
+        m, n = np.shape(a)
         self._terms = max(m, n) + 2
-        w = _magnitude(a) if mod is None else mod // 2
-        dtype = np.int64 if _fits_int64(self._terms, w + 1) else object
-        self.a = np.array(a, dtype=dtype)
+        if mod is None:
+            fits = _fits_int64(self._terms, _magnitude(np.asarray(a)) + 1)
+            dtype = np.dtype(np.int64 if fits else object)
+            self.a = np.array(a, dtype=dtype)
+            if carry is not None:
+                carry = np.asarray(carry, dtype)
+        else:
+            dtype = _sweep_dtype(mod, (m, n))
+            self.a = _residues(a, mod, dtype)
+            if carry is not None:
+                carry = _residues(carry, mod, dtype)
+            # _sym's scalars, at the width: numpy range-checks a Python int
+            # against a narrow array on every operation
+            scalar = int if dtype == object else dtype.type
+            self._half, self._mod = scalar((mod - 1) // 2), scalar(mod)
+        # the unsigned view and zero key of the integer pivot search
+        self._key_type, self._no_pivot = _KEYS.get(dtype, (None, None))
         self.uinv = np.eye(m, dtype=dtype) if want_uinv else None
         self.v = np.eye(n, dtype=dtype) if want_v else None
         self.vinv = np.eye(n, dtype=dtype) if want_vinv else None
-        self.carry = None if carry is None else np.asarray(carry, dtype)
+        self.carry = np.eye(m, dtype=dtype) if want_u else carry
         self._reduce_all()
 
     def _tracked(self) -> dict:
@@ -161,9 +230,9 @@ class _Reduction:
             return arr
         # representatives in [-(N-1)//2, N//2]: N/2 sits on the positive side
         # so making a pivot positive is stable under re-reduction
-        half = (self.mod - 1) // 2
+        half, mod = self._half, self._mod
         arr += half
-        arr %= self.mod
+        arr %= mod
         arr -= half
         return arr
 
@@ -211,6 +280,13 @@ class _Reduction:
             self.vinv[p] += q * self.vinv[j]
             self._sym(self.vinv[p])
 
+    def _add_dot(self, dst, dot):
+        """dst += dot, re-reduced.  The dot was summed in int64 (or Python
+        ints) by _wide; the sum is reduced there and only then stored, as
+        an int64 array added in place into a narrow one would wrap under
+        numpy's same_kind casting."""
+        dst[...] = self._sym(dot + dst)
+
     def _axpy(self, arr, rows, q, src):
         """arr[rows] -= q ⊗ src, re-reduced, touching only columns where
         src != 0: every other entry would subtract zero, and all arrays are
@@ -233,8 +309,7 @@ class _Reduction:
         q, rows = q[nz], t + 1 + nz
         self._axpy(self.a[:, t:], rows, q, self.a[t, t:])
         if self.uinv is not None:
-            self.uinv[:, t] += self.uinv[:, rows].dot(q)
-            self._sym(self.uinv[:, t])
+            self._add_dot(self.uinv[:, t], self.uinv[:, rows].dot(_wide(q)))
         if self.carry is not None:
             self._axpy(self.carry, rows, q, self.carry[t])
 
@@ -254,8 +329,7 @@ class _Reduction:
         if self.v is not None:
             self._axpy(self.v.T, cols, q, self.v[:, t])
         if self.vinv is not None:
-            self.vinv[t] += q.dot(self.vinv[cols])
-            self._sym(self.vinv[t])
+            self._add_dot(self.vinv[t], _wide(q).dot(self.vinv[cols]))
 
     def negate_row(self, i):
         self.a[i] = -self.a[i]
@@ -274,7 +348,7 @@ class _Reduction:
 
         In Python ints it is one argmin over the magnitudes of the nonzero
         entries, taken in row-major order; argmin returns the first of
-        equal minima.  The int64 path scans _PIVOT_CHUNK rows at a time:
+        equal minima.  The integer path scans _PIVOT_CHUNK rows at a time:
         each chunk's argmin is its first smallest key, and a later chunk
         replaces the best only with a strictly smaller key, so the chunk
         height cannot change the pivot.  No nonzero magnitude is below 1,
@@ -289,13 +363,9 @@ class _Reduction:
                 where = (t + int(rows[k]), t + int(cols[k]))
         else:
             m, n = self.a.shape
-            best = _NO_PIVOT
+            best = self._no_pivot
             for r0 in range(t, m, _PIVOT_CHUNK):
-                # |x| - 1 as uint64 sends 0 to the largest key, so one argmin
-                # finds the chunk's first smallest nonzero magnitude
-                keys = np.abs(self.a[r0:r0 + _PIVOT_CHUNK, t:])
-                keys -= 1
-                keys = keys.view(np.uint64)
+                keys = self._keys(self.a[r0:r0 + _PIVOT_CHUNK, t:])
                 i, j = divmod(int(keys.argmin()), n - t)
                 key = int(keys[i, j])
                 if key < best:
@@ -304,15 +374,21 @@ class _Reduction:
                         break
         return where
 
-    @staticmethod
-    def _min_nonzero(vec):
+    def _keys(self, block):
+        """|x| - 1 viewed unsigned at the array's width: 0 becomes the
+        largest key, so one argmin finds the first smallest nonzero
+        magnitude."""
+        keys = np.abs(block)
+        keys -= 1
+        return keys.view(self._key_type)
+
+    def _min_nonzero(self, vec):
         if vec.dtype == object:
             return min(
                 (i for i in range(vec.shape[0]) if vec[i] != 0),
                 key=lambda i: abs(int(vec[i])),
             )
-        mags = np.where(vec != 0, np.abs(vec), np.iinfo(np.int64).max)
-        return int(np.argmin(mags))
+        return int(self._keys(vec).argmin())
 
     def _clear_pivot(self, t):
         """Zero out row t and column t beyond the pivot, growing gcds as needed."""
@@ -430,8 +506,7 @@ def smith_normal_form(A) -> SmithDecomposition:
     ties), so the reduction is deterministic.
     """
     A = as_int_matrix(A)
-    red = _smith(A, want_uinv=True, want_v=True, want_vinv=True,
-                 carry=np.eye(A.shape[0], dtype=np.int64))
+    red = _smith(A, want_u=True, want_uinv=True, want_v=True, want_vinv=True)
     return SmithDecomposition(tuple(red.diagonal()), red.carry, red.v,
                               red.uinv, red.vinv)
 
@@ -579,8 +654,7 @@ def solve_congruences(A, b, modulus: int) -> CongruenceSolution | None:
         raise ValueError("modulus must be positive")
     if modulus == 1:
         return CongruenceSolution(1, (0,) * n, ())
-    red = _Reduction(A % modulus, mod=modulus, want_v=True,
-                     carry=(b % modulus)[:, None])
+    red = _Reduction(A, mod=modulus, want_v=True, carry=b[:, None])
     lattice = _Lattice(red.diagonalize(), red.v, modulus)
     c = red.carry[:, 0] % modulus
     # rows past the pivots read 0 = c_i
@@ -610,9 +684,8 @@ class CongruenceFactor:
         # an A already reduced into the compact type is kept, not copied
         if (A.ndim != 2 or A.dtype != compact
                 or (A.size and A.max() >= modulus)):
-            A = (as_int_matrix(A) % modulus).astype(compact)
-        red = _Reduction(A, mod=modulus, want_v=True,
-                         carry=np.eye(A.shape[0], dtype=np.int64))
+            A = _residues(as_int_matrix(A), modulus, compact)
+        red = _Reduction(A, mod=modulus, want_u=True, want_v=True)
         self._lattice = _Lattice(red.diagonalize(), red.v, modulus, compact)
         self._a = A
         self._u = (red.carry[:self._lattice.rank] % modulus).astype(compact)
@@ -637,8 +710,11 @@ def diagonalize_mod(A, modulus: int):
     Returns (diagonal, V, Vinv) such that x solves A x = 0 (mod N) exactly
     when x = V y with d_j y_j = 0 (mod N).  No divisibility chain is enforced;
     only gcd(d_j, N) matters downstream.
+
+    A is not changed: the reduction works on one copy, made at the width
+    _sweep_dtype picks, and V and Vinv come back at that width.
     """
-    A = as_int_matrix(A)
-    red = _Reduction(A % modulus, mod=modulus, want_v=True, want_vinv=True)
+    red = _Reduction(as_int_matrix(A), mod=modulus, want_v=True,
+                     want_vinv=True)
     d = red.diagonalize()
     return [x % modulus for x in d], red.v % modulus, red.vinv % modulus

@@ -107,19 +107,13 @@ def cochain_from_json(G: FiniteGroup, obj) -> Cochain:
 
 def subcat_to_json(s: SubcatData) -> dict:
     """Sparse subcategory document; omitted pairing entries are exponent 0."""
-    cols = len(s.M.elements)
-    entries = {}
-    for i, l in enumerate(s.L.elements):
-        for j, m in enumerate(s.M.elements):
-            v = s.B.table[i * cols + j]
-            if v:
-                entries[f"{l},{m}"] = int(v)
-    return {
-        "L": [int(x) for x in s.L.elements],
-        "M": [int(x) for x in s.M.elements],
-        "B": dict(sorted(entries.items())),
-        "fpdim": fpdim(s),
-    }
+    L = [int(x) for x in s.L.elements]
+    M = [int(x) for x in s.M.elements]
+    cols = len(M)
+    # one pass over the table of ints; only its nonzero cells get a key
+    entries = sorted([(f"{L[k // cols]},{M[k % cols]}", v)
+                      for k, v in enumerate(s.B.table) if v])
+    return {"L": L, "M": M, "B": dict(entries), "fpdim": fpdim(s)}
 
 
 def grading_to_json(g: GradingSpec) -> dict:

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 
 import crossbraid as cb
 from crossbraid.braidings import (
@@ -74,6 +75,26 @@ class Budget:
             elapsed = time.monotonic() - self.start
             assert elapsed < self.limit, \
                 f"took {elapsed:.2f}s against a {self.limit}s budget"
+        return False
+
+
+class MemoryBudget:
+    """Asserts the block's tracemalloc peak stayed under its allowance."""
+
+    def __init__(self, megabytes):
+        self.limit = megabytes * 2**20
+
+    def __enter__(self):
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        if exc_type is None:
+            assert peak < self.limit, \
+                f"traced peak {peak / 2**20:.0f} MB against a " \
+                f"{self.limit / 2**20:.0f} MB budget"
         return False
 
 
@@ -336,6 +357,22 @@ def test_reach_h3_of_c10():
     with Budget(12):
         H = cohomology_group(cb.cyclic(10), 3, mu_module(10))
     assert H.invariant_factors == (10,)
+
+
+def test_reach_h3_of_c2xc6():
+    # Hom(H_3, Z/6) + Ext(H_2, Z/6) = (Z/2)^2 + Z/6 + Z/2.  d_3 is
+    # 14641 x 1331: 19 MB at the int8 width of mod 6 sweeps, 156 MB in int64
+    assert abelian_cohomology((2, 6), 3, 6) == (2, 2, 2, 6)
+    with Budget(15), MemoryBudget(150):
+        H = cohomology_group(cb.builtin_group("C2xC6"), 3, mu_module(6))
+    assert H.invariant_factors == (2, 2, 2, 6)
+
+
+def test_reach_h3_of_d12():
+    # the same d_3 shape as C2xC6, swept mod 12; the factors are pinned
+    with Budget(20), MemoryBudget(150):
+        H = cohomology_group(cb.builtin_group("D12"), 3, mu_module(12))
+    assert H.invariant_factors == (2, 2, 2, 6)
 
 
 def test_closed_form_matches_engine_in_degree_3_on_order_8():

@@ -20,7 +20,7 @@ from crossbraid.cohomology import (
     random_cochain,
     trivial_module,
 )
-from crossbraid.cohomology import _bar_matrix
+from crossbraid.cohomology import _bar_matrix, _bar_system
 from crossbraid.exact import diagonalize_mod
 from crossbraid.groups import all_subgroups
 
@@ -581,6 +581,25 @@ class TestMatchesReferenceEngine:
                     assert identical(got, ref), (tag, normalized, degree)
                 D = got[0]
                 assert_matches_dense(diagonalize_mod, D, module.exponent)
+
+    def test_bar_system_stacks_the_constraint_rows(self):
+        # coefficients of mixed orders, so some coordinates are constrained
+        for name, coeff in (("C2xC2", "C2xC4"), ("S3", "C2xC6")):
+            G = cb.builtin_group(name)
+            module = trivial_module(cb.builtin_group(coeff))
+            e = module.exponent
+            for n in (1, 2):
+                for normalized in (True, False):
+                    system, ins = _bar_system(G, module, n, normalized)
+                    D, want_ins, _ = loop_bar_matrix(G, module, n, normalized)
+                    cols = D.shape[1]
+                    orders = list(module.orders) * (cols // module.rank)
+                    cons = [[orders[j] if j == c else 0 for j in range(cols)]
+                            for c in range(cols) if orders[c] < e]
+                    assert cons, (name, coeff)
+                    assert system.dtype == np.int8
+                    assert ins == want_ins
+                    assert system.tolist() == D.tolist() + cons
 
     def test_inversion_modules_exist(self):
         tags = {name: [t for t, _ in bar_modules(cb.builtin_group(name))]

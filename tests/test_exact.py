@@ -365,6 +365,27 @@ def test_as_int_matrix_rejects_non_integer():
         as_int_matrix([1, 2, 3])
 
 
+def test_as_int_matrix_copies_no_integer_array_up_to_int64():
+    for dtype in (np.int8, np.uint8, np.int16, np.uint32, np.int64):
+        A = np.arange(6, dtype=dtype).reshape(2, 3)
+        assert as_int_matrix(A) is A
+    assert as_int_matrix(np.ones((2, 2), dtype=np.uint64)).dtype == np.int64
+
+
+def test_narrow_input_with_a_modulus_past_its_type():
+    # the remainder must not be taken in the input's own type
+    A = np.array([[3, 4, 200], [5, 6, 7]], dtype=np.uint8)
+    b = np.array([1, 2])
+    for N in (1000, 70000, 3 * 10**12 + 3):
+        want = solve_congruences(A.astype(np.int64), b, N)
+        assert solve_congruences(A, b, N) == want
+        assert CongruenceFactor(A, N).solve(b) == want
+        assert CongruenceFactor(A.astype(np.int8), N).solve(b) == \
+            solve_congruences(A.astype(np.int8).astype(np.int64), b, N)
+        assert identical(diagonalize_mod(A, N),
+                         diagonalize_mod(A.astype(np.int64), N))
+
+
 def test_congruence_solution_count_matches_generators():
     sol = CongruenceSolution(6, (1, 2), (((2, 0), 3), ((0, 3), 2)))
     assert sol.count == 6
@@ -373,20 +394,28 @@ def test_congruence_solution_count_matches_generators():
 
 # -- identity oracle: the dense sweeps the elimination engine replaced --------
 
+def int64_or_object(x):
+    """x in int64 unless it holds Python ints."""
+    return x if x.dtype == object else x.astype(np.int64)
+
+
 class DenseReduction(exact._Reduction):
     """The engine with its original dense sweeps and pivot search.
 
     Each sweep updates and re-reduces the whole trailing block, and the pivot
     search masks zeros with np.where.  The support-restricted engine must
     reproduce its diagonal, transforms and carried right-hand sides exactly.
+    The Uinv and Vinv dot products are summed in int64 here, apart from the
+    engine's own helpers, so a narrow sum in the engine cannot hide.
     """
 
     def bulk_row_clear(self, t, q):
         self.a[t + 1:, t:] -= np.outer(q, self.a[t, t:])
         self._sym(self.a[t + 1:, t:])
         if self.uinv is not None:
-            self.uinv[:, t] += self.uinv[:, t + 1:].dot(q)
-            self._sym(self.uinv[:, t])
+            col = int64_or_object(self.uinv[:, t])
+            col += int64_or_object(self.uinv[:, t + 1:]).dot(q)
+            self.uinv[:, t] = self._sym(col)
         if self.carry is not None:
             self.carry[t + 1:] -= np.outer(q, self.carry[t])
             self._sym(self.carry[t + 1:])
@@ -398,8 +427,9 @@ class DenseReduction(exact._Reduction):
             self.v[:, t + 1:] -= np.outer(self.v[:, t], q)
             self._sym(self.v[:, t + 1:])
         if self.vinv is not None:
-            self.vinv[t] += q.dot(self.vinv[t + 1:])
-            self._sym(self.vinv[t])
+            row = int64_or_object(self.vinv[t])
+            row += q.dot(int64_or_object(self.vinv[t + 1:]))
+            self.vinv[t] = self._sym(row)
 
     def _pick_pivot(self, t):
         sub = self.a[t:, t:]
@@ -416,7 +446,7 @@ class DenseReduction(exact._Reduction):
                         best, where = val, (i, j)
             i, j = where
         else:
-            masked = np.where(nz, mags, np.iinfo(np.int64).max)
+            masked = np.where(nz, mags, np.iinfo(mags.dtype).max)
             flat = int(np.argmin(masked))
             i, j = divmod(flat, sub.shape[1])
         return t + i, t + j
@@ -563,6 +593,27 @@ def assert_solves_exactly(A, b, N):
     return sol
 
 
+def factor_solve(A, b, N):
+    return CongruenceFactor(A, N).solve(b)
+
+
+def assert_sweeps_at(A, b, N, dtype):
+    """Mod N the reduction of A takes dtype.  Every solver checks in Python
+    ints and matches the dense oracle, and diagonalize_mod changes neither
+    A nor A given at the width, on which it returns the same."""
+    assert exact._Reduction(A, mod=N).a.dtype == dtype
+    before = A.copy()
+    assert_solves_exactly(A, b, N)
+    assert_matches_dense(solve_congruences, A, b, N)
+    assert_matches_dense(factor_solve, A, b, N)
+    got = assert_matches_dense(diagonalize_mod, A, N)
+    assert identical(A, before)
+    narrow = (A % N).astype(dtype)
+    kept = narrow.copy()
+    assert identical(diagonalize_mod(narrow, N), got)
+    assert identical(narrow, kept)
+
+
 class TestLargeModuli:
     """Past (max(m, n) + 2) (N // 2 + 1)^2 >= 2^63 the sweeps take Python
     ints; every answer is checked without numpy arithmetic."""
@@ -582,11 +633,103 @@ class TestLargeModuli:
         rng = random.Random(101)
         for N, dtype in ((2 * h - 1, np.int64), (2 * h, object)):
             for _ in range(3):
-                A, b = large_modulus_system(rng, m, n, N)
-                assert exact._Reduction(A % N, mod=N).a.dtype == dtype
-                assert_solves_exactly(A, b, N)
-                assert_matches_dense(solve_congruences, A, b, N)
-                assert_matches_dense(diagonalize_mod, A, N)
+                assert_sweeps_at(*large_modulus_system(rng, m, n, N), N,
+                                 np.dtype(dtype))
+
+
+# -- the narrowest width that holds a modular sweep ---------------------------
+
+def extreme_system(rng, m, n, N):
+    """Entries 1, -1, N // 2, -(N // 2) or uniform mod N, so unit pivots
+    lead and the sweeps reach their largest products; b = A x is feasible."""
+    A = np.array([[rng.choice((1, -1, N // 2, -(N // 2), rng.randrange(N)))
+                   for _ in range(n)] for _ in range(m)], dtype=np.int64)
+    x = [rng.randrange(N) for _ in range(n)]
+    return A, np.array(mod_product(A, x, N), dtype=np.int64)
+
+
+# the largest N each width holds, N + (N//2)^2 <= max, and the next width
+NARROW_BOUNDARIES = ((21, np.int8, np.int16), (361, np.int16, np.int32),
+                     (92679, np.int32, np.int64))
+
+
+class TestSweepWidths:
+    """Mod N the arrays take the narrowest signed width whose max is at
+    least N + (N//2)^2; TestLargeModuli.test_width_boundary covers the
+    int64 / Python-int boundary."""
+
+    def test_the_boundaries_follow_the_rule(self):
+        for N, narrow, wide in NARROW_BOUNDARIES:
+            assert N + (N // 2) ** 2 <= np.iinfo(narrow).max
+            assert N + 1 + ((N + 1) // 2) ** 2 > np.iinfo(narrow).max
+            assert exact._sweep_dtype(N, (6, 5)) == narrow
+            assert exact._sweep_dtype(N + 1, (6, 5)) == wide
+
+    @pytest.mark.parametrize("N,narrow,wide", NARROW_BOUNDARIES,
+                             ids=[np.dtype(t).name
+                                  for _, t, _ in NARROW_BOUNDARIES])
+    def test_both_sides(self, N, narrow, wide):
+        rng = random.Random(f"width:{N}")
+        for modulus, dtype in ((N, narrow), (N + 1, wide)):
+            for shape in ((9, 7), (6, 11)):
+                for _ in range(4):
+                    A, b = extreme_system(rng, *shape, modulus)
+                    assert_sweeps_at(A, b, modulus, np.dtype(dtype))
+
+    def test_extreme_sweeps(self):
+        # every entry, quotient and transform entry at N // 2 or
+        # -((N - 1) // 2), with a unit pivot: each product in a sweep and
+        # each term of the Uinv and Vinv dot products is as large as it
+        # gets, and the result must equal Python ints reduced mod N
+        for N, narrow, wide in NARROW_BOUNDARIES:
+            for modulus in (N, N + 1):
+                rng = random.Random(modulus)
+
+                def extremes(m, n):
+                    return [[rng.choice((modulus // 2, -((modulus - 1) // 2)))
+                             for _ in range(n)] for _ in range(m)]
+
+                def sym(x):
+                    half = (modulus - 1) // 2
+                    return (x + half) % modulus - half
+
+                A = extremes(9, 8)
+                A[0][0] = 1
+                red = exact._Reduction(np.array(A), mod=modulus,
+                                       want_uinv=True, want_v=True,
+                                       want_vinv=True)
+                uinv, v, vinv = extremes(9, 9), extremes(8, 8), extremes(8, 8)
+                red.uinv[...], red.v[...], red.vinv[...] = uinv, v, vinv
+                q = [row[0] for row in A[1:]]
+                red.bulk_row_clear(0, red.a[1:, 0].copy())
+                A[1:] = [[sym(x - qi * y) for x, y in zip(row, A[0])]
+                         for qi, row in zip(q, A[1:])]
+                for row in uinv:
+                    row[0] = sym(row[0] + sum(
+                        x * qi for x, qi in zip(row[1:], q)))
+                assert red.a.tolist() == A and red.uinv.tolist() == uinv
+                q = A[0][1:]
+                red.bulk_col_clear(0, red.a[0, 1:].copy())
+                A[0][1:] = [sym(x - qi) for x, qi in zip(A[0][1:], q)]
+                for row in v:
+                    row[1:] = [sym(x - row[0] * qi)
+                               for x, qi in zip(row[1:], q)]
+                vinv[0] = [sym(x + sum(qi * r[c] for qi, r in zip(q, vinv[1:])))
+                           for c, x in enumerate(vinv[0])]
+                assert red.a.tolist() == A
+                assert red.v.tolist() == v and red.vinv.tolist() == vinv
+
+    def test_pivot_keys_at_each_width(self):
+        # a zero chunk of a narrow array must not rank as a pivot, and a
+        # narrow vector's zeros must not win the smallest nonzero search
+        for N, narrow, _ in NARROW_BOUNDARIES:
+            A = np.zeros((3 * CHUNK, 4), dtype=np.int64)
+            A[2 * CHUNK + 1, 3] = N // 2
+            red = exact._Reduction(A, mod=N)
+            assert red.a.dtype == narrow
+            assert red._pick_pivot(0) == (2 * CHUNK + 1, 3)
+            vec = np.array([0, 0, -(N // 2), 0, 2], dtype=narrow)
+            assert red._min_nonzero(vec) == 4
 
 
 # -- an independent Smith-form oracle past int64 -------------------------------
