@@ -28,7 +28,8 @@ _KEYS = {np.dtype(s): (np.dtype(u), int(np.iinfo(u).max))
          for s, u in ((np.int8, np.uint8), (np.int16, np.uint16),
                       (np.int32, np.uint32), (np.int64, np.uint64))}
 
-# rows per slice of the integer pivot search; any height gives the same pivot
+# rows of the first slice of the integer pivot search, each later slice
+# twice the last; any heights give the same pivot
 _PIVOT_CHUNK = 64
 
 # lattice points per array pass of CongruenceSolution.enumerate
@@ -152,6 +153,14 @@ def _sweep_dtype(modulus: int, shape) -> np.dtype:
     return next(dtype for dtype, top in _WIDTHS if top >= bound)
 
 
+def _swap(arr: np.ndarray, i: int, j: int) -> None:
+    """Swap arr[i] and arr[j] in place through basic slices: a column
+    swap passes a .T view, which walks each column once."""
+    tmp = arr[i].copy()
+    arr[i] = arr[j]
+    arr[j] = tmp
+
+
 def _residues(x, modulus: int, dtype: np.dtype) -> np.ndarray:
     """x mod N as a new array of the given dtype, entries in [0, N).
 
@@ -254,20 +263,20 @@ class _Reduction:
     def swap_rows(self, i, j):
         if i == j:
             return
-        self.a[[i, j]] = self.a[[j, i]]
+        _swap(self.a, i, j)
         if self.uinv is not None:
-            self.uinv[:, [i, j]] = self.uinv[:, [j, i]]
+            _swap(self.uinv.T, i, j)
         if self.carry is not None:
-            self.carry[[i, j]] = self.carry[[j, i]]
+            _swap(self.carry, i, j)
 
     def swap_cols(self, i, j):
         if i == j:
             return
-        self.a[:, [i, j]] = self.a[:, [j, i]]
+        _swap(self.a.T, i, j)
         if self.v is not None:
-            self.v[:, [i, j]] = self.v[:, [j, i]]
+            _swap(self.v.T, i, j)
         if self.vinv is not None:
-            self.vinv[[i, j]] = self.vinv[[j, i]]
+            _swap(self.vinv, i, j)
 
     def add_cols(self, j, q, p):
         """col j -= q * col p."""
@@ -348,12 +357,13 @@ class _Reduction:
 
         In Python ints it is one argmin over the magnitudes of the nonzero
         entries, taken in row-major order; argmin returns the first of
-        equal minima.  The integer path scans _PIVOT_CHUNK rows at a time:
-        each chunk's argmin is its first smallest key, and a later chunk
-        replaces the best only with a strictly smaller key, so the chunk
-        height cannot change the pivot.  No nonzero magnitude is below 1,
-        so the scan stops at the first chunk holding a unit.  None when the
-        block is zero.
+        equal minima.  The integer path scans _PIVOT_CHUNK rows, then
+        chunks each twice the height of the last, so a search through m
+        rows takes O(log m) chunks.  Each chunk's argmin is its first
+        smallest key, and a later chunk replaces the best only with a
+        strictly smaller key, so the chunk heights cannot change the pivot.
+        No nonzero magnitude is below 1, so the scan stops at the first
+        chunk holding a unit.  None when the block is zero.
         """
         where = None
         if self.a.dtype == object:
@@ -364,14 +374,16 @@ class _Reduction:
         else:
             m, n = self.a.shape
             best = self._no_pivot
-            for r0 in range(t, m, _PIVOT_CHUNK):
-                keys = self._keys(self.a[r0:r0 + _PIVOT_CHUNK, t:])
+            r0, height = t, _PIVOT_CHUNK
+            while r0 < m:
+                keys = self._keys(self.a[r0:r0 + height, t:])
                 i, j = divmod(int(keys.argmin()), n - t)
                 key = int(keys[i, j])
                 if key < best:
                     best, where = key, (r0 + i, t + j)
                     if key == 0:
                         break
+                r0, height = r0 + height, 2 * height
         return where
 
     def _keys(self, block):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    GroupTooLarge,
     InvalidElement,
     NotCentral,
     NotNormal,
@@ -124,18 +125,35 @@ def _positions(G, S: Subgroup) -> np.ndarray:
     return pos
 
 
+# the subgroup each axis of an _axiom_blocks block runs over, per block
+_AXES = (("L", "M", "M"), ("L", "L", "M"), ("G", "L", "M"))
+
+
+def _inner_slots(G, L: Subgroup, M: Subgroup):
+    """Slots of g^-1 l g in L per (g, l) and of g m g^-1 in M per (g, m);
+    NotNormal unless every one lies inside."""
+    T, inv = G.table, G.inverse
+    g = np.arange(G.order)[:, None]
+    Le, Me = np.array(L.elements), np.array(M.elements)
+    inner_l = _positions(G, L)[T[T[inv[:, None], Le], g]]
+    inner_m = _positions(G, M)[T[T[g, Me], inv[:, None]]]
+    if (inner_l < 0).any() or (inner_m < 0).any():
+        raise NotNormal("L and M must both be normal")
+    return inner_l, inner_m
+
+
 def _axiom_blocks(G, L: Subgroup, M: Subgroup):
     """The three pairing axioms over L x M as linear forms in the table.
 
     Unknown i * |M| + j is the entry at (L.elements[i], M.elements[j]).
     One block per axiom, in the order verify_bicharacter reports them:
     (axes, terms, offset).  axes name the element ids along each array
-    axis: (l, m1, m2) for the right slot, (k, l, m) for the left slot and
-    (g, l, m) for invariance, in the sweep order of the witnesses; the
-    block holds one axiom instance per cell of that shape.  terms are
-    (columns, coefficient) and offset is ((a, g, h), sign), both with
-    index arrays broadcasting to the block's shape; (a, g, h) index a
-    twist's beta_table.  The instance reads
+    axis, over the subgroups _AXES names: (l, m1, m2) for the right slot,
+    (k, l, m) for the left slot and (g, l, m) for invariance, in the sweep
+    order of the witnesses; the block holds one axiom instance per cell of
+    that shape.  terms are (columns, coefficient) and offset is ((a, g,
+    h), sign), both with index arrays broadcasting to the block's shape;
+    (a, g, h) index a twist's beta_table.  The instance reads
 
         sum of coefficient * table[columns]
             ==  lift * sum of sign * beta_table[a, g, h]   (mod N')
@@ -150,24 +168,23 @@ def _axiom_blocks(G, L: Subgroup, M: Subgroup):
     nm = M.order
     u = np.arange(L.order * nm).reshape(-1, nm)
     g = np.arange(G.order)[:, None]
-    # slots of g^-1 l g per (g, l) and of g m g^-1 per (g, m)
-    inner_l = pl[T[T[inv[:, None], Le], g]]
-    inner_m = pm[T[T[g, Me], inv[:, None]]]
-    if (inner_l < 0).any() or (inner_m < 0).any():
-        raise NotNormal("L and M must both be normal")
+    inner_l, inner_m = _inner_slots(G, L, M)
+    sets = {"G": G.elements, "L": L.elements, "M": M.elements}
+    right_axes, left_axes, invariant_axes = (
+        tuple(sets[k] for k in kinds) for kinds in _AXES)
     # B(l, m1 m2) - B(l, m1) - B(l, m2) = -lift beta_l(m1, m2)
-    right = ((L.elements, M.elements, M.elements),
+    right = (right_axes,
              ((u[:, pm[T[Me[:, None], Me]]], 1),
               (u[:, :, None], -1), (u[:, None, :], -1)),
              (((Le[:, None, None], Me[:, None], Me), -1),))
     # B(kl, m) - B(k, m) - B(l, m) = lift beta_m(k, l)
-    left = ((L.elements, L.elements, M.elements),
+    left = (left_axes,
             ((u[pl[T[Le[:, None], Le]]], 1), (u[:, None, :], -1), (u, -1)),
             (((Me, Le[:, None, None], Le[:, None]), 1),))
     # B(g^-1 l g, m) - B(l, g m g^-1)
     #   = lift (beta_l(g, m) + beta_l(gm, g^-1) - beta_l(g, g^-1))
     l, g3, gi3 = Le[:, None], g[:, :, None], inv[:, None, None]
-    invariant = ((G.elements, L.elements, M.elements),
+    invariant = (invariant_axes,
                  ((u[inner_l], 1), (u[:, :1] + inner_m[:, None, :], -1)),
                  (((l, g3, Me), 1), ((l, T[g3, Me], gi3), 1),
                   ((l, g3, gi3), -1)))
@@ -294,18 +311,125 @@ def _pairing_factor(mod: int, shape: tuple[int, int],
     return CongruenceFactor(A, mod)
 
 
+def _cached(store: OrderedDict, key, build, bound: int):
+    """store[key], built on first use; least recently used entries are
+    dropped past bound.  A build that raises leaves nothing behind."""
+    value = store.get(key)
+    if value is None:
+        value = store[key] = build()
+        if len(store) > bound:
+            store.popitem(last=False)
+    else:
+        store.move_to_end(key)
+    return value
+
+
+class _PairingCatalog:
+    """Every pairing row over one (G, N'), sparse, for all its systems.
+
+    The rows are those of _axiom_blocks(G, G, G) and then the unit rows
+    e_(l,h) over G x G, each block row-major over its axes (kinds names
+    the subgroup each axis runs over; K is the killed one).  The (L, M)
+    system's rows are the catalog rows at its element ids, in the same
+    order: each has every nonzero cell in L x M, and the cells map one to
+    one onto the system's columns, so two rows of a system are equal
+    exactly when their catalog rows are.
+
+    A row is held as its class id, and each class as at most three
+    (cell l * |G| + h, coefficient) terms: int32 cells, equal cells
+    merged, terms that vanish mod N' dropped and the rest sorted, padded
+    with cell |G|^2 and coefficient 0.  Coefficients are residues mod N'
+    in the type of the factor keys, the smallest unsigned one holding
+    N'.  zero flags the rows reading 0 = 0, and gathers holds each
+    block's beta flat indices (int32) per offset term, with its sign.
+    """
+
+    __slots__ = ("starts", "gathers", "cls", "zero", "cells", "coefs")
+
+    kinds = _AXES + (("L", "K"),)
+
+    def __init__(self, G, mod: int):
+        n = G.order
+        # a term packs into cell * 7 + coefficient + 3 and a row into
+        # three terms in base `base`, all in one int64
+        base = 7 * (n * n + 1)
+        if base ** 3 >= 1 << 63:
+            raise GroupTooLarge(
+                f"pairing rows of a group of order {n} exceed int64 keys")
+        whole = Subgroup(G, G.elements)
+        units = ((G.elements, G.elements),
+                 ((np.arange(n * n).reshape(n, n), 1),), ())
+        cells, coefs, gathers, starts = [], [], [], [0]
+        for axes, terms, offset in _axiom_blocks(G, whole, whole) + (units,):
+            shape = (n,) * len(axes)
+            c = np.zeros((3,) + shape, dtype=np.int64)
+            k = np.zeros((3,) + shape, dtype=np.int8)
+            for t, (cols, coef) in enumerate(terms):
+                c[t], k[t] = cols, coef
+            cells.append(c.reshape(3, -1))
+            coefs.append(k.reshape(3, -1))
+            gathers.append(tuple(
+                (np.broadcast_to((a * n + g) * n + h, shape)
+                 .ravel().astype(np.int32), sign)
+                for (a, g, h), sign in offset))
+            starts.append(starts[-1] + prod(shape))
+        (c0, c1, c2), k = np.concatenate(cells, 1), np.concatenate(coefs, 1)
+        # merge equal cells into the first of them: coefficients in [-3, 3]
+        for i, j, same in ((0, 1, c0 == c1), (0, 2, c0 == c2),
+                           (1, 2, (c1 == c2) & (c0 != c2))):
+            k[i][same] += k[j][same]
+            k[j][same] = 0
+        # symmetric representatives mod N', so a vanishing term reads 0
+        half = (mod - 1) // 2
+        sym = np.array([(x + half) % mod - half for x in range(-3, 4)],
+                       dtype=np.int8)
+        k = sym[k + 3]
+        pad = (n * n) * 7 + 3
+        t0, t1, t2 = (np.where(kj == 0, pad, cj * 7 + kj + 3)
+                      for cj, kj in zip((c0, c1, c2), k))
+        # sort each row's three terms
+        t0, t1 = np.minimum(t0, t1), np.maximum(t0, t1)
+        t1, t2 = np.minimum(t1, t2), np.maximum(t1, t2)
+        t0, t1 = np.minimum(t0, t1), np.maximum(t0, t1)
+        keys, cls = np.unique((t0 * base + t1) * base + t2,
+                              return_inverse=True)
+        packed = np.stack([keys // base ** 2, keys // base % base,
+                           keys % base], axis=1)
+        residue = np.array([x % mod for x in range(-3, 4)],
+                           dtype=np.min_scalar_type(mod))
+        self.starts, self.gathers = tuple(starts[:-1]), tuple(gathers)
+        self.cls = cls.ravel().astype(np.int32)
+        self.cells = (packed // 7).astype(np.int32)
+        self.coefs = residue[packed % 7]
+        self.zero = ~self.coefs.any(axis=1)[self.cls]
+
+
+# pairing catalogs one process keeps, least recently used first; one
+# pairings benchmark pass needs 19
+PAIRING_CATALOGS = 32
+_CATALOGS: OrderedDict = OrderedDict()
+
+
+def _pairing_catalog(G, mod: int) -> _PairingCatalog:
+    """The pairing catalog of this group table and N', built on first use."""
+    return _cached(_CATALOGS, (mod, G.table.tobytes()),
+                   lambda: _PairingCatalog(G, mod), PAIRING_CATALOGS)
+
+
 class _PairingSystem:
     """The pairing rows over one (G, L, M, killed subgroup, N'), without
     the twist.
 
-    The coefficient rows are built once, to find the rows that read 0 = 0,
-    the repeated rows (each with the index of its first twin) and the rows
-    kept for the factor.  What stays is the beta gather of every row's
-    offset, as int32 flat indices into a beta table with the spans of rows
-    each part adds to, those index sets and the factor of the kept rows.
-    Nothing the twist decides is held: solve reads every offset from the
-    beta table it is given.  Construction raises NotCentral, NotNormal or
-    InvalidElement (a killed subgroup outside M) for a bad structure.
+    The rows are read off the catalog of (G, N') by index: R, the catalog
+    row of each system row, gives the rows that read 0 = 0, the repeated
+    rows (each with the index of its first twin, by class id) and the rows
+    kept for the factor, the only ones written out densely.  What stays is
+    the beta gather of every row's offset, as int32 flat indices into a
+    beta table with the spans of rows each part adds to, those index sets
+    and the factor of the kept rows.  Nothing the twist decides is held:
+    solve reads every offset from the beta table it is given.
+    Construction raises NotCentral, NotNormal or InvalidElement (a killed
+    subgroup outside M) for a bad structure.
     """
 
     __slots__ = ("_lift", "_mod", "_rows", "_gather", "_spans", "_zero",
@@ -317,44 +441,54 @@ class _PairingSystem:
         Le, Me = np.array(L.elements), np.array(M.elements)
         if not np.array_equal(T[Le[:, None], Me], T[Me, Le[:, None]]):
             raise NotCentral("L and M must commute elementwise")
-        blocks = list(_axiom_blocks(G, L, M))
-        if killed is not None:
-            pm = _positions(G, M)[list(killed.elements)]
-            if (pm < 0).any():
-                raise InvalidElement("killed subgroup must lie inside M")
-            cols = np.arange(L.order)[:, None] * M.order + pm
-            blocks.append(((L.elements, killed.elements), ((cols, 1),), ()))
-        nrows = sum(prod(map(len, axes)) for axes, _, _ in blocks)
-        A = np.zeros((nrows, L.order * M.order), dtype=np.int64)
-        gather, spans, start = [], [], 0
-        for axes, terms, offset in blocks:
-            shape = tuple(map(len, axes))
-            stop = start + prod(shape)
-            rows = np.arange(start, stop).reshape(shape)
-            for cols, coef in terms:
-                A[rows, cols] += coef    # one column per row and term: no clash
-            for (a, g, h), sign in offset:
-                flat = (a * G.order + g) * G.order + h
-                gather.append(np.broadcast_to(flat, shape).ravel())
+        _inner_slots(G, L, M)     # NotNormal
+        if killed is not None and \
+                (_positions(G, M)[list(killed.elements)] < 0).any():
+            raise InvalidElement("killed subgroup must lie inside M")
+        cat = _pairing_catalog(G, mod)
+        n = G.order
+        sets = {"G": np.arange(n), "L": Le, "M": Me,
+                "K": None if killed is None else np.array(killed.elements)}
+        parts, gather, spans, start = [], [], [], 0
+        for kinds, base, terms in zip(cat.kinds, cat.starts, cat.gathers):
+            if sets[kinds[-1]] is None:     # no killed subgroup
+                continue
+            # the block's catalog rows at the element ids along its axes
+            local = np.zeros((), dtype=np.int64)
+            for kind in kinds:
+                local = local[..., None] * n + sets[kind]
+            local = local.ravel()
+            parts.append(base + local)
+            stop = start + local.size
+            for flat, sign in terms:
+                gather.append(flat[local])
                 spans.append((start, stop, sign))
             start = stop
-        A %= mod
-        live = A.any(axis=1)
-        live_rows = np.flatnonzero(live)
-        A = A[live].astype(np.min_scalar_type(mod))
-        keys = A.view(np.dtype((np.void, A.itemsize * A.shape[1]))).ravel()
-        _, first, twin = np.unique(keys, return_index=True, return_inverse=True)
-        twin = first[twin.ravel()]
+        R = np.concatenate(parts)
+        zero = cat.zero[R]
+        live_rows = np.flatnonzero(~zero)
+        _, first, twin = np.unique(cat.cls[R[live_rows]], return_index=True,
+                                   return_inverse=True)
+        twin = first[twin]
         dup = np.flatnonzero(twin != np.arange(twin.size))
         first.sort()
-        self._lift, self._mod, self._rows = G.exponent, mod, nrows
-        self._gather = np.concatenate(gather).astype(np.int32)
+        kept = live_rows[first]
+        self._lift, self._mod, self._rows = G.exponent, mod, R.size
+        self._gather = np.concatenate(gather)
         self._spans = tuple(spans)
-        self._zero = np.flatnonzero(~live).astype(np.int32)
+        self._zero = np.flatnonzero(zero).astype(np.int32)
         self._dup = live_rows[dup].astype(np.int32)
         self._twin = live_rows[twin[dup]].astype(np.int32)
-        self._kept = live_rows[first].astype(np.int32)
-        A = A[first]
+        self._kept = kept.astype(np.int32)
+        # the kept rows, dense: padding cells land in one extra column
+        width = L.order * M.order
+        column = np.full(n * n + 1, width, dtype=np.int64)
+        column[(Le[:, None] * n + Me).ravel()] = np.arange(width)
+        cls = cat.cls[R[kept]]
+        A = np.zeros((kept.size, width + 1), dtype=cat.coefs.dtype)
+        A[np.arange(kept.size)[:, None], column[cat.cells[cls]]] = \
+            cat.coefs[cls]
+        A = A[:, :width]
         self._factor = _pairing_factor(mod, A.shape, A.tobytes())
 
     def solve(self, beta: np.ndarray) -> CongruenceSolution | None:
@@ -392,14 +526,9 @@ def _pairing_system(G, L: Subgroup, M: Subgroup, killed: Subgroup | None,
     """
     key = (mod, G.table.tobytes(), L.elements, M.elements,
            None if killed is None else killed.elements)
-    system = _SYSTEMS.get(key)
-    if system is None:
-        system = _SYSTEMS[key] = _PairingSystem(G, L, M, killed, mod)
-        if len(_SYSTEMS) > PAIRING_FACTORS:
-            _SYSTEMS.popitem(last=False)
-    else:
-        _SYSTEMS.move_to_end(key)
-    return system
+    return _cached(_SYSTEMS, key,
+                   lambda: _PairingSystem(G, L, M, killed, mod),
+                   PAIRING_FACTORS)
 
 
 def solve_pairings(data: TwistedGroupData, L: Subgroup, M: Subgroup,

@@ -384,3 +384,125 @@ def test_closed_form_matches_engine_in_degree_3_on_order_8():
                 expected = abelian_cohomology(orders, 3, m)
                 got = cohomology_group(G, 3, mu_module(m)).invariant_factors
                 assert got == expected, (name, m)
+
+
+# -- reach: untwisted abelian centers and pointed braidings, in closed form ---
+
+def gaussian_binomial(n, k, p):
+    """[n k]_p, the number of k-dimensional subspaces of (Z/p)^n."""
+    if not 0 <= k <= n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def conjugate(partition):
+    """The conjugate partition: its i-th part counts the parts above i."""
+    return [sum(1 for x in partition if x > i)
+            for i in range(max(partition, default=0))]
+
+
+def subgroups_of_type(lam, mu, p):
+    """Birkhoff's count of the subgroups of type mu in the abelian p-group
+    of type lam (see Butler, "Subgroup lattices and symmetric functions",
+    Mem. AMS 1994): the product over i of p^(mu'_{i+1} (lam'_i - mu'_i))
+    [lam'_i - mu'_{i+1}, mu'_i - mu'_{i+1}]_p, with ' the conjugate
+    partition."""
+    lc, mc = conjugate(lam), conjugate(mu)
+    mc += [0] * (len(lc) + 1 - len(mc))
+    count = 1
+    for i, top in enumerate(lc):
+        count *= p ** (mc[i + 1] * (top - mc[i])) * gaussian_binomial(
+            top - mc[i + 1], mc[i] - mc[i + 1], p)
+    return count
+
+
+def subgroup_count(cyclic_orders):
+    """The number of subgroups of Z/a_1 x ... x Z/a_r: a product over its
+    Sylow parts, each summed over the types that fit inside its own."""
+    types = {}
+    for a in cyclic_orders:
+        p = 2
+        while a > 1:
+            e = 0
+            while a % p == 0:
+                a //= p
+                e += 1
+            if e:
+                types.setdefault(p, []).append(e)
+            p += 1
+    total = 1
+    for p, lam in types.items():
+        lam = sorted(lam, reverse=True)
+        total *= sum(subgroups_of_type(lam, mu, p)
+                     for mu in itertools.product(*(range(e + 1) for e in lam))
+                     if list(mu) == sorted(mu, reverse=True))
+    return total
+
+
+def untwisted_subcats(name):
+    return len(enumerate_subcats(TwistedGroupData.trivial(
+        cb.builtin_group(name))))
+
+
+def test_subgroup_count_matches_lattice_search():
+    # the Galois numbers of (Z/2)^6 and (Z/3)^4 and Birkhoff's count of
+    # types (2,2,2,2) and (2,2,1,1,1,1), then against all_subgroups
+    assert sum(gaussian_binomial(6, k, 2) for k in range(7)) == 2825
+    assert sum(gaussian_binomial(4, k, 3) for k in range(5)) == 212
+    assert subgroup_count((2,) * 6) == 2825
+    assert subgroup_count((3,) * 4) == 212
+    assert subgroup_count((4,) * 4) == 1983
+    assert subgroup_count((2, 2, 4) * 2) == 12015
+    for orders in ((4, 4), (2, 2, 4), (2, 2, 2, 2), (3, 9), (2, 8), (6, 6),
+                   (2, 4, 4), (2, 2, 2, 2, 2), (4, 8), (3, 3, 3), (5, 10)):
+        G = product_group(*(cb.cyclic(a) for a in orders))
+        assert subgroup_count(orders) == len(cb.all_subgroups(G)), orders
+
+
+def test_untwisted_abelian_subcats_are_subgroups_of_a_x_a():
+    # Z(Vec_A) is pointed by A + dual(A), so its fusion subcategories
+    # S(L, M, B) are the subgroups of A x A (Naidu and Nikshych, CMP 2008)
+    with Budget(10):
+        for name, orders in (("C2", (2,)), ("C3", (3,)), ("C4", (4,)),
+                             ("C6", (6,)), ("C2xC2", (2, 2)), ("C8", (8,)),
+                             ("C2xC4", (2, 4))):
+            A = cb.builtin_group(name)
+            want = len(cb.all_subgroups(product_group(A, A)))
+            assert want == subgroup_count(orders * 2)
+            assert untwisted_subcats(name) == want, name
+
+
+def test_reach_subcats_of_untwisted_abelian_centers():
+    # past all_subgroups: Galois numbers, then Birkhoff's count
+    with Budget(15):
+        for name, orders, want in (("C2xC2xC2", (2, 2, 2), 2825),
+                                   ("C3xC3", (3, 3), 212),
+                                   ("C4xC4", (4, 4), 1983),
+                                   ("C2xC2xC4", (2, 2, 4), 12015)):
+            assert subgroup_count(orders * 2) == want
+            assert untwisted_subcats(name) == want, name
+
+
+def test_untwisted_pointed_braidings_are_homs_to_the_dual():
+    # with K = ker pi central, a G-invariant bicharacter on K x G is a
+    # homomorphism K -> dual(G^ab)
+    pairs = 0
+    with Budget(15):
+        for name in ORDER_LE_16 + ("C2xC2xC4",):
+            G = cb.builtin_group(name)
+            data = TwistedGroupData.trivial(G)
+            dual = cb.dual_group(quotient(G, cb.derived_subgroup(G))[0]).group
+            inside = set(cb.center(G).elements)
+            for K in cb.normal_subgroups(G):
+                if not set(K.elements) <= inside:
+                    continue
+                _, pi = quotient(G, K)
+                want = count_homs_to_abelian(subgroup_as_group(K)[0], dual)
+                assert len(enumerate_pointed(data, pi)) == want, \
+                    (name, K.elements)
+                pairs += 1
+    assert pairs > 100

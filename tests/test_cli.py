@@ -489,14 +489,16 @@ def clear_process_caches():
     cli._parser.cache_clear()
     subcats._pairing_factor.cache_clear()
     subcats._SYSTEMS.clear()
+    subcats._CATALOGS.clear()
     for cached in (serialize._fixture, serialize._stored,
                    serialize._stored_representative):
         cached.cache_clear()
 
 
 class TestProcessCaches:
-    """The stored fixture, the pairing systems and their factors outlive a
-    run; none may carry anything of one twist into the next."""
+    """The stored fixture, the pairing catalogs, the pairing systems and
+    their factors outlive a run; none may carry anything of one twist into
+    the next."""
 
     # (verb, group, earlier twist j, later twist k)
     TWISTS = [("subcats", "D8", 1, 5), ("subcats", "C2xC2", 3, 6),
@@ -513,10 +515,12 @@ class TestProcessCaches:
         go(verb, "--group", group, "--omega", f"repr:{j}")
         built = subcats._pairing_factor.cache_info().misses
         systems = set(subcats._SYSTEMS)
+        catalogs = set(subcats._CATALOGS)
         assert go(verb, "--group", group, "--omega", f"repr:{k}") == fresh
         # twist k solved on systems and factors built for twist j alone
         assert subcats._pairing_factor.cache_info().misses == built
         assert set(subcats._SYSTEMS) == systems
+        assert set(subcats._CATALOGS) == catalogs
 
     def test_repr_builds_only_the_representatives_it_uses(self):
         clear_process_caches()
@@ -553,6 +557,8 @@ class TestProcessCaches:
         assert info.maxsize == subcats.PAIRING_FACTORS
         assert 0 < info.currsize <= info.maxsize
         assert 0 < len(subcats._SYSTEMS) <= subcats.PAIRING_FACTORS
+        # one catalog per (group table, N'): three groups, one N' each
+        assert len(subcats._CATALOGS) == 3
         assert serialize._stored.cache_info().currsize == 3
 
     def test_sequence_script_under_optimized_mode(self):

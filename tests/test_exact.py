@@ -841,14 +841,15 @@ def unit_past_first_chunk(rng, N):
     return A % N
 
 
-def tie_across_boundary(rng, N):
+def tie_across_boundary(rng, N, boundary=CHUNK):
     """No unit; the only 2s sit in the last row of a chunk and the first
-    row of the next, the later one in an earlier column."""
-    m = rng.randint(2 * CHUNK + 1, 300)
+    row of the next, the later one in an earlier column.  The chunks
+    double, so the second boundary is at 3 * CHUNK."""
+    m = rng.randint(boundary + CHUNK + 1, 300)
     n = rng.randint(4, 9)
     A = tall_matrix(rng, m, n, [4, -4, 6])
-    A[CHUNK - 1, n - 1] = 2
-    A[CHUNK, 0] = -2
+    A[boundary - 1, n - 1] = 2
+    A[boundary, 0] = -2
     return A % N
 
 
@@ -870,6 +871,7 @@ class TestChunkedPivotSearch:
         yield unit_past_first_chunk(rng, 12), 12
         yield unit_past_first_chunk(rng, 9), 9
         yield tie_across_boundary(rng, 12), 12
+        yield tie_across_boundary(rng, 12, 3 * CHUNK), 12
         yield no_unit(rng, 12, 2), 12
         yield no_unit(rng, 12, 3), 12
 
@@ -879,6 +881,8 @@ class TestChunkedPivotSearch:
         assert first_pivots_agree(A, 12) == (2 * CHUNK + 3, 1)
         A = tie_across_boundary(rng, 12)
         assert first_pivots_agree(A, 12) == (CHUNK - 1, A.shape[1] - 1)
+        A = tie_across_boundary(rng, 12, 3 * CHUNK)
+        assert first_pivots_agree(A, 12) == (3 * CHUNK - 1, A.shape[1] - 1)
         A = no_unit(rng, 12, 2)
         assert first_pivots_agree(A, 12)[0] >= A.shape[0] - CHUNK // 2
 

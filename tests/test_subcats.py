@@ -863,3 +863,129 @@ class TestPairingSystemCache:
                 solve_pairings(data, L, whole(D8))
             with pytest.raises(cb.ParentMismatch):
                 solve_pairings(data, whole(D8), L)
+
+
+def per_pair_system(G, L, M, killed, mod):
+    """A pairing system's index sets and factor key, built the way each
+    structure was built before the catalog: dense rows from
+    _axiom_blocks(G, L, M), deduplicated by their bytes."""
+    blocks = list(subcats._axiom_blocks(G, L, M))
+    if killed is not None:
+        pm = subcats._positions(G, M)[list(killed.elements)]
+        cols = np.arange(L.order)[:, None] * M.order + pm
+        blocks.append(((L.elements, killed.elements), ((cols, 1),), ()))
+    nrows = sum(np.prod([len(ax) for ax in axes], dtype=int)
+                for axes, _, _ in blocks)
+    A = np.zeros((nrows, L.order * M.order), dtype=np.int64)
+    gather, spans, start = [], [], 0
+    for axes, terms, offset in blocks:
+        shape = tuple(map(len, axes))
+        stop = start + int(np.prod(shape, dtype=int))
+        rows = np.arange(start, stop).reshape(shape)
+        for cols, coef in terms:
+            A[rows, cols] += coef
+        for (a, g, h), sign in offset:
+            flat = (a * G.order + g) * G.order + h
+            gather.append(np.broadcast_to(flat, shape).ravel())
+            spans.append((start, stop, sign))
+        start = stop
+    A %= mod
+    live = A.any(axis=1)
+    live_rows = np.flatnonzero(live)
+    A = A[live].astype(np.min_scalar_type(mod))
+    keys = A.view(np.dtype((np.void, A.itemsize * A.shape[1]))).ravel()
+    _, first, twin = np.unique(keys, return_index=True, return_inverse=True)
+    twin = first[twin.ravel()]
+    dup = np.flatnonzero(twin != np.arange(twin.size))
+    first.sort()
+    A = A[first]
+    return {"_gather": np.concatenate(gather).astype(np.int32),
+            "_spans": tuple(spans),
+            "_zero": np.flatnonzero(~live).astype(np.int32),
+            "_dup": live_rows[dup].astype(np.int32),
+            "_twin": live_rows[twin[dup]].astype(np.int32),
+            "_kept": live_rows[first].astype(np.int32),
+            "key": (mod, A.shape, A.dtype, A.tobytes())}
+
+
+def assert_same_system(G, L, M, killed, mod):
+    want = per_pair_system(G, L, M, killed, mod)
+    got = subcats._PairingSystem(G, L, M, killed, mod)
+    where = (G.name, L.elements, M.elements,
+             None if killed is None else killed.elements, mod)
+    assert got._spans == want.pop("_spans"), where
+    A = got._factor._a
+    assert (got._mod, A.shape, A.dtype, A.tobytes()) == want.pop("key"), where
+    for name, arr in want.items():
+        mine = getattr(got, name)
+        assert (mine.dtype, mine.tobytes()) == (arr.dtype, arr.tobytes()), \
+            (name, where)
+
+
+class TestPairingCatalog:
+    """Every pairing system read off its group's catalog is byte for byte
+    the system built per pair from _axiom_blocks."""
+
+    GROUPS = cb.H3_BATTERY + ("C8", "C2xC4", "C2xC2xC2", "D16")
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_every_commuting_pair(self, name):
+        G = cb.builtin_group(name)
+        # N' = exponent(G) * N: the small ones reduce coefficients -2 and 2
+        moduli = {G.exponent * k for k in (1, 2, 3)}
+        if name in cb.H3_BATTERY:
+            moduli |= {working_modulus(data)
+                       for _, _, data in stored_twists([name])}
+        for mod in sorted(moduli):
+            for L, M in cb.commuting_normal_pairs(G):
+                assert_same_system(G, L, M, None, mod)
+
+    def test_every_killed_system_of_enumerate_rep(self, monkeypatch):
+        calls = []
+        real = subcats._pairing_system
+
+        def spy(G, L, M, killed, mod):
+            calls.append((G, L, M, killed, mod))
+            return real(G, L, M, killed, mod)
+
+        monkeypatch.setattr(subcats, "_pairing_system", spy)
+        for name in self.GROUPS:
+            G = cb.builtin_group(name)
+            for grading in cb.gradings_of_rep(G):
+                cb.enumerate_rep(G, grading.central)
+        assert calls and all(job[3] is not None for job in calls)
+        for job in calls:
+            assert_same_system(*job)
+
+    def test_structural_errors_come_before_the_catalog(self):
+        D8 = cb.builtin_group("D8")
+        V, W = _klein_normals(D8)
+        S = _nonnormal_order2(D8)
+        H = cb.center(D8)
+        subcats._CATALOGS.clear()
+        for L, M, killed, error in [(V, W, None, cb.NotCentral),
+                                    (S, unit(D8), None, cb.NotNormal),
+                                    (unit(D8), S, None, cb.NotNormal),
+                                    (unit(D8), unit(D8), H,
+                                     cb.InvalidElement)]:
+            with pytest.raises(error):
+                subcats._PairingSystem(D8, L, M, killed, 8)
+        assert not subcats._CATALOGS
+
+    def test_refuses_a_group_whose_rows_overflow_int64_keys(self):
+        # 7 (|G|^2 + 1) cubed passes 2^63 from order 548: refused before
+        # any row is built
+        G = cb.cyclic(548)
+        with pytest.raises(cb.GroupTooLarge):
+            subcats._PairingSystem(G, unit(G), unit(G), None, 548)
+
+    def test_catalogs_never_pass_their_bound(self):
+        subcats._CATALOGS.clear()
+        G = cb.builtin_group("C2")
+        for k in range(1, subcats.PAIRING_CATALOGS + 8):
+            data = TwistedGroupData.trivial(G, modulus=k)
+            assert solve_pairings(data, whole(G), whole(G)) == \
+                solve_before_factoring(data, whole(G), whole(G))
+            assert len(subcats._CATALOGS) <= subcats.PAIRING_CATALOGS
+        assert len(subcats._CATALOGS) == subcats.PAIRING_CATALOGS
+
