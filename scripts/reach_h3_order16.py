@@ -6,8 +6,11 @@ at the int8 width of its mod 2 sweeps.  Prints the invariant factors, the
 wall time and the peak resident set size (Linux reports it in KiB), and
 exits 1 unless the factors equal
 abelian_cohomology((2, 2, 2, 2), 3, 2) from tests/test_acceptance.py,
-twenty factors of 2.  The check is an if statement, so it holds under
-python -O too:
+twenty factors of 2, and the peak stays within PEAK_RSS_MB.  The run
+holds two copies of d_3, the stacked array and the reduction's, and
+reads about 434 MB; a whole-array temporary beside them, such as int64
+flat indices over d_3, would push it past the bound.  Both checks are if
+statements, so they hold under python -O too:
 
     python3 scripts/reach_h3_order16.py
 """
@@ -24,6 +27,8 @@ from crossbraid.cohomology import cohomology_group, mu_module  # noqa: E402
 from crossbraid.groups import builtin_group  # noqa: E402
 from test_acceptance import abelian_cohomology  # noqa: E402
 
+PEAK_RSS_MB = 600
+
 
 def main() -> int:
     expected = abelian_cohomology((2, 2, 2, 2), 3, 2)
@@ -35,6 +40,9 @@ def main() -> int:
     print(f"{elapsed:.1f} s, peak RSS {peak:.0f} MB")
     if H.invariant_factors != expected:
         print(f"expected {expected}")
+        return 1
+    if peak > PEAK_RSS_MB:
+        print(f"peak RSS exceeds {PEAK_RSS_MB} MB")
         return 1
     return 0
 

@@ -28,8 +28,8 @@ _KEYS = {np.dtype(s): (np.dtype(u), int(np.iinfo(u).max))
          for s, u in ((np.int8, np.uint8), (np.int16, np.uint16),
                       (np.int32, np.uint32), (np.int64, np.uint64))}
 
-# rows of the first slice of the integer pivot search, each later slice
-# twice the last; any heights give the same pivot
+# rows per slice of the integer pivot search; any height gives the same
+# pivot
 _PIVOT_CHUNK = 64
 
 # lattice points per array pass of CongruenceSolution.enumerate
@@ -162,7 +162,8 @@ def _swap(arr: np.ndarray, i: int, j: int) -> None:
 
 
 def _residues(x, modulus: int, dtype: np.dtype) -> np.ndarray:
-    """x mod N as a new array of the given dtype, entries in [0, N).
+    """x mod N as a new C-contiguous array of the given dtype, entries in
+    [0, N), whatever the layout of x.
 
     The remainder is taken in an integer type holding both x and N and
     cast buffer by buffer into the result, its one allocation.  Where no
@@ -172,7 +173,7 @@ def _residues(x, modulus: int, dtype: np.dtype) -> np.ndarray:
     loop = np.promote_types(x.dtype, dtype)
     if loop.kind not in "iu":
         # object, or uint64 beside a signed type, which promotes to float64
-        out = x.astype(object)
+        out = x.astype(object, order="C")
         out %= modulus
         return out.astype(dtype, copy=False)
     out = np.empty(x.shape, dtype)
@@ -198,6 +199,11 @@ class _Reduction:
     that, else Python ints, and _guard widens every array in place once w
     outgrows the bound; the exact int64 steps before make that equal to a
     reduction in Python ints throughout.
+
+    Every operation on Uinv and V moves whole columns, so both are kept
+    column-major: their columns are contiguous, and V's column sweep is a
+    row sweep of the C-contiguous V.T (see _axpy).  The matrix and every
+    other array are C-contiguous, and _guard's widening keeps each layout.
     """
 
     def __init__(self, a, mod=None, want_u=False, want_uinv=False,
@@ -208,9 +214,9 @@ class _Reduction:
         if mod is None:
             fits = _fits_int64(self._terms, _magnitude(np.asarray(a)) + 1)
             dtype = np.dtype(np.int64 if fits else object)
-            self.a = np.array(a, dtype=dtype)
+            self.a = np.array(a, dtype=dtype, order="C")
             if carry is not None:
-                carry = np.asarray(carry, dtype)
+                carry = np.ascontiguousarray(carry, dtype)
         else:
             dtype = _sweep_dtype(mod, (m, n))
             self.a = _residues(a, mod, dtype)
@@ -222,8 +228,8 @@ class _Reduction:
             self._half, self._mod = scalar((mod - 1) // 2), scalar(mod)
         # the unsigned view and zero key of the integer pivot search
         self._key_type, self._no_pivot = _KEYS.get(dtype, (None, None))
-        self.uinv = np.eye(m, dtype=dtype) if want_uinv else None
-        self.v = np.eye(n, dtype=dtype) if want_v else None
+        self.uinv = np.eye(m, dtype=dtype, order="F") if want_uinv else None
+        self.v = np.eye(n, dtype=dtype, order="F") if want_v else None
         self.vinv = np.eye(n, dtype=dtype) if want_vinv else None
         self.carry = np.eye(m, dtype=dtype) if want_u else carry
         self._reduce_all()
@@ -296,15 +302,22 @@ class _Reduction:
         numpy's same_kind casting."""
         dst[...] = self._sym(dot + dst)
 
-    def _axpy(self, arr, rows, q, src):
-        """arr[rows] -= q ⊗ src, re-reduced, touching only columns where
+    def _axpy(self, arr, rows, q, src, c0=0):
+        """arr[rows, c0:] -= q ⊗ src, re-reduced, touching only columns where
         src != 0: every other entry would subtract zero, and all arrays are
-        kept reduced, so re-reducing it would change nothing."""
+        kept reduced, so re-reducing it would change nothing.
+
+        arr is C-contiguous, so the cells are gathered and scattered
+        through flat row-major indices into its ravelled view, a view and
+        not a copy: two 1-D passes, where a 2-D fancy index walks rows
+        and columns apart.
+        """
         cols = src.nonzero()[0]
-        ix = rows[:, None], cols
-        block = arr[ix]
-        block -= q[:, None] * src[cols]
-        arr[ix] = self._sym(block)
+        flat = np.add.outer(rows * arr.shape[1] + c0, cols)
+        cells = arr.ravel()
+        block = cells[flat]
+        block -= np.multiply.outer(q, src[cols])
+        cells[flat] = self._sym(block)
 
     def bulk_row_clear(self, t, q):
         """rows t+1.. -= q ⊗ row t, one vectorized elimination sweep.
@@ -316,7 +329,7 @@ class _Reduction:
         """
         nz = q.nonzero()[0]
         q, rows = q[nz], t + 1 + nz
-        self._axpy(self.a[:, t:], rows, q, self.a[t, t:])
+        self._axpy(self.a, rows, q, self.a[t, t:], t)
         if self.uinv is not None:
             self._add_dot(self.uinv[:, t], self.uinv[:, rows].dot(_wide(q)))
         if self.carry is not None:
@@ -325,16 +338,16 @@ class _Reduction:
     def bulk_col_clear(self, t, q):
         """cols t+1.. -= col t ⊗ q, touching only row t of the matrix.
 
-        Only called mid-pivot, when column t is zero off the pivot, so the
-        matrix changes only in row t.  V and Vinv change only in the columns
-        (rows) with q != 0, and V only in the rows where its column t is
-        nonzero (see _axpy).
+        Only called mid-pivot, when column t is zero off the pivot, with q
+        the nearest quotients of row t by the pivot: the matrix changes
+        only in row t, which keeps the remainders.  V and Vinv change only in
+        the columns (rows) with q != 0, and V only in the rows where its
+        column t is nonzero (see _axpy).
         """
         nz = q.nonzero()[0]
         q, cols = q[nz], t + 1 + nz
         row = self.a[t]
-        row[cols] -= row[t] * q
-        row[cols] = self._sym(row[cols])
+        row[cols] = self._sym(row[cols] - row[t] * q)
         if self.v is not None:
             self._axpy(self.v.T, cols, q, self.v[:, t])
         if self.vinv is not None:
@@ -357,13 +370,13 @@ class _Reduction:
 
         In Python ints it is one argmin over the magnitudes of the nonzero
         entries, taken in row-major order; argmin returns the first of
-        equal minima.  The integer path scans _PIVOT_CHUNK rows, then
-        chunks each twice the height of the last, so a search through m
-        rows takes O(log m) chunks.  Each chunk's argmin is its first
-        smallest key, and a later chunk replaces the best only with a
-        strictly smaller key, so the chunk heights cannot change the pivot.
-        No nonzero magnitude is below 1, so the scan stops at the first
-        chunk holding a unit.  None when the block is zero.
+        equal minima.  The integer path scans _PIVOT_CHUNK rows at a time.
+        Each chunk's argmin is its first smallest key, and a later chunk
+        replaces the best only with a strictly smaller key, so the chunk
+        height cannot change the pivot.  No nonzero magnitude is below 1,
+        so the scan stops at the first chunk holding a unit, and a search
+        whose first unit lies d rows down reads about d rows.  None when
+        the block is zero.
         """
         where = None
         if self.a.dtype == object:
@@ -374,16 +387,14 @@ class _Reduction:
         else:
             m, n = self.a.shape
             best = self._no_pivot
-            r0, height = t, _PIVOT_CHUNK
-            while r0 < m:
-                keys = self._keys(self.a[r0:r0 + height, t:])
+            for r0 in range(t, m, _PIVOT_CHUNK):
+                keys = self._keys(self.a[r0:r0 + _PIVOT_CHUNK, t:])
                 i, j = divmod(int(keys.argmin()), n - t)
                 key = int(keys[i, j])
                 if key < best:
                     best, where = key, (r0 + i, t + j)
                     if key == 0:
                         break
-                r0, height = r0 + height, 2 * height
         return where
 
     def _keys(self, block):
@@ -403,29 +414,34 @@ class _Reduction:
         return int(self._keys(vec).argmin())
 
     def _clear_pivot(self, t):
-        """Zero out row t and column t beyond the pivot, growing gcds as needed."""
+        """Zero out row t and column t beyond the pivot, growing gcds as needed.
+
+        A unit pivot divides every entry: the nearest quotients are the
+        column and the row themselves, and each sweep leaves exact zeros,
+        so it skips the division and the re-check.
+        """
         while True:
             self._guard()
             piv = int(self.a[t, t])
             if piv < 0:
                 self.negate_row(t)
                 piv = -piv
+            unit = piv == 1
             col = self.a[t + 1:, t]
             if col.any():
                 # nearest-quotient sweep; residues end up at most piv/2
-                q = (col + piv // 2) // piv
+                q = col.copy() if unit else (col + piv // 2) // piv
                 self.bulk_row_clear(t, q)
                 col = self.a[t + 1:, t]
-                if col.any():
+                if not unit and col.any():
                     self.swap_rows(t, t + 1 + self._min_nonzero(col))
                     continue
             row = self.a[t, t + 1:]
             if row.any():
-                piv = int(self.a[t, t])
-                q = (row + piv // 2) // piv
+                q = row.copy() if unit else (row + piv // 2) // piv
                 self.bulk_col_clear(t, q)
                 row = self.a[t, t + 1:]
-                if row.any():
+                if not unit and row.any():
                     self.swap_cols(t, t + 1 + self._min_nonzero(row))
                     continue
             break

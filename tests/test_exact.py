@@ -512,20 +512,21 @@ def reduce_with_carry(engine, A, b, N):
 class TestMatchesDenseSweeps:
     def test_solve_congruences_and_carry(self):
         rng = random.Random(41)
-        for N in (2, 6, 9, 12):
+        for N in (2, 6, 9, 12, 400, 10**5, 10**10 + 19):
             for _ in range(40):
                 m, n = rng.randint(1, 14), rng.randint(1, 10)
                 A = random_matrix(rng, m, n, -N, N, density=0.4)
                 b = np.array([rng.randint(-N, N) for _ in range(m)],
                              dtype=np.int64)
                 assert_matches_dense(solve_congruences, A, b, N)
+                assert_matches_dense(factor_solve, A, b, N)
                 got = reduce_with_carry(exact._Reduction, A, b, N)
                 ref = reduce_with_carry(DenseReduction, A, b, N)
                 assert identical(got, ref)
 
     def test_diagonalize_mod_random(self):
         rng = random.Random(43)
-        for N in (2, 4, 6, 8, 9, 12):
+        for N in (2, 4, 6, 8, 9, 12, 400, 10**5, 10**10 + 19):
             for _ in range(30):
                 m, n = rng.randint(1, 16), rng.randint(1, 12)
                 A = random_matrix(rng, m, n, -20, 20, density=0.3)
@@ -558,6 +559,165 @@ class TestMatchesDenseSweeps:
         got = with_engine(SkipOneRow, diagonalize_mod, A, 12)
         assert not identical(got, with_engine(DenseReduction, diagonalize_mod,
                                               A, 12))
+
+
+# -- unit pivots: one sweep each way, no division and no re-check -------------
+
+class CountPivots(exact._Reduction):
+    """The engine, recording |pivot| and the width as each pivot's
+    clearing starts."""
+
+    def _clear_pivot(self, t):
+        self.pivots.append((abs(int(self.a[t, t])), self.a.dtype))
+        super()._clear_pivot(t)
+
+    def diagonalize(self):
+        self.pivots = []
+        return super().diagonalize()
+
+
+def unit_runs(rng, N, big=1):
+    """Rows of ±1 entries and non-units over rows of non-units alone.  The
+    non-units are multiples of 2 or 3 sharing a factor with N, so every
+    sweep by a unit row keeps the lower rows non-units, and the units run
+    out before a non-unit pivot is picked; big scales the non-units, which
+    past 2**31 puts a reduction over Z into Python ints."""
+    m, n = rng.randint(14, 22), rng.randint(10, 16)
+    head = rng.randint(6, min(m, n) - 3)
+    units = rng.choice(((1, -1), (1,), (-1,)))
+    steps = [s * big for s in (2, 3, -2, 4, 6, -3)
+             if N is None or math.gcd(s, N) > 1]
+    rows = []
+    for i in range(m):
+        values = steps + (list(units) * 3 if i < head else [])
+        rows.append([rng.choice(values) if rng.random() < 0.6 else 0
+                     for _ in range(n)])
+    A = np.array(rows, dtype=object if big > 1 else np.int64)
+    return A if N is None else A % N
+
+
+def reduce_all(engine, A, N=None, carry=None):
+    """The whole workspace after diagonalization, every transform tracked;
+    without a carry, U is carried."""
+    red = engine(A, mod=N, want_u=carry is None, want_uinv=True,
+                 want_v=True, want_vinv=True, carry=carry)
+    d = red.diagonalize()
+    return red, (d, red.a, red.uinv, red.v, red.vinv, red.carry)
+
+
+def assert_diagonalized(red, A, N):
+    """The workspace is diagonal, U A V equals it and the transforms
+    invert: in Python ints, reduced mod N when N is set."""
+    def reduce(x):
+        return x % N if N else x
+    a = red.a.astype(object)
+    off = a.copy()
+    np.fill_diagonal(off, 0)
+    assert not off.any(), "an entry off the diagonal"
+    U, V = red.carry.astype(object), red.v.astype(object)
+    assert np.array_equal(reduce(U @ A.astype(object) @ V), reduce(a))
+    for X, Xinv in ((U, red.uinv), (V, red.vinv)):
+        eye = np.eye(X.shape[0], dtype=object)
+        assert np.array_equal(reduce(X @ Xinv.astype(object)), reduce(eye))
+
+
+class TestUnitPivots:
+    """Long runs of ±1 pivots, mixed with non-unit ones, reduce exactly as
+    the dense sweeps do.  The unit path lives in the shared _clear_pivot,
+    which the oracle inherits, so every workspace is also checked to be
+    diagonal and to satisfy U A V = D."""
+
+    def check(self, A, N, dtype):
+        red, got = reduce_all(CountPivots, A, N)
+        ref = reduce_all(DenseReduction, A, N)[1]
+        assert identical(got, ref)
+        assert_diagonalized(red, A, N)
+        if N is not None:
+            rng = random.Random(int(A.sum()))
+            B = np.array([[rng.randrange(N) for _ in range(3)]
+                          for _ in range(A.shape[0])], dtype=np.int64)
+            assert identical(reduce_all(exact._Reduction, A, N, B)[1],
+                             reduce_all(DenseReduction, A, N, B)[1])
+        # over Z the transforms may outgrow int64 past the units
+        return [p for p, width in red.pivots if width == dtype]
+
+    def assert_mixed(self, runs):
+        # a run of at least five unit pivots, and non-unit pivots after it
+        assert max(runs["unit"]) >= 5 and runs["non-unit"] >= 10
+
+    def tally(self, runs, pivots):
+        length = 0
+        for p in pivots:
+            length = length + 1 if p == 1 else 0
+            runs["unit"].append(length)
+        runs["non-unit"] += sum(p > 1 for p in pivots)
+
+    @pytest.mark.parametrize("N", [4, 8, 9, 12])
+    def test_mod(self, N):
+        rng = random.Random(f"units:{N}")
+        runs = {"unit": [0], "non-unit": 0}
+        for _ in range(12):
+            A = unit_runs(rng, N)
+            self.tally(runs, self.check(A, N, np.dtype(np.int8)))
+        self.assert_mixed(runs)
+
+    @pytest.mark.parametrize("big,dtype", [(1, np.int64), (2**40, object)],
+                             ids=["int64", "object"])
+    def test_over_z(self, big, dtype):
+        rng = random.Random(f"units:Z:{big}")
+        runs = {"unit": [0], "non-unit": 0}
+        for _ in range(8):
+            A = unit_runs(rng, None, big)
+            self.tally(runs, self.check(A, None, np.dtype(dtype)))
+            assert_matches_dense(smith_normal_form, A)
+        self.assert_mixed(runs)
+
+
+# -- inputs in any memory order ----------------------------------------------
+
+class TestInputLayout:
+    """A transposed or Fortran-ordered input reduces as its C-ordered copy
+    does: the sweeps gather through flat row-major indices, so the
+    engine's own arrays must be C-contiguous whatever it is given."""
+
+    def inputs(self, seed):
+        rng = random.Random(seed)
+        for N in (12, 10**10 + 19):
+            for _ in range(4):
+                m, n = rng.randint(2, 10), rng.randint(2, 10)
+                A = random_matrix(rng, m, n, -N, N, density=0.6)
+                for X in (A.T, np.asfortranarray(A.T.astype(object))):
+                    self.assert_scatters_land(X, N)
+                    yield X, np.ascontiguousarray(X), N, rng
+
+    def assert_scatters_land(self, X, N):
+        """Every array _axpy scatters into ravels to a view of itself.
+        Checked before any reduction runs: a scatter into a copy is lost,
+        and a pivot whose column never clears is swapped in forever."""
+        red = exact._Reduction(X, mod=N, want_v=True, carry=X.T[:, :1])
+        for arr in (red.a, red.carry, red.v.T):
+            assert np.shares_memory(arr.ravel(), arr)
+
+    def test_diagonalize_mod(self):
+        for X, C, N, _ in self.inputs(127):
+            assert not X.flags.c_contiguous
+            assert identical(diagonalize_mod(X, N), diagonalize_mod(C, N))
+
+    def test_solvers(self):
+        for X, C, N, rng in self.inputs(131):
+            x = [rng.randrange(N) for _ in range(X.shape[1])]
+            feasible = np.array(mod_product(C, x, N), dtype=object)
+            other = np.array([rng.randrange(N) for _ in range(X.shape[0])],
+                             dtype=object)
+            for b in (feasible, other, np.asfortranarray(feasible)):
+                assert identical(solve_congruences(X, b, N),
+                                 solve_congruences(C, b, N))
+                assert identical(CongruenceFactor(X, N).solve(b),
+                                 CongruenceFactor(C, N).solve(b))
+
+    def test_smith_normal_form(self):
+        for X, C, _, _ in self.inputs(137):
+            assert identical(smith_normal_form(X), smith_normal_form(C))
 
 
 # -- moduli past the int64 sweeps, checked in Python ints ---------------------
@@ -843,8 +1003,8 @@ def unit_past_first_chunk(rng, N):
 
 def tie_across_boundary(rng, N, boundary=CHUNK):
     """No unit; the only 2s sit in the last row of a chunk and the first
-    row of the next, the later one in an earlier column.  The chunks
-    double, so the second boundary is at 3 * CHUNK."""
+    row of the next, the later one in an earlier column.  Every chunk is
+    CHUNK rows high, so the boundaries are the multiples of CHUNK."""
     m = rng.randint(boundary + CHUNK + 1, 300)
     n = rng.randint(4, 9)
     A = tall_matrix(rng, m, n, [4, -4, 6])
@@ -871,6 +1031,7 @@ class TestChunkedPivotSearch:
         yield unit_past_first_chunk(rng, 12), 12
         yield unit_past_first_chunk(rng, 9), 9
         yield tie_across_boundary(rng, 12), 12
+        yield tie_across_boundary(rng, 12, 2 * CHUNK), 12
         yield tie_across_boundary(rng, 12, 3 * CHUNK), 12
         yield no_unit(rng, 12, 2), 12
         yield no_unit(rng, 12, 3), 12
@@ -881,8 +1042,9 @@ class TestChunkedPivotSearch:
         assert first_pivots_agree(A, 12) == (2 * CHUNK + 3, 1)
         A = tie_across_boundary(rng, 12)
         assert first_pivots_agree(A, 12) == (CHUNK - 1, A.shape[1] - 1)
-        A = tie_across_boundary(rng, 12, 3 * CHUNK)
-        assert first_pivots_agree(A, 12) == (3 * CHUNK - 1, A.shape[1] - 1)
+        for boundary in (2 * CHUNK, 3 * CHUNK):
+            A = tie_across_boundary(rng, 12, boundary)
+            assert first_pivots_agree(A, 12) == (boundary - 1, A.shape[1] - 1)
         A = no_unit(rng, 12, 2)
         assert first_pivots_agree(A, 12)[0] >= A.shape[0] - CHUNK // 2
 
