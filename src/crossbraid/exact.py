@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 
 import numpy as np
 
@@ -22,14 +22,7 @@ import numpy as np
 _WIDTHS = tuple((np.dtype(t), int(np.iinfo(t).max))
                 for t in (np.int8, np.int16, np.int32, np.int64))
 
-# per signed width, the unsigned type its pivot-search keys are viewed as
-# and the key of a zero entry, |0| - 1 wrapped: that type's max
-_KEYS = {np.dtype(s): (np.dtype(u), int(np.iinfo(u).max))
-         for s, u in ((np.int8, np.uint8), (np.int16, np.uint16),
-                      (np.int32, np.uint32), (np.int64, np.uint64))}
-
-# rows per slice of the integer pivot search; any height gives the same
-# pivot
+# rows per slice of the pivot search; any height gives the same pivot
 _PIVOT_CHUNK = 64
 
 # lattice points per array pass of CongruenceSolution.enumerate
@@ -97,7 +90,8 @@ def as_int_matrix(data) -> np.ndarray:
     """Coerce to a 2-D integer array, rejecting anything non-integral.
 
     An integer array narrower than 64 bits, or already int64, is returned
-    as it is, not copied; uint64 becomes int64.
+    as it is, not copied; uint64 becomes int64, or Python ints once an
+    entry passes the int64 max.
     """
     arr = np.asarray(data)
     if arr.ndim != 2:
@@ -106,30 +100,11 @@ def as_int_matrix(data) -> np.ndarray:
         return arr
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"expected integer entries, got dtype {arr.dtype}")
-    return arr if arr.dtype.itemsize < 8 else arr.astype(np.int64, copy=False)
-
-
-def int_det(mat) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    a = [[int(x) for x in row] for row in np.asarray(mat)]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    if arr.dtype.itemsize < 8:
+        return arr
+    if arr.dtype.kind == "u" and arr.size and arr.max() >> 63:
+        return arr.astype(object)
+    return arr.astype(np.int64, copy=False)
 
 
 def _fits_int64(terms: int, factor: int) -> bool:
@@ -159,6 +134,21 @@ def _swap(arr: np.ndarray, i: int, j: int) -> None:
     tmp = arr[i].copy()
     arr[i] = arr[j]
     arr[j] = tmp
+
+
+def _keys(block: np.ndarray):
+    """The pivot-search keys of block, |x| - 1, and the key of a zero.
+
+    At a fixed width the keys are viewed unsigned, so a zero's key wraps
+    to that type's max; in Python ints a zero's key is +inf.  Either way
+    one argmin finds the first smallest nonzero magnitude.
+    """
+    keys = np.abs(block)
+    keys -= 1
+    if keys.dtype == object:
+        keys[keys == -1] = inf
+        return keys, inf
+    return keys.view(f"u{keys.itemsize}"), (1 << 8 * keys.itemsize) - 1
 
 
 def _residues(x, modulus: int, dtype: np.dtype) -> np.ndarray:
@@ -226,8 +216,6 @@ class _Reduction:
             # against a narrow array on every operation
             scalar = int if dtype == object else dtype.type
             self._half, self._mod = scalar((mod - 1) // 2), scalar(mod)
-        # the unsigned view and zero key of the integer pivot search
-        self._key_type, self._no_pivot = _KEYS.get(dtype, (None, None))
         self.uinv = np.eye(m, dtype=dtype, order="F") if want_uinv else None
         self.v = np.eye(n, dtype=dtype, order="F") if want_v else None
         self.vinv = np.eye(n, dtype=dtype) if want_vinv else None
@@ -368,50 +356,28 @@ class _Reduction:
     def _pick_pivot(self, t):
         """First smallest nonzero |entry| of the trailing block, row-major.
 
-        In Python ints it is one argmin over the magnitudes of the nonzero
-        entries, taken in row-major order; argmin returns the first of
-        equal minima.  The integer path scans _PIVOT_CHUNK rows at a time.
-        Each chunk's argmin is its first smallest key, and a later chunk
-        replaces the best only with a strictly smaller key, so the chunk
-        height cannot change the pivot.  No nonzero magnitude is below 1,
-        so the scan stops at the first chunk holding a unit, and a search
-        whose first unit lies d rows down reads about d rows.  None when
-        the block is zero.
+        The search scans _PIVOT_CHUNK rows at a time.  Each chunk's argmin
+        is its first smallest key, and a later chunk replaces the best only
+        with a strictly smaller key, so the chunk height cannot change the
+        pivot.  The best starts at the key of a zero, so a zero never wins.
+        A unit's key is 0, so the scan stops at the first chunk holding a
+        unit, and a search whose first unit lies d rows down reads about d
+        rows.  None when the block is zero.
         """
-        where = None
-        if self.a.dtype == object:
-            rows, cols = np.nonzero(self.a[t:, t:])
-            if rows.size:
-                k = int(np.abs(self.a[t + rows, t + cols]).argmin())
-                where = (t + int(rows[k]), t + int(cols[k]))
-        else:
-            m, n = self.a.shape
-            best = self._no_pivot
-            for r0 in range(t, m, _PIVOT_CHUNK):
-                keys = self._keys(self.a[r0:r0 + _PIVOT_CHUNK, t:])
-                i, j = divmod(int(keys.argmin()), n - t)
-                key = int(keys[i, j])
-                if key < best:
-                    best, where = key, (r0 + i, t + j)
-                    if key == 0:
-                        break
+        m, n = self.a.shape
+        best = where = None
+        for r0 in range(t, m, _PIVOT_CHUNK):
+            keys, zero = _keys(self.a[r0:r0 + _PIVOT_CHUNK, t:])
+            k = int(keys.argmin())
+            key = keys.item(k)
+            if key < (zero if where is None else best):
+                best, where = key, (r0 + k // (n - t), t + k % (n - t))
+                if key == 0:
+                    break
         return where
 
-    def _keys(self, block):
-        """|x| - 1 viewed unsigned at the array's width: 0 becomes the
-        largest key, so one argmin finds the first smallest nonzero
-        magnitude."""
-        keys = np.abs(block)
-        keys -= 1
-        return keys.view(self._key_type)
-
     def _min_nonzero(self, vec):
-        if vec.dtype == object:
-            return min(
-                (i for i in range(vec.shape[0]) if vec[i] != 0),
-                key=lambda i: abs(int(vec[i])),
-            )
-        return int(self._keys(vec).argmin())
+        return int(_keys(vec)[0].argmin())
 
     def _clear_pivot(self, t):
         """Zero out row t and column t beyond the pivot, growing gcds as needed.
@@ -446,18 +412,23 @@ class _Reduction:
                     continue
             break
 
-    def diagonalize(self):
+    def diagonalize(self, start=0):
+        """Pivot at start, start + 1, ... until the trailing block is zero.
+
+        _clear_pivot leaves each pivot positive: it negates the pivot row
+        before each pass, and no sweep touches the pivot.  It also guards
+        the width before each pass, so one guard after the last pivot
+        leaves every array wide enough for whatever comes next.
+        """
         m, n = self.a.shape
-        for t in range(min(m, n)):
+        for t in range(start, min(m, n)):
             loc = self._pick_pivot(t)
             if loc is None:
                 break
             self.swap_rows(t, loc[0])
             self.swap_cols(t, loc[1])
             self._clear_pivot(t)
-            if int(self.a[t, t]) < 0:
-                self.negate_row(t)
-            self._guard()
+        self._guard()
         return self.diagonal()
 
     def diagonal(self):
@@ -465,31 +436,21 @@ class _Reduction:
         return [int(self.a[t, t]) for t in range(min(m, n))]
 
     def enforce_chain(self):
-        """Make d_i | d_{i+1} along the nonzero diagonal (exact mode)."""
+        """Make d_i | d_{i+1} along the diagonal (exact mode).
+
+        The pivot loop leaves the zeros of the diagonal at its tail.  At
+        the first d_i that does not divide d_{i+1}, column i + 1 is added
+        into column i, and the loop resumes at i, which leaves a smaller
+        d_i there.
+        """
         while True:
             d = self.diagonal()
-            bad = None
-            for i in range(len(d) - 1):
-                if d[i] and d[i + 1] % d[i]:
-                    bad = i
-                    break
-                if d[i] == 0 and d[i + 1] != 0:
-                    bad = i
-                    break
+            bad = next((i for i in range(len(d) - 1)
+                        if d[i] and d[i + 1] % d[i]), None)
             if bad is None:
                 return
-            j = bad + 1
-            self.add_cols(bad, -1, j)  # col bad += col j, brings d_j into column bad
-            for t in range(bad, min(self.a.shape)):
-                loc = self._pick_pivot(t)
-                if loc is None:
-                    break
-                self.swap_rows(t, loc[0])
-                self.swap_cols(t, loc[1])
-                self._clear_pivot(t)
-                if int(self.a[t, t]) < 0:
-                    self.negate_row(t)
-            self._guard()
+            self.add_cols(bad, -1, bad + 1)
+            self.diagonalize(bad)
 
 
 @dataclass(frozen=True)
@@ -520,10 +481,8 @@ class SmithDecomposition:
         if not np.array_equal(self.U.astype(object) @ self.Uinv.astype(object),
                               np.eye(m, dtype=object)):
             return False
-        if not np.array_equal(self.V.astype(object) @ self.Vinv.astype(object),
-                              np.eye(n, dtype=object)):
-            return False
-        return abs(int_det(self.U)) == 1 and abs(int_det(self.V)) == 1
+        return np.array_equal(self.V.astype(object) @ self.Vinv.astype(object),
+                              np.eye(n, dtype=object))
 
 
 def smith_normal_form(A) -> SmithDecomposition:
@@ -674,14 +633,12 @@ def solve_congruences(A, b, modulus: int) -> CongruenceSolution | None:
     solves many right-hand sides against one matrix.
     """
     A = as_int_matrix(A)
-    m, n = A.shape
-    b = np.asarray(b, dtype=np.int64)
+    m = A.shape[0]
+    b = np.asarray(b)
     if b.shape != (m,):
         raise ValueError(f"rhs shape {b.shape} does not match {m} rows")
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    if modulus == 1:
-        return CongruenceSolution(1, (0,) * n, ())
     red = _Reduction(A, mod=modulus, want_v=True, carry=b[:, None])
     lattice = _Lattice(red.diagonalize(), red.v, modulus)
     c = red.carry[:, 0] % modulus
@@ -721,11 +678,11 @@ class CongruenceFactor:
     def solve(self, b) -> CongruenceSolution | None:
         """Every x with A x = b (mod N), or None when there is none."""
         N = self._lattice.modulus
-        b = np.asarray(b, dtype=np.int64)
+        b = np.asarray(b)
         if b.shape != (self._a.shape[0],):
             raise ValueError(
                 f"rhs shape {b.shape} does not match {self._a.shape[0]} rows")
-        b = b % N
+        b = _residues(b, N, np.dtype(np.int64))
         x0 = self._lattice.particular(_matvec_mod(self._u, b, N))
         if x0 is None or (_matvec_mod(self._a, x0, N) != b).any():
             return None

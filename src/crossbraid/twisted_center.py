@@ -44,7 +44,8 @@ class TwistedGroupData:
             raise NotACocycle("twist values must lie in a cyclic mu_N")
         if not omega.is_normalized:
             raise NotACocycle("twist must be normalized")
-        if not is_cocycle(omega):
+        # the zero twist is a cocycle; the identity check costs |G|^4
+        if not omega.is_zero and not is_cocycle(omega):
             raise NotACocycle("twist fails the 3-cocycle identity")
         self.group = group
         self.omega = omega

@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from crossbraid.exact import (
     UnityExponent,
     as_int_matrix,
     diagonalize_mod,
-    int_det,
     smith_normal_form,
     solve_congruences,
 )
@@ -39,8 +39,10 @@ def laplace_det(mat):
 
 
 def brute_congruence(A, b, N):
-    """All x in (Z/N)^n with A x = b mod N, as a set of tuples."""
-    A = np.array(A, dtype=np.int64)
+    """All x in (Z/N)^n with A x = b mod N, as a set of tuples, summed in
+    Python ints."""
+    A = np.array(A, dtype=object)
+    b = [int(v) for v in b]
     m, n = A.shape
     out = set()
     for x in itertools.product(range(N), repeat=n):
@@ -79,19 +81,6 @@ class TestUnityExponent:
 
     def test_str(self):
         assert str(UnityExponent(3, 8)) == "zeta_8^3"
-
-
-class TestIntDet:
-    def test_against_laplace(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            n = rng.randint(1, 4)
-            mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            assert int_det(mat) == laplace_det(mat)
-
-    def test_singular_and_empty(self):
-        assert int_det([[1, 2], [2, 4]]) == 0
-        assert int_det(np.zeros((0, 0), dtype=np.int64)) == 1
 
 
 class TestSmithNormalForm:
@@ -369,7 +358,61 @@ def test_as_int_matrix_copies_no_integer_array_up_to_int64():
     for dtype in (np.int8, np.uint8, np.int16, np.uint32, np.int64):
         A = np.arange(6, dtype=dtype).reshape(2, 3)
         assert as_int_matrix(A) is A
-    assert as_int_matrix(np.ones((2, 2), dtype=np.uint64)).dtype == np.int64
+    A = np.array([[2**63 - 1, 5]], dtype=np.uint64)
+    assert as_int_matrix(A).dtype == np.int64
+    assert as_int_matrix(A).tolist() == A.tolist()
+
+
+class TestUint64Inputs:
+    """Matrix entries and right-hand sides past the int64 max reduce as
+    the Python ints they are, not wrapped negative."""
+
+    BIG = 2**64 - 1
+
+    def assert_solves(self, A, b, N):
+        want = brute_congruence(A, b, N)
+        for sol in (solve_congruences(A, b, N),
+                    CongruenceFactor(A, N).solve(b)):
+            assert (set(sol.enumerate()) if sol else set()) == want
+        return want
+
+    def test_rhs_past_int64(self):
+        for b in (np.array([self.BIG], dtype=np.uint64), [self.BIG],
+                  [2**70 + 5], np.array([-(2**70) - 1], dtype=object)):
+            assert self.assert_solves([[3]], b, 10) == {(int(b[0]) * 7 % 10,)}
+
+    def test_matrix_past_int64(self):
+        A = np.array([[self.BIG]], dtype=np.uint64)
+        assert as_int_matrix(A).tolist() == [[self.BIG]]
+        snf = smith_normal_form(A)
+        assert snf.invariant_factors == (self.BIG,) and snf.verify(A)
+        assert diagonalize_mod(A, 10)[0] == [5]
+        for N in (7, 10, 12):
+            for r in range(N):
+                self.assert_solves(A, [r], N)
+
+    def test_random_systems(self):
+        rng = random.Random(157)
+        for _ in range(40):
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            values = (0, 1, 2**63, self.BIG - rng.randrange(9))
+            A = np.array([[rng.choice(values) for _ in range(n)]
+                          for _ in range(m)], dtype=np.uint64)
+            b = np.array([rng.choice((0, 2**63 + 1, self.BIG))
+                          for _ in range(m)], dtype=np.uint64)
+            N = rng.choice((2, 6, 10))
+            self.assert_solves(A, b, N)
+            d, V, _ = diagonalize_mod(A, N)
+            described = set()
+            for y in itertools.product(range(N), repeat=n):
+                if all(d[j] * y[j] % N == 0 for j in range(min(m, n))):
+                    described.add(tuple(int(v) % N for v in V @ np.array(y)))
+            assert described == brute_congruence(A, [0] * m, N)
+            if m == n:
+                snf = smith_normal_form(A)
+                assert snf.verify(A)
+                det = laplace_det(A.tolist())
+                assert math.prod(snf.diagonal) == abs(det)
 
 
 def test_narrow_input_with_a_modulus_past_its_type():
@@ -567,13 +610,13 @@ class CountPivots(exact._Reduction):
     """The engine, recording |pivot| and the width as each pivot's
     clearing starts."""
 
+    def __init__(self, *args, **kwargs):
+        self.pivots = []
+        super().__init__(*args, **kwargs)
+
     def _clear_pivot(self, t):
         self.pivots.append((abs(int(self.a[t, t])), self.a.dtype))
         super()._clear_pivot(t)
-
-    def diagonalize(self):
-        self.pivots = []
-        return super().diagonalize()
 
 
 def unit_runs(rng, N, big=1):
@@ -918,7 +961,7 @@ class TestSmithAgainstSympy:
                 int(f) for f in want if f != 0)
 
 
-# -- the object pivot search against the row-major walk -----------------------
+# -- the pivot search in Python ints against the row-major walk ---------------
 
 def walk_pivot(block):
     """First smallest nonzero |entry| of block, row-major, by the walk the
@@ -934,7 +977,7 @@ def walk_pivot(block):
 
 
 class TestObjectPivotSearch:
-    """The one-pass search in Python ints picks the walk's entry on ties,
+    """The chunked search in Python ints picks the walk's entry on ties,
     negative entries, entries past int64 and all-zero blocks."""
 
     VALUES = ((0,), (0, 0, 0, 2, -2, 4), (0, 1, -1, 3, -3),
@@ -1082,6 +1125,66 @@ class TestChunkedPivotSearch:
         A = tall_matrix(rng, 2 * CHUNK + 4, 3, [2 * big, -3 * big, 5])
         assert smith_normal_form(A).U.dtype == object
         assert_matches_dense(smith_normal_form, A)
+
+
+# -- an all-zero trailing block yields no pivot ------------------------------
+
+def rational_rank(A):
+    """The rank of A over Q, by Gaussian elimination in Fractions."""
+    rows = [[Fraction(int(x)) for x in row] for row in A]
+    rank = 0
+    for c in range(A.shape[1]):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestNoZeroPivot:
+    """A zero never ranks as a pivot, at any width: a reduction picks
+    exactly rank(A) pivots and stops at the first all-zero trailing
+    block, which the search leaves without a pivot."""
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       object])
+    def test_zero_block_has_no_pivot(self, dtype):
+        red = exact._Reduction(np.zeros((1, 1), dtype=np.int64))
+        # nonzero only in row 0 and column 0, across three chunks
+        red.a = A = np.zeros((3 * CHUNK + 5, 6), dtype=dtype)
+        A[0] = 1
+        A[:, 0] = -1
+        for t in range(1, 6):
+            assert red._pick_pivot(t) is None
+        A[2 * CHUNK + 2, 4] = -3
+        assert red._pick_pivot(1) == (2 * CHUNK + 2, 4)
+        assert red._pick_pivot(5) is None
+
+    def test_pivot_count_is_the_rank(self):
+        rng = random.Random(149)
+        cases = list(TestChunkedPivotSearch().cases(151))
+        for N in (2, 6, 9, 12, 400, 10**5, 10**10 + 19):
+            for _ in range(10):
+                m, n = rng.randint(1, 14), rng.randint(1, 10)
+                cases.append((random_matrix(rng, m, n, -N, N, density=0.3), N))
+        short = 0
+        for A, N in cases:
+            for mod in (N, None):
+                red = CountPivots(A, mod=mod)
+                d = red.diagonalize()
+                ref = DenseReduction(A, mod=mod).diagonalize()
+                rank = sum(x != 0 for x in ref)
+                if mod is None:
+                    assert rank == rational_rank(A)
+                assert d == ref
+                assert len(red.pivots) == rank
+                assert all(p for p, _ in red.pivots), "a zero pivot"
+                short += rank < min(A.shape)
+        assert short > 20
 
 
 # -- array enumeration of a solution's lattice points -----------------------

@@ -103,6 +103,25 @@ class TestTwistedGroupData:
         with pytest.raises(cb.NotACocycle):
             TwistedGroupData(cb.cyclic(3), bad)
 
+    def test_zero_twist_skips_the_cocycle_sweep(self, monkeypatch):
+        # the zero twist needs no identity check; a nonzero one still gets it
+        def sweep(c):
+            raise AssertionError("cocycle sweep on a zero twist")
+
+        monkeypatch.setattr("crossbraid.twisted_center.is_cocycle", sweep)
+        for modulus in (1, 4):
+            assert TwistedGroupData.trivial(S3, modulus).omega.is_zero
+        zero = Cochain.zero(C4, mu_module(2), 3)
+        assert TwistedGroupData(C4, zero).omega is zero
+        monkeypatch.undo()
+        bad = Cochain.from_function(
+            cb.cyclic(3), mu_module(3), 3,
+            lambda g, h, k: 1 if (g, h, k) == (1, 1, 1) else 0,
+            normalized=True)
+        assert not bad.is_zero and not cb.is_cocycle(bad)
+        with pytest.raises(cb.NotACocycle):
+            TwistedGroupData(cb.cyclic(3), bad)
+
     def test_rejects_unnormalized(self):
         c = Cochain.from_function(C2, mu_module(2), 3, lambda g, h, k: 1)
         with pytest.raises(cb.NotACocycle):
