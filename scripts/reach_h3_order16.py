@@ -8,7 +8,7 @@ exits 1 unless the factors equal
 abelian_cohomology((2, 2, 2, 2), 3, 2) from tests/test_acceptance.py,
 twenty factors of 2, and the peak stays within PEAK_RSS_MB.  The run
 holds two copies of d_3, the stacked array and the reduction's, and
-reads about 434 MB; a whole-array temporary beside them, such as int64
+reads about 410 MB; a whole-array temporary beside them, such as int64
 flat indices over d_3, would push it past the bound.  Both checks are if
 statements, so they hold under python -O too:
 

@@ -390,6 +390,21 @@ def _bar_system(G: FiniteGroup, module: CoefficientModule, n: int,
     return system, ins
 
 
+def _image_columns(G: FiniteGroup, module: CoefficientModule, n: int,
+                   num_vars: int) -> np.ndarray:
+    """The nonzero columns of d_{n-1} on the normalized subcomplex, scaled
+    into the lattice: they span the normalized n-coboundaries, in the
+    num_vars scaled coordinates of n-cochains."""
+    if n == 0:
+        return np.zeros((num_vars, 0), dtype=np.int64)
+    D_prev = _bar_matrix(G, module, n - 1, normalized=True)[0]
+    e = module.exponent
+    scale = e // np.resize(np.array(module.orders, dtype=np.int64),
+                           D_prev.shape[1])
+    W = D_prev * scale % e
+    return W[:, W.any(axis=0)]
+
+
 def _scaled_vector(c: Cochain) -> np.ndarray:
     """Scaled coordinates of every value of a cochain, in table order."""
     M = c.module
@@ -524,29 +539,23 @@ def cohomology_group(G: FiniteGroup, degree: int, module: CoefficientModule,
     if k == 0 or num_vars == 0:
         return _trivial_cohomology(G, degree, module)
 
+    # the reduction carries the image of d_{n-1} into y = Vinv x
+    # coordinates, Y = Vinv W, without forming Vinv
     stacked, ins = _bar_system(G, module, degree, normalized=True)
-    diag, V, Vinv = diagonalize_mod(stacked, e)
+    W = _image_columns(G, module, degree, stacked.shape[1])
+    diag, V, Y = diagonalize_mod(stacked, e, image=W)
     cocycles = _Lattice(diag, V, e)
     kernel, step, orders = cocycles.kernel, cocycles.step, cocycles.orders
     if not kernel.any():
         return _trivial_cohomology(G, degree, module)
 
-    # every variable's column of d_{n-1}, scaled into the lattice and read
-    # in y = Vinv x coordinates, must sit on each column's step; on the
-    # kernel columns, y / step are its kernel-generator coordinates
-    if degree == 0:
-        tau = np.zeros((orders.size, 0), dtype=np.int64)
-    else:
-        D_prev = _bar_matrix(G, module, degree - 1, normalized=True)[0]
-        scale = e // np.resize(np.array(module.orders, dtype=np.int64),
-                               D_prev.shape[1])
-        W = D_prev * scale % e
-        Y = _matvec_mod(Vinv, W[:, W.any(axis=0)], e)
-        if (Y % step[:, None]).any():
-            raise NotACocycle("image vector escapes the cocycle kernel")
-        tau = Y[kernel] // step[kernel, None]
-        if tau.shape[1]:
-            tau = np.unique(tau, axis=1)
+    # every image column must sit on each column's step; on the kernel
+    # columns, y / step are its kernel-generator coordinates
+    if (Y % step[:, None]).any():
+        raise NotACocycle("image vector escapes the cocycle kernel")
+    tau = Y[kernel] // step[kernel, None]
+    if tau.shape[1]:
+        tau = np.unique(tau, axis=1)
 
     relations = _smith(np.hstack([tau, np.diag(orders)]), want_uinv=True)
     factors, reps = [], []

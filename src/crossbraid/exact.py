@@ -112,6 +112,12 @@ def _fits_int64(terms: int, factor: int) -> bool:
     return terms * factor * factor < 1 << 63
 
 
+def _residue_dtype(modulus: int) -> np.dtype:
+    """int64 while it holds N, and so every residue mod N; Python ints
+    past that."""
+    return np.dtype(object if modulus >> 63 else np.int64)
+
+
 def _sweep_dtype(modulus: int, shape) -> np.dtype:
     """The dtype of a reduction mod N of a matrix of this shape.
 
@@ -190,6 +196,10 @@ class _Reduction:
     outgrows the bound; the exact int64 steps before make that equal to a
     reduction in Python ints throughout.
 
+    Vinv's row operations apply unchanged to any n-row block: given an
+    n x w image, the reduction starts from it in place of the identity,
+    and carries Vinv @ image without forming Vinv.
+
     Every operation on Uinv and V moves whole columns, so both are kept
     column-major: their columns are contiguous, and V's column sweep is a
     row sweep of the C-contiguous V.T (see _axpy).  The matrix and every
@@ -197,7 +207,7 @@ class _Reduction:
     """
 
     def __init__(self, a, mod=None, want_u=False, want_uinv=False,
-                 want_v=False, want_vinv=False, carry=None):
+                 want_v=False, want_vinv=False, carry=None, image=None):
         self.mod = mod
         m, n = np.shape(a)
         self._terms = max(m, n) + 2
@@ -205,20 +215,27 @@ class _Reduction:
             fits = _fits_int64(self._terms, _magnitude(np.asarray(a)) + 1)
             dtype = np.dtype(np.int64 if fits else object)
             self.a = np.array(a, dtype=dtype, order="C")
-            if carry is not None:
-                carry = np.ascontiguousarray(carry, dtype)
+            carry, image = (None if x is None
+                            else np.ascontiguousarray(x, dtype)
+                            for x in (carry, image))
         else:
             dtype = _sweep_dtype(mod, (m, n))
             self.a = _residues(a, mod, dtype)
-            if carry is not None:
-                carry = _residues(carry, mod, dtype)
+            carry, image = (None if x is None else _residues(x, mod, dtype)
+                            for x in (carry, image))
             # _sym's scalars, at the width: numpy range-checks a Python int
-            # against a narrow array on every operation
+            # against a narrow array on every operation.  Mod 2^k the
+            # residue is the low k bits, a mask that is exact in two's
+            # complement and in Python ints alike
             scalar = int if dtype == object else dtype.type
-            self._half, self._mod = scalar((mod - 1) // 2), scalar(mod)
+            self._half = scalar((mod - 1) // 2)
+            if mod & (mod - 1):
+                self._reduce, self._by = np.remainder, scalar(mod)
+            else:
+                self._reduce, self._by = np.bitwise_and, scalar(mod - 1)
         self.uinv = np.eye(m, dtype=dtype, order="F") if want_uinv else None
         self.v = np.eye(n, dtype=dtype, order="F") if want_v else None
-        self.vinv = np.eye(n, dtype=dtype) if want_vinv else None
+        self.vinv = np.eye(n, dtype=dtype) if want_vinv else image
         self.carry = np.eye(m, dtype=dtype) if want_u else carry
         self._reduce_all()
 
@@ -233,10 +250,9 @@ class _Reduction:
             return arr
         # representatives in [-(N-1)//2, N//2]: N/2 sits on the positive side
         # so making a pivot positive is stable under re-reduction
-        half, mod = self._half, self._mod
-        arr += half
-        arr %= mod
-        arr -= half
+        arr += self._half
+        self._reduce(arr, self._by, out=arr)
+        arr -= self._half
         return arr
 
     def _reduce_all(self):
@@ -537,7 +553,7 @@ class CongruenceSolution:
         orders = [order for _, order in self.generators]
         k = len(orders)
         rows = [g for g, _ in self.generators] + [self.particular]
-        basis = np.array(rows, dtype=np.int64).reshape(k + 1, -1) % N
+        basis = np.array(rows, dtype=_residue_dtype(N)).reshape(k + 1, -1) % N
         cut, size = k, 1
         while cut and size * orders[cut - 1] <= _ENUM_BLOCK:
             cut -= 1
@@ -561,10 +577,11 @@ class CongruenceSolution:
 
 def _matvec_mod(M: np.ndarray, v: np.ndarray, modulus: int) -> np.ndarray:
     """M @ v reduced mod N, for entries in [0, N): in int64 while every dot
-    product fits, in Python ints beyond."""
+    product fits, in Python ints beyond, and returned in _residue_dtype."""
     if _fits_int64(M.shape[1], modulus - 1):
         return M @ v % modulus
-    return (M.astype(object) @ v.astype(object) % modulus).astype(np.int64)
+    out = M.astype(object) @ v.astype(object) % modulus
+    return out.astype(_residue_dtype(modulus), copy=False)
 
 
 class _Lattice:
@@ -577,15 +594,18 @@ class _Lattice:
     divides c_j.  Column j, with d_j zero past the pivots, leaves y_j free
     up to multiples of its step s_j = N / gcd(d_j, N); when s_j < N it
     carries the kernel generator V[:, j] s_j of order N / s_j.  All of it
-    depends on A alone, so it is read off once here.
+    depends on A alone, so it is read off once here, in _residue_dtype:
+    exact in Python ints once N passes int64.  The pivot columns of V are
+    kept in dtype, by default _residue_dtype too.
     """
 
-    def __init__(self, d, V: np.ndarray, modulus: int, dtype=np.int64):
+    def __init__(self, d, V: np.ndarray, modulus: int, dtype=None):
         d = [x % modulus for x in d]
         rank = next((i for i, x in enumerate(d) if not x), len(d))
         V = V % modulus
+        wide = _residue_dtype(modulus)
         g = np.gcd(np.array(d[:rank] + [0] * (V.shape[1] - rank),
-                            dtype=np.int64), modulus)
+                            dtype=wide), modulus)
         self.modulus = modulus
         self.rank = rank
         self.step = modulus // g
@@ -597,9 +617,9 @@ class _Lattice:
         self._g = g[:rank]
         self._inv = np.array([pow(x // gi, -1, modulus // gi)
                               for x, gi in zip(d, self._g.tolist())],
-                             dtype=np.int64)
+                             dtype=wide)
         # only the pivot columns enter a particular solution
-        self._v = V[:, :rank].astype(dtype)
+        self._v = V[:, :rank].astype(wide if dtype is None else dtype)
 
     @functools.cached_property
     def generators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -682,24 +702,25 @@ class CongruenceFactor:
         if b.shape != (self._a.shape[0],):
             raise ValueError(
                 f"rhs shape {b.shape} does not match {self._a.shape[0]} rows")
-        b = _residues(b, N, np.dtype(np.int64))
+        b = _residues(b, N, _residue_dtype(N))
         x0 = self._lattice.particular(_matvec_mod(self._u, b, N))
         if x0 is None or (_matvec_mod(self._a, x0, N) != b).any():
             return None
         return self._lattice.solution(x0)
 
 
-def diagonalize_mod(A, modulus: int):
+def diagonalize_mod(A, modulus: int, image=None):
     """Diagonal form of A over Z/modulus with column transform and its inverse.
 
     Returns (diagonal, V, Vinv) such that x solves A x = 0 (mod N) exactly
     when x = V y with d_j y_j = 0 (mod N).  No divisibility chain is enforced;
-    only gcd(d_j, N) matters downstream.
+    only gcd(d_j, N) matters downstream.  Given an n x w image, the third
+    value is Vinv @ image (mod N) instead, and Vinv itself is never built.
 
     A is not changed: the reduction works on one copy, made at the width
-    _sweep_dtype picks, and V and Vinv come back at that width.
+    _sweep_dtype picks, and V and the third value come back at that width.
     """
     red = _Reduction(as_int_matrix(A), mod=modulus, want_v=True,
-                     want_vinv=True)
+                     want_vinv=image is None, image=image)
     d = red.diagonalize()
     return [x % modulus for x in d], red.v % modulus, red.vinv % modulus

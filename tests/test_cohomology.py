@@ -336,14 +336,15 @@ class TestCohomologyGroupStructure:
         assert H.order == 1 and H.representatives == ()
 
     def test_escaping_image_vector_is_caught(self, monkeypatch):
-        # rows of a wrong column inverse carry coboundaries off the steps of
-        # the cocycle lattice, which the escape check must see
+        # rolled rows of the carried Vinv W, as a wrong column inverse
+        # would give, put coboundaries off the steps of the cocycle
+        # lattice, which the escape check must see
         from crossbraid import cohomology
         real = cohomology.diagonalize_mod
 
-        def rolled(A, modulus):
-            d, V, Vinv = real(A, modulus)
-            return d, V, np.roll(Vinv, 1, axis=0)
+        def rolled(A, modulus, image=None):
+            d, V, Y = real(A, modulus, image=image)
+            return d, V, np.roll(Y, 1, axis=0)
 
         assert cohomology_group(C4, 2, mu_module(4)).invariant_factors == (4,)
         monkeypatch.setattr(cohomology, "diagonalize_mod", rolled)

@@ -840,6 +840,42 @@ class TestLargeModuli:
                                  np.dtype(dtype))
 
 
+class TestSolversPastInt64:
+    """Moduli of 2^63 and more: the lattice's gcds, steps, inverses and
+    solutions stay in Python ints, as the reduction does."""
+
+    def assert_both(self, A, b, N):
+        sol = solve_congruences(A, b, N)
+        assert CongruenceFactor(A, N).solve(b) == sol
+        return sol
+
+    def test_one_unit_equation(self):
+        for N in (2**63 + 5, 2**64 + 13):
+            sol = self.assert_both([[3]], [5], N)
+            assert sol.particular == (5 * pow(3, -1, N) % N,)
+            assert sol.generators == ()
+            assert diagonalize_mod([[3]], N)[0] == [3]
+
+    def test_kernel_generator(self):
+        # rank 1: the free column carries a generator of order N
+        N = 2**63 + 5
+        A = [[1, 2], [2, 4]]
+        sol = self.assert_both(A, [5, 10], N)
+        assert mod_product(A, sol.particular, N) == [5, 10]
+        (gen, order), = sol.generators
+        assert order == N and mod_product(A, gen, N) == [0, 0]
+        assert gen == (N - 2, 1)
+        assert self.assert_both(A, [5, 11], N) is None
+
+    def test_step_past_int64(self):
+        # gcd(3, N) = 3 leaves three solutions N / 3 apart, and an odd
+        # right side none
+        N = 3 * 2**63
+        sol = self.assert_both([[3]], [6], N)
+        assert sorted(sol.enumerate()) == [(2 + t * N // 3,) for t in range(3)]
+        assert self.assert_both([[3]], [5], N) is None
+
+
 # -- the narrowest width that holds a modular sweep ---------------------------
 
 def extreme_system(rng, m, n, N):
@@ -933,6 +969,110 @@ class TestSweepWidths:
             assert red._pick_pivot(0) == (2 * CHUNK + 1, 3)
             vec = np.array([0, 0, -(N // 2), 0, 2], dtype=narrow)
             assert red._min_nonzero(vec) == 4
+
+
+# -- Vinv carried as Vinv @ image, and the mask mod 2^k -----------------------
+
+def assert_carries_image(A, W, N):
+    """diagonalize_mod(A, N, image=W) returns the d and V of the call
+    without an image, and Vinv @ W (mod N), summed in Python ints, at V's
+    width; neither A nor W changes, and the dense sweeps agree."""
+    A_kept, W_kept = A.copy(), W.copy()
+    d, V, Vinv = diagonalize_mod(A, N)
+    got = assert_matches_dense(diagonalize_mod, A, N, image=W)
+    assert identical(got[:2], (d, V))
+    want = Vinv.astype(object) @ W.astype(object) % N
+    assert got[2].dtype == V.dtype and got[2].shape == W.shape
+    assert got[2].tolist() == want.tolist()
+    assert identical(A, A_kept) and identical(W, W_kept)
+
+
+class TestImageCarry:
+    """Given an n x w image, the reduction starts from it in place of
+    the identity and returns Vinv @ image; d and V are unchanged."""
+
+    def test_small_moduli(self):
+        rng = random.Random(163)
+        for N in (2, 4, 8, 9, 12, 16):
+            for _ in range(25):
+                m, n = rng.randint(1, 14), rng.randint(1, 10)
+                w = rng.randint(0, 6)
+                A = random_matrix(rng, m, n, -N, N, density=0.4)
+                W = random_matrix(rng, n, w, -3 * N, 3 * N, density=0.5)
+                assert_carries_image(A, W, N)
+
+    @pytest.mark.parametrize("N,narrow,wide", NARROW_BOUNDARIES[:2],
+                             ids=[np.dtype(t).name
+                                  for _, t, _ in NARROW_BOUNDARIES[:2]])
+    def test_width_boundaries(self, N, narrow, wide):
+        rng = random.Random(f"image:{N}")
+        for modulus, dtype in ((N, narrow), (N + 1, wide)):
+            for shape in ((9, 7), (6, 11)):
+                for _ in range(4):
+                    A, _ = extreme_system(rng, *shape, modulus)
+                    W, _ = extreme_system(rng, shape[1], 5, modulus)
+                    assert exact._Reduction(A, mod=modulus).a.dtype == dtype
+                    assert_carries_image(A, W, modulus)
+
+    def test_python_ints(self):
+        rng = random.Random(167)
+        N = 2**64
+        for _ in range(6):
+            A, W = (np.array([[rng.choice((3, 6, N // 3, rng.randrange(N)))
+                               for _ in range(n)] for _ in range(m)],
+                             dtype=object) for m, n in ((5, 4), (4, 3)))
+            W[0, 0] = -N - 1
+            assert exact._Reduction(A, mod=N).a.dtype == object
+            assert_carries_image(A, W, N)
+
+    def test_cohomology_reads_no_vinv(self):
+        # cohomology_group asks for Vinv W, so no n x n Vinv is formed
+        from crossbraid.cohomology import cohomology_group, mu_module
+        from crossbraid.groups import builtin_group
+        seen = []
+
+        class Record(exact._Reduction):
+            def __init__(self, a, **kwargs):
+                super().__init__(a, **kwargs)
+                if self.vinv is not None:
+                    seen.append((np.shape(a)[1], self.vinv.shape))
+
+        H = with_engine(Record, cohomology_group, builtin_group("D8"), 2,
+                        mu_module(4))
+        assert H.invariant_factors == (2, 2, 2)
+        assert len(seen) == 1
+        n, (rows, cols) = seen[0]
+        assert rows == n == 49 and 0 < cols <= 7
+
+
+class TestMask:
+    """Mod 2^k, _sym masks the low k bits in place of a remainder.  It
+    must equal (x + h) % N - h, h = (N - 1) // 2, on every value of the
+    width, even where x + h wraps: 2^k divides the wrap."""
+
+    @pytest.mark.parametrize("width,moduli", [
+        (np.int8, (1, 2, 4, 8, 16)), (np.int16, (32, 64, 128, 256))])
+    def test_every_value_of_the_width(self, width, moduli):
+        # every power of two this width sweeps: the next one is wider
+        assert exact._sweep_dtype(2 * moduli[-1], (1, 1)) != width
+        info = np.iinfo(width)
+        x = np.arange(info.min, info.max + 1, dtype=width)
+        for N in moduli:
+            red = exact._Reduction(np.zeros((1, 1), dtype=np.int64), mod=N)
+            assert red.a.dtype == width
+            got = red._sym(x.copy())
+            h = (N - 1) // 2
+            assert got.tolist() == [(v + h) % N - h for v in x.tolist()]
+
+    def test_python_ints(self):
+        N = 2**64
+        red = exact._Reduction(np.zeros((1, 1), dtype=np.int64), mod=N)
+        assert red.a.dtype == object
+        values = [0, 1, -1, N // 2, N // 2 + 1, -(N // 2), N - 1, N,
+                  -N - 1, 5 * N + 7, -(2**200) + 3, 2**200 - 3]
+        got = red._sym(np.array(values, dtype=object))
+        h = (N - 1) // 2
+        assert got.tolist() == [(v + h) % N - h for v in values]
 
 
 # -- an independent Smith-form oracle past int64 -------------------------------
