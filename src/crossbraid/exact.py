@@ -196,9 +196,9 @@ class _Reduction:
     outgrows the bound; the exact int64 steps before make that equal to a
     reduction in Python ints throughout.
 
-    Vinv's row operations apply unchanged to any n-row block: given an
-    n x w image, the reduction starts from it in place of the identity,
-    and carries Vinv @ image without forming Vinv.
+    Vinv's row operations apply unchanged to any n-row block: mod N, an
+    n x w image takes want_vinv's place, so the reduction starts from it
+    in place of the identity and carries Vinv @ image without forming Vinv.
 
     Every operation on Uinv and V moves whole columns, so both are kept
     column-major: their columns are contiguous, and V's column sweep is a
@@ -215,9 +215,8 @@ class _Reduction:
             fits = _fits_int64(self._terms, _magnitude(np.asarray(a)) + 1)
             dtype = np.dtype(np.int64 if fits else object)
             self.a = np.array(a, dtype=dtype, order="C")
-            carry, image = (None if x is None
-                            else np.ascontiguousarray(x, dtype)
-                            for x in (carry, image))
+            if carry is not None:
+                carry = np.ascontiguousarray(carry, dtype)
         else:
             dtype = _sweep_dtype(mod, (m, n))
             self.a = _residues(a, mod, dtype)
