@@ -52,7 +52,9 @@ from .groups import (
     all_subgroups,
     build_group,
     builtin_group,
+    cached_on,
     center,
+    check_lattice_order,
     conjugacy_classes,
     is_isomorphic,
     is_normal,
@@ -282,6 +284,9 @@ def _cmd_center_census(cfg: RunConfig):
 
 def _cmd_subcats(cfg: RunConfig):
     G = _load_group(cfg.group, "--group")
+    # the subgroup cap is read off the order, before the twist's |G|^4
+    # cocycle check
+    check_lattice_order(G)
     data = _load_twist(cfg, G)
     subs = enumerate_subcats(
         data, budget=_positive(cfg.budget, "--budget", SUBCAT_BUDGET))
@@ -379,7 +384,8 @@ def _cmd_zesting(cfg: RunConfig):
     N = _load_group(cfg.fiber, "--fiber")
     G = _load_group(cfg.group, "--group")
     inv = invertibles_of_center(N)
-    w = _load_cochain(cfg, G, 2, lambda: trivial_module(inv.group))
+    w = _load_cochain(cfg, G, 2,
+                      lambda: cached_on(inv.group, trivial_module))
     lifts = zesting_lift_exists(N, G, w)
     report = {
         "fiber": _describe(N),

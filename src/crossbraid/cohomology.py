@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import log2, prod
 
@@ -32,7 +33,8 @@ from .errors import (
 )
 from .exact import (_Lattice, _matvec_mod, _smith, _sweep_dtype,
                     diagonalize_mod, solve_congruences)
-from .groups import (FiniteGroup, GroupHom, abelian_coordinates,
+from .groups import (DEFAULT_ORDER_BOUND, FiniteGroup, GroupHom,
+                     abelian_coordinates, cached,
                      count_homs_to_abelian, cyclic, powers)
 
 MAX_DEGREE = 3
@@ -44,7 +46,9 @@ class CoefficientModule:
 
     The action is given per acting-group element as a permutation of the
     coefficient ids; it must consist of automorphisms and be a homomorphism
-    into Aut(A).  With no action the module works with any group.
+    into Aut(A).  With no action the module works with any group.  The
+    action table and the coordinates are read-only: trivial_module and
+    mu_module share one module between callers.
     """
 
     __slots__ = ("group", "acting_group", "action", "basis", "orders",
@@ -65,8 +69,10 @@ class CoefficientModule:
             if act.shape != (acting_group.order, group.order):
                 raise NotAHomomorphism("action table has wrong shape")
             self._check_action(act)
+            act.flags.writeable = False
             self.action = act
         pairs, self.coords = abelian_coordinates(group)
+        self.coords.flags.writeable = False
         self.basis = tuple(g for g, _ in pairs)
         self.orders = tuple(o for _, o in pairs)
         self.exponent = self.orders[0] if pairs else 1
@@ -144,9 +150,22 @@ def trivial_module(A: FiniteGroup) -> CoefficientModule:
     return CoefficientModule(A)
 
 
+# mu_n modules one process keeps, least recently used first: at most
+# DEFAULT_ORDER_BOUND of them, none with n above it
+_MU: OrderedDict = OrderedDict()
+
+
 def mu_module(n: int) -> CoefficientModule:
-    """Roots of unity mu_n as coefficients; ids are exponents mod n."""
-    return CoefficientModule(cyclic(n))
+    """Roots of unity mu_n as coefficients; ids are exponents mod n.
+
+    For n at most DEFAULT_ORDER_BOUND the module is built once and shared
+    by later calls with an n of the same type and value, while it stays
+    among the DEFAULT_ORDER_BOUND used last.
+    """
+    # the type is in the key because the group's name spells n out
+    return cached(_MU, (type(n), n), lambda: CoefficientModule(cyclic(n)),
+                  DEFAULT_ORDER_BOUND,
+                  lambda M: M.group.order <= DEFAULT_ORDER_BOUND)
 
 
 @functools.lru_cache(maxsize=64)

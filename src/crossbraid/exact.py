@@ -166,6 +166,10 @@ def _residues(x, modulus: int, dtype: np.dtype) -> np.ndarray:
     integer type holds both, it is taken in Python ints.
     """
     x = np.asarray(x)
+    if x.dtype == dtype:
+        # one remainder in x's own type, such as an int64 b already reduced
+        return np.remainder(x, modulus if dtype == object
+                            else dtype.type(modulus), order="C")
     loop = np.promote_types(x.dtype, dtype)
     if loop.kind not in "iu":
         # object, or uint64 beside a signed type, which promotes to float64

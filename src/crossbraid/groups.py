@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import OrderedDict
 from dataclasses import InitVar, dataclass
 from math import gcd, lcm, prod
 
@@ -45,11 +46,12 @@ class FiniteGroup:
 
     The table is a square nested sequence of ids or a 2-D integer array,
     kept as one read-only int64 array with table[a, b] = ab.  Element
-    orders and the exponent are computed on first use.
+    orders and the exponent are computed on first use, and so is each
+    structure built through cached_on.
     """
 
     __slots__ = ("order", "table", "name", "labels", "inverse", "is_abelian",
-                 "_orders", "_exponent")
+                 "_orders", "_exponent", "_memo")
 
     def __init__(self, table, name: str | None = None,
                  labels: tuple[str, ...] | None = None, validate: bool = True):
@@ -78,6 +80,7 @@ class FiniteGroup:
         self.inverse = _read_only((T == 0).argmax(axis=1))
         self.is_abelian = bool(np.array_equal(T, T.T))
         self._orders = self._exponent = None
+        self._memo = {}
 
     @staticmethod
     def _validate(T: np.ndarray, n: int):
@@ -139,6 +142,36 @@ class FiniteGroup:
 
     def same_table(self, other: "FiniteGroup") -> bool:
         return self is other or np.array_equal(self.table, other.table)
+
+
+def cached_on(G: FiniteGroup, build):
+    """build(G), made on first use and kept on G for as long as G lives.
+
+    For structures that depend on the group alone: every caller holding
+    the same group object gets the same value, so the value must be
+    immutable.  A build that raises leaves nothing behind.
+    """
+    value = G._memo.get(build)
+    if value is None:
+        value = G._memo[build] = build(G)
+    return value
+
+
+def cached(store: OrderedDict, key, build, bound: int, keep=None):
+    """store[key], built on first use; least recently used entries are
+    dropped past bound.  A value for which keep(value) is false is
+    returned without being stored; a build that raises leaves nothing
+    behind."""
+    value = store.get(key)
+    if value is None:
+        value = build()
+        if keep is None or keep(value):
+            store[key] = value
+            if len(store) > bound:
+                store.popitem(last=False)
+    else:
+        store.move_to_end(key)
+    return value
 
 
 # lets Subgroup trust ids the library computed as a subgroup
@@ -403,10 +436,26 @@ def _check_order(order: int, what: str) -> None:
             f"{what} has order {order}, above the bound {MAX_ORDER}")
 
 
+# builtin groups one process keeps, by stripped name, least recently used
+# first: at most DEFAULT_ORDER_BOUND of them, none of order above it
+_BUILTINS: OrderedDict = OrderedDict()
+
+
 def builtin_group(name: str) -> FiniteGroup:
     """A builtin group by name; its order, read off the name, is bounded
-    by MAX_ORDER before any table is built."""
+    by MAX_ORDER before any table is built.
+
+    A group of order at most DEFAULT_ORDER_BOUND is built once and shared
+    by every later call with the same stripped name, while it stays among
+    the DEFAULT_ORDER_BOUND names used last.
+    """
     name = name.strip()
+    return cached(_BUILTINS, name, lambda: _build_builtin(name),
+                  DEFAULT_ORDER_BOUND,
+                  lambda G: G.order <= DEFAULT_ORDER_BOUND)
+
+
+def _build_builtin(name: str) -> FiniteGroup:
     if name == "Q8":
         return quaternion()
     m = re.fullmatch(r"S(\d+)", name)
@@ -551,19 +600,31 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, closure(G, np.unique(comms).tolist()), _CLOSED)
 
 
+def check_lattice_order(G: FiniteGroup) -> None:
+    """GroupTooLarge past DEFAULT_ORDER_BOUND, the cap on subgroup
+    enumeration; read off the order alone, so callers check it before
+    they build anything else over G."""
+    if G.order > DEFAULT_ORDER_BOUND:
+        raise GroupTooLarge(
+            f"subgroup enumeration capped at order {DEFAULT_ORDER_BOUND}, "
+            f"group has {G.order}"
+        )
+
+
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup, found by joining subgroups with cyclic ones.
 
     Each subgroup is <a_1, ..., a_r>, reached from <a_1> by joining one
     cyclic subgroup at a time; so every newly found subgroup is joined with
     each cyclic subgroup once, from a worklist.  Deterministic order: by
-    (order, element tuple).
+    (order, element tuple).  The lattice is found once per group object;
+    each call returns a new list of the shared, frozen subgroups.
     """
-    if G.order > DEFAULT_ORDER_BOUND:
-        raise GroupTooLarge(
-            f"subgroup enumeration capped at order {DEFAULT_ORDER_BOUND}, "
-            f"group has {G.order}"
-        )
+    check_lattice_order(G)
+    return list(cached_on(G, _subgroup_lattice))
+
+
+def _subgroup_lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
     rows = G.table.tolist()
     # each distinct cyclic subgroup, with its least generator
     cyclics: dict[tuple[int, ...], int] = {}
@@ -583,7 +644,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                     work.append(join)
     subs = [Subgroup(G, elems, _CLOSED) for elems in found]
     subs.sort(key=Subgroup.sort_key)
-    return subs
+    return tuple(subs)
 
 
 def is_normal(G: FiniteGroup, S: Subgroup) -> bool:

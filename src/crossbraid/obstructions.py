@@ -25,6 +25,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    cached_on,
     count_homs_to_abelian,
     is_normal,
     quotient,
@@ -161,7 +162,10 @@ def zesting_lift_exists(N: FiniteGroup, G: FiniteGroup,
             "values must lie in the invertibles of the center, untwisted")
     if not is_cocycle(omega):
         raise NotACocycle("zesting data must satisfy the cocycle identity")
-    return is_coboundary(pushforward(omega, inv.projection)) is not None
+    # the trivial module over Z(N) is kept with the fiber's invertibles
+    center_module = cached_on(inv.center_part, trivial_module)
+    pushed = pushforward(omega, inv.projection, center_module)
+    return is_coboundary(pushed) is not None
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .errors import (
     ParentMismatch,
 )
 from .exact import CongruenceFactor, CongruenceSolution, UnityExponent
-from .groups import Subgroup, commuting_normal_pairs, is_normal
+from .groups import Subgroup, cached, commuting_normal_pairs, is_normal
 from .twisted_center import TwistedGroupData
 
 DEFAULT_BUDGET = 1_000_000
@@ -311,19 +311,6 @@ def _pairing_factor(mod: int, shape: tuple[int, int],
     return CongruenceFactor(A, mod)
 
 
-def _cached(store: OrderedDict, key, build, bound: int):
-    """store[key], built on first use; least recently used entries are
-    dropped past bound.  A build that raises leaves nothing behind."""
-    value = store.get(key)
-    if value is None:
-        value = store[key] = build()
-        if len(store) > bound:
-            store.popitem(last=False)
-    else:
-        store.move_to_end(key)
-    return value
-
-
 class _PairingCatalog:
     """Every pairing row over one (G, N'), sparse, for all its systems.
 
@@ -412,8 +399,8 @@ _CATALOGS: OrderedDict = OrderedDict()
 
 def _pairing_catalog(G, mod: int) -> _PairingCatalog:
     """The pairing catalog of this group table and N', built on first use."""
-    return _cached(_CATALOGS, (mod, G.table.tobytes()),
-                   lambda: _PairingCatalog(G, mod), PAIRING_CATALOGS)
+    return cached(_CATALOGS, (mod, G.table.tobytes()),
+                  lambda: _PairingCatalog(G, mod), PAIRING_CATALOGS)
 
 
 class _PairingSystem:
@@ -526,9 +513,9 @@ def _pairing_system(G, L: Subgroup, M: Subgroup, killed: Subgroup | None,
     """
     key = (mod, G.table.tobytes(), L.elements, M.elements,
            None if killed is None else killed.elements)
-    return _cached(_SYSTEMS, key,
-                   lambda: _PairingSystem(G, L, M, killed, mod),
-                   PAIRING_FACTORS)
+    return cached(_SYSTEMS, key,
+                  lambda: _PairingSystem(G, L, M, killed, mod),
+                  PAIRING_FACTORS)
 
 
 def solve_pairings(data: TwistedGroupData, L: Subgroup, M: Subgroup,

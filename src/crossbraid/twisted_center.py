@@ -17,6 +17,7 @@ from .exact import UnityExponent
 from .groups import (
     FiniteGroup,
     GroupHom,
+    cached_on,
     center,
     centralizer,
     conjugacy_classes,
@@ -178,6 +179,11 @@ class InvertiblesOfCenter:
 
 
 def invertibles_of_center(N: FiniteGroup) -> InvertiblesOfCenter:
+    """The invertibles of Z(Vec_N), built once per group object."""
+    return cached_on(N, _invertibles_of_center)
+
+
+def _invertibles_of_center(N: FiniteGroup) -> InvertiblesOfCenter:
     ab, _proj = quotient(N, derived_subgroup(N))
     chars = dual_group(ab).group
     Zgrp, emb = subgroup_as_group(center(N))

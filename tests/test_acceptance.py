@@ -380,6 +380,21 @@ def test_closed_form_h3_of_nonabelian_groups():
             assert H.invariant_factors == want, (name, k)
 
 
+def test_mixed_order_coefficients_are_additive():
+    # H^n(G, -) is additive, so H^n(G, C2 x C4) = H^n(G, C2) + H^n(G, C4).
+    # C2 x C4 is the one module here whose orders differ, so only it puts
+    # constraint rows into the bar system
+    module = trivial_module(cb.builtin_group("C2xC4"))
+    with Budget(20):
+        for name in ("C2", "C3", "C4", "C2xC2", "S3"):
+            G = cb.builtin_group(name)
+            for n in (1, 2, 3):
+                parts = [cohomology_group(G, n, mu_module(m)).invariant_factors
+                         for m in (2, 4)]
+                got = cohomology_group(G, n, module).invariant_factors
+                assert got == invariant_factors(parts[0] + parts[1]), (name, n)
+
+
 def test_closed_form_matches_engine_on_small_groups():
     with Budget(20):
         for name, orders in (("C4", (4,)), ("C6", (6,)), ("C2xC2", (2, 2)),

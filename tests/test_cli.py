@@ -5,14 +5,16 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import crossbraid as cb
-from crossbraid import cli, serialize, subcats
+from crossbraid import cli, cohomology, groups, serialize, subcats
 from crossbraid.cli import DEFAULT_SEED, RunConfig, run
 from crossbraid.cohomology import Cochain, trivial_module
 
@@ -173,6 +175,28 @@ class TestEnumerationVerbs:
         top = doc["subcategories"][-1]
         assert set(top) == {"L", "M", "B", "fpdim"}
         assert all(s["fpdim"] * 2 % 2 == 0 for s in doc["subcategories"])
+
+    def test_subgroup_cap_is_read_before_the_twist_is_built(self, tmp_path):
+        # the cocycle check of a nonzero twist on C200 would allocate
+        # |G|^4 int64 indices, 11.9 GiB; the child caps its address space
+        omega = tmp_path / "omega.json"
+        omega.write_text(json.dumps(
+            {"degree": 3, "modulus": 2, "entries": {"1,1,1": 1}}))
+        src = pathlib.Path(cb.__file__).resolve().parents[1]
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                  "from crossbraid.cli import run\n"
+                  "sys.exit(run(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "subcats", "--group", "C200",
+             "--omega", str(omega)],
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc == go_json("subcats", "--group", "C200")[1]
+        assert doc["error"] == "GroupTooLarge"
+        assert "capped at order 64" in doc["reason"]
 
     def test_budget_rejection(self):
         code, doc = go_json("subcats", "--group", "C4", "--budget", "3")
@@ -490,14 +514,38 @@ def clear_process_caches():
     subcats._pairing_factor.cache_clear()
     subcats._SYSTEMS.clear()
     subcats._CATALOGS.clear()
+    groups._BUILTINS.clear()
+    cohomology._MU.clear()
     for cached in (serialize._fixture, serialize._stored,
                    serialize._stored_representative):
         cached.cache_clear()
 
 
+# one job of each verb that reads a cached group-level structure
+MIXED_JOBS = [
+    ("group", "--group", "D8"),
+    ("group", "--group", " C2xC4 "),
+    ("subgroups", "--group", "S3"),
+    ("subgroups", "--group", "C2xC4"),
+    ("fibered", "--extension", "D8", "--normal", "0,2"),
+    ("fibered", "--extension", "C2xC4", "--normal", "0,2"),
+    ("zesting", "--fiber", "S3", "--group", "C2"),
+    ("zesting", "--fiber", "C4", "--group", "C2xC2"),
+    ("zesting", "--fiber", "C2xC2", "--group", "S3"),
+    ("obstruction", "--group", "C4"),
+    ("obstruction", "--group", "S3", "--modulus", "4"),
+    ("center-census", "--group", "D8", "--omega", "repr:3"),
+    ("center-census", "--group", "C4"),
+    ("subcats", "--group", "C2xC2", "--omega", "repr:5"),
+    ("subcats", "--group", "S3"),
+    ("selftest",),
+]
+
+
 class TestProcessCaches:
     """The stored fixture, the pairing catalogs, the pairing systems and
-    their factors outlive a run; none may carry anything of one twist into
+    their factors, the builtin groups, the mu_n modules and what is kept
+    on each group outlive a run; none may carry anything of one job into
     the next."""
 
     # (verb, group, earlier twist j, later twist k)
@@ -560,6 +608,78 @@ class TestProcessCaches:
         # one catalog per (group table, N'): three groups, one N' each
         assert len(subcats._CATALOGS) == 3
         assert serialize._stored.cache_info().currsize == 3
+
+    def test_shared_arrays_are_read_only(self):
+        clear_process_caches()
+        G = cb.builtin_group("D8")
+        M = cb.mu_module(8)
+        inv = cb.invertibles_of_center(cb.builtin_group("S3"))
+        arrays = [G.table, G.inverse, G.element_orders, M.coords,
+                  M.group.table, inv.group.table,
+                  trivial_module(inv.group).coords]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 1
+        action = cohomology.CoefficientModule(
+            cb.cyclic(3), cb.cyclic(2), [[0, 1, 2], [0, 2, 1]]).action
+        with pytest.raises(ValueError):
+            action[0, 0] = 1
+
+    def test_repeat_calls_return_the_cached_object(self):
+        clear_process_caches()
+        G = cb.builtin_group("C2xC4")
+        assert cb.builtin_group(" C2xC4 ") is G
+        assert cb.mu_module(6) is cb.mu_module(6)
+        S3 = cb.builtin_group("S3")
+        assert cb.invertibles_of_center(S3) is cb.invertibles_of_center(S3)
+        # each call gets its own list of the same subgroups
+        first, second = cb.all_subgroups(G), cb.all_subgroups(G)
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
+        first.clear()
+        assert cb.all_subgroups(G) == second
+        # an equal n of another type keeps the name it spells out
+        assert cb.mu_module(np.int64(6)).group.name == "C6"
+        assert cb.mu_module(True).group.name == "CTrue"
+        assert cb.mu_module(1).group.name == "C1"
+
+    def test_large_objects_are_not_retained(self):
+        clear_process_caches()
+        assert cb.mu_module(3000) is not cb.mu_module(3000)
+        assert cb.builtin_group("C65") is not cb.builtin_group("C65")
+        assert not cohomology._MU and not groups._BUILTINS
+        assert cb.mu_module(64) is cb.mu_module(64)
+        assert cb.builtin_group("C8xC8") is cb.builtin_group("C8xC8")
+        for n in range(1, 2 * groups.DEFAULT_ORDER_BOUND):
+            cb.mu_module(n % groups.DEFAULT_ORDER_BOUND + 1)
+            cb.builtin_group(f"C{n % groups.DEFAULT_ORDER_BOUND + 1}xC1")
+        assert len(cohomology._MU) == groups.DEFAULT_ORDER_BOUND
+        assert len(groups._BUILTINS) == groups.DEFAULT_ORDER_BOUND
+
+    def test_no_cache_is_filled_at_import(self):
+        src = pathlib.Path(cb.__file__).resolve().parents[1]
+        script = ("import crossbraid.cli\n"
+                  "from crossbraid import cohomology, groups, subcats\n"
+                  "print(len(groups._BUILTINS), len(cohomology._MU),\n"
+                  "      len(subcats._SYSTEMS), len(subcats._CATALOGS))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0", "0", "0"]
+
+    def test_mixed_verbs_in_any_order_match_each_job_alone(self):
+        alone = {}
+        for argv in MIXED_JOBS:
+            clear_process_caches()
+            alone[argv] = go(*argv)
+        assert all(code == 0 for code, _ in alone.values())
+        for seed in (1, 2):
+            jobs = list(MIXED_JOBS)
+            random.Random(seed).shuffle(jobs)
+            clear_process_caches()
+            for argv in jobs:
+                assert go(*argv) == alone[argv], (seed, argv)
 
     def test_sequence_script_under_optimized_mode(self):
         root = pathlib.Path(cb.__file__).resolve().parents[2]
