@@ -24,7 +24,8 @@ from .groups import (
     quotient,
     subgroup_as_group,
 )
-from .subcats import SubcatData, contains, fpdim, pair_subcats, unit_subcat
+from .subcats import (SubcatData, contains, fpdim, pair_subcats, subcat_key,
+                      unit_subcat)
 from .twisted_center import TwistedGroupData
 
 
@@ -151,10 +152,6 @@ def _certify(grading: GradingSpec, witness: SubcatData) -> CrossedBraidingCertif
     return CrossedBraidingCertificate(grading, witness, checks)
 
 
-def _witness_key(s: SubcatData):
-    return (s.L.order, s.M.order, s.L.elements, s.M.elements, s.B.table)
-
-
 def enumerate_pointed(data: TwistedGroupData,
                       pi: GroupHom) -> list[CrossedBraidingCertificate]:
     """Crossed braidings on the pointed category, graded along pi.
@@ -171,7 +168,7 @@ def enumerate_pointed(data: TwistedGroupData,
         return []
     whole = Subgroup(G, G.elements)
     out = [_certify(grading, s) for s in pair_subcats(data, K, whole)]
-    out.sort(key=lambda c: _witness_key(c.witness))
+    out.sort(key=lambda c: subcat_key(c.witness))
     return out
 
 
@@ -214,7 +211,7 @@ def enumerate_rep(G: FiniteGroup, H: Subgroup) -> list[CrossedBraidingCertificat
                        for i in range(1, L.order)):
                     continue
                 out.append(_certify(grading, s))
-    out.sort(key=lambda c: _witness_key(c.witness))
+    out.sort(key=lambda c: subcat_key(c.witness))
     return out
 
 

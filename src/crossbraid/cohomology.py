@@ -302,12 +302,20 @@ def _differential_values(c: Cochain) -> np.ndarray:
 
     Slots are open index grids over G^(n+1); every lookup is a gather at a
     flat index, into c's table or into A's flattened multiplication table.
+    Its cost is |G|^(n+1) cells, each gathered through int64 indices:
+    BudgetExceeded, before anything is allocated, past the degree-3 check
+    at the subgroup cap, DEFAULT_ORDER_BOUND^4 cells.
     """
     if c.degree > MAX_DEGREE:
         raise DegreeTooHigh(f"differential limited to degree {MAX_DEGREE}")
     G, M = c.group, c.module
     A = M.group
     s, n, nA = G.order, c.degree, A.order
+    if s ** (n + 1) > DEFAULT_ORDER_BOUND ** 4:
+        raise BudgetExceeded(
+            f"the coboundary of a degree-{n} cochain on a group of order "
+            f"{s} has {s ** (n + 1)} cells, past the limit "
+            f"{DEFAULT_ORDER_BOUND ** 4}")
     mul = A.table.ravel()
     inv = A.inverse
     idx = np.indices((s,) * (n + 1), sparse=True)

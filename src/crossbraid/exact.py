@@ -545,37 +545,21 @@ class CongruenceSolution:
         """Every solution as a tuple of residues, in the order of
         itertools.product over the generators' ranges.
 
-        Points are computed _ENUM_BLOCK at a time, each block in one array
-        pass: the trailing generators whose ranges fit in a block run
-        through np.indices, the generator before them is cut into chunks,
-        and the leading ones step through itertools.product.  Each block's
-        coefficients, with a 1 for the particular solution, multiply the
-        generator rows in one _matvec_mod.
+        One itertools.product stream runs over those ranges, with a
+        trailing 1 for the particular solution, and is cut into blocks of
+        _ENUM_BLOCK coefficient rows; each block multiplies the generator
+        rows in one _matvec_mod.
         """
         N = self.modulus
-        orders = [order for _, order in self.generators]
-        k = len(orders)
+        k = len(self.generators)
         rows = [g for g, _ in self.generators] + [self.particular]
         basis = np.array(rows, dtype=_residue_dtype(N)).reshape(k + 1, -1) % N
-        cut, size = k, 1
-        while cut and size * orders[cut - 1] <= _ENUM_BLOCK:
-            cut -= 1
-            size *= orders[cut]
-        tail = np.indices(orders[cut:]).reshape(k - cut, size).T
-        # the generator before the tail, if any, in chunks of `step` values
-        head, step = (orders[cut - 1], _ENUM_BLOCK // size) if cut else (1, 1)
-        lead = orders[:max(cut - 1, 0)]
-        for prefix in itertools.product(*map(range, lead)):
-            for t0 in range(0, head, step):
-                chunk = np.arange(t0, min(t0 + step, head))
-                coef = np.empty((chunk.size * size, k + 1), dtype=np.int64)
-                coef[:, :len(lead)] = prefix
-                if cut:
-                    coef[:, cut - 1] = np.repeat(chunk, size)
-                coef[:, cut:k] = np.tile(tail, (chunk.size, 1))
-                coef[:, k] = 1
-                for x in _matvec_mod(coef, basis, N).tolist():
-                    yield tuple(x)
+        coefs = itertools.product(
+            *(range(order) for _, order in self.generators), (1,))
+        while block := list(itertools.islice(coefs, _ENUM_BLOCK)):
+            for x in _matvec_mod(np.array(block, dtype=np.int64), basis,
+                                 N).tolist():
+                yield tuple(x)
 
 
 def _matvec_mod(M: np.ndarray, v: np.ndarray, modulus: int) -> np.ndarray:

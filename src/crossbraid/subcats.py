@@ -327,11 +327,14 @@ class _PairingCatalog:
     merged, terms that vanish mod N' dropped and the rest sorted, padded
     with cell |G|^2 and coefficient 0.  Coefficients are residues mod N'
     in the type of the factor keys, the smallest unsigned one holding
-    N'.  zero flags the rows reading 0 = 0, and gathers holds each
-    block's beta flat indices (int32) per offset term, with its sign.
+    N'.  zero flags the rows reading 0 = 0.  A row's beta offset is held
+    in the same padded three-term form: gather holds its terms' int32
+    flat indices into beta_table.ravel() and signs their int8 signs,
+    rows x 3 each, with index 0 and sign 0 on padding.
     """
 
-    __slots__ = ("starts", "gathers", "cls", "zero", "cells", "coefs")
+    __slots__ = ("starts", "gather", "signs", "cls", "zero", "cells",
+                 "coefs")
 
     kinds = _AXES + (("L", "K"),)
 
@@ -346,7 +349,7 @@ class _PairingCatalog:
         whole = Subgroup(G, G.elements)
         units = ((G.elements, G.elements),
                  ((np.arange(n * n).reshape(n, n), 1),), ())
-        cells, coefs, gathers, starts = [], [], [], [0]
+        cells, coefs, gather, signs, starts = [], [], [], [], [0]
         for axes, terms, offset in _axiom_blocks(G, whole, whole) + (units,):
             shape = (n,) * len(axes)
             c = np.zeros((3,) + shape, dtype=np.int64)
@@ -355,10 +358,12 @@ class _PairingCatalog:
                 c[t], k[t] = cols, coef
             cells.append(c.reshape(3, -1))
             coefs.append(k.reshape(3, -1))
-            gathers.append(tuple(
-                (np.broadcast_to((a * n + g) * n + h, shape)
-                 .ravel().astype(np.int32), sign)
-                for (a, g, h), sign in offset))
+            f = np.zeros(shape + (3,), dtype=np.int32)
+            sg = np.zeros(shape + (3,), dtype=np.int8)
+            for t, ((a, g, h), sign) in enumerate(offset):
+                f[..., t], sg[..., t] = (a * n + g) * n + h, sign
+            gather.append(f.reshape(-1, 3))
+            signs.append(sg.reshape(-1, 3))
             starts.append(starts[-1] + prod(shape))
         (c0, c1, c2), k = np.concatenate(cells, 1), np.concatenate(coefs, 1)
         # merge equal cells into the first of them: coefficients in [-3, 3]
@@ -384,7 +389,8 @@ class _PairingCatalog:
                            keys % base], axis=1)
         residue = np.array([x % mod for x in range(-3, 4)],
                            dtype=np.min_scalar_type(mod))
-        self.starts, self.gathers = tuple(starts[:-1]), tuple(gathers)
+        self.starts = tuple(starts[:-1])
+        self.gather, self.signs = np.concatenate(gather), np.concatenate(signs)
         self.cls = cls.ravel().astype(np.int32)
         self.cells = (packed // 7).astype(np.int32)
         self.coefs = residue[packed % 7]
@@ -411,16 +417,15 @@ class _PairingSystem:
     row of each system row, gives the rows that read 0 = 0, the repeated
     rows (each with the index of its first twin, by class id) and the rows
     kept for the factor, the only ones written out densely.  What stays is
-    the beta gather of every row's offset, as int32 flat indices into a
-    beta table with the spans of rows each part adds to, those index sets
-    and the factor of the kept rows.  Nothing the twist decides is held:
-    solve reads every offset from the beta table it is given.
-    Construction raises NotCentral, NotNormal or InvalidElement (a killed
-    subgroup outside M) for a bad structure.
+    every row's padded beta offset, the catalog's gather and signs at R,
+    those index sets and the factor of the kept rows.  Nothing the twist
+    decides is held: solve reads every offset from the beta table it is
+    given.  Construction raises NotCentral, NotNormal or InvalidElement (a
+    killed subgroup outside M) for a bad structure.
     """
 
-    __slots__ = ("_lift", "_mod", "_rows", "_gather", "_spans", "_zero",
-                 "_dup", "_twin", "_kept", "_factor")
+    __slots__ = ("_lift", "_mod", "_gather", "_signs", "_zero", "_dup",
+                 "_twin", "_kept", "_factor")
 
     def __init__(self, G, L: Subgroup, M: Subgroup, killed: Subgroup | None,
                  mod: int):
@@ -436,21 +441,15 @@ class _PairingSystem:
         n = G.order
         sets = {"G": np.arange(n), "L": Le, "M": Me,
                 "K": None if killed is None else np.array(killed.elements)}
-        parts, gather, spans, start = [], [], [], 0
-        for kinds, base, terms in zip(cat.kinds, cat.starts, cat.gathers):
+        parts = []
+        for kinds, base in zip(cat.kinds, cat.starts):
             if sets[kinds[-1]] is None:     # no killed subgroup
                 continue
             # the block's catalog rows at the element ids along its axes
             local = np.zeros((), dtype=np.int64)
             for kind in kinds:
                 local = local[..., None] * n + sets[kind]
-            local = local.ravel()
-            parts.append(base + local)
-            stop = start + local.size
-            for flat, sign in terms:
-                gather.append(flat[local])
-                spans.append((start, stop, sign))
-            start = stop
+            parts.append(base + local.ravel())
         R = np.concatenate(parts)
         zero = cat.zero[R]
         live_rows = np.flatnonzero(~zero)
@@ -460,9 +459,8 @@ class _PairingSystem:
         dup = np.flatnonzero(twin != np.arange(twin.size))
         first.sort()
         kept = live_rows[first]
-        self._lift, self._mod, self._rows = G.exponent, mod, R.size
-        self._gather = np.concatenate(gather)
-        self._spans = tuple(spans)
+        self._lift, self._mod = G.exponent, mod
+        self._gather, self._signs = cat.gather[R], cat.signs[R]
         self._zero = np.flatnonzero(zero).astype(np.int32)
         self._dup = live_rows[dup].astype(np.int32)
         self._twin = live_rows[twin[dup]].astype(np.int32)
@@ -481,15 +479,12 @@ class _PairingSystem:
     def solve(self, beta: np.ndarray) -> CongruenceSolution | None:
         """Every pairing for the twist with this beta table, or None.
 
-        A row reading 0 = c with c nonzero, or twin rows with different
-        offsets, mean no pairing exists.
+        Each row's offset b is one gather of its padded terms from the
+        beta table, times their signs, summed.  A row reading 0 = c with
+        c nonzero, or twin rows with different offsets, mean no pairing
+        exists.
         """
-        part = beta.ravel()[self._gather]
-        b = np.zeros(self._rows, dtype=np.int64)
-        at = 0
-        for start, stop, sign in self._spans:
-            b[start:stop] += sign * part[at:at + stop - start]
-            at += stop - start
+        b = (beta.ravel()[self._gather] * self._signs).sum(axis=1)
         b *= self._lift
         b %= self._mod
         if b[self._zero].any() or (b[self._dup] != b[self._twin]).any():
@@ -571,6 +566,12 @@ def unit_subcat(data: TwistedGroupData, L: Subgroup,
                       _SOLVED)
 
 
+def subcat_key(s: SubcatData):
+    """The canonical order of subcategory data: (|L|, |M|, L ids, M ids,
+    table)."""
+    return (s.L.order, s.M.order, s.L.elements, s.M.elements, s.B.table)
+
+
 def enumerate_subcats(data: TwistedGroupData,
                       budget: int = DEFAULT_BUDGET) -> list[SubcatData]:
     """All subcategory data over the twist, in canonical order.
@@ -578,9 +579,9 @@ def enumerate_subcats(data: TwistedGroupData,
     Per commuting normal pair the valid pairings form a coset of a lattice
     cut out by all three axioms at once (solve_pairings), enumerated
     exactly with no filter afterwards.  The budget bounds the number of
-    valid pairings, summed over the pairs.  The result is sorted by (|L|,
-    |M|, L ids, M ids, table), is duplicate free, and always includes
-    S(1, G, 1) and S(1, 1, 1).
+    valid pairings, summed over the pairs.  The result is sorted by
+    subcat_key, is duplicate free, and always includes S(1, G, 1) and
+    S(1, 1, 1).
     """
     found = 0
     out = []
@@ -593,6 +594,5 @@ def enumerate_subcats(data: TwistedGroupData,
             raise BudgetExceeded(
                 f"{found} valid pairings exceed budget {budget}")
         out.extend(_solved_subcats(data, L, M, sol))
-    out.sort(key=lambda s: (s.L.order, s.M.order, s.L.elements,
-                            s.M.elements, s.B.table))
+    out.sort(key=subcat_key)
     return out

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,23 @@ class TestDifferential:
         c = Cochain.zero(C2, trivial_module(C2), 4)
         with pytest.raises(cb.DegreeTooHigh):
             differential(c)
+
+    @pytest.mark.parametrize("order, degree", [(65, 3), (257, 2)])
+    def test_cell_limit_is_read_before_any_gather(self, order, degree):
+        # the degree-3 check at the order-64 subgroup cap is the largest
+        # admitted: 64^4 cells
+        c = Cochain.zero(cb.cyclic(order), mu_module(2), degree)
+        tracemalloc.start()
+        try:
+            for check in (differential, is_cocycle):
+                with pytest.raises(cb.BudgetExceeded) as err:
+                    check(c)
+                assert f"{order ** (degree + 1)} cells" in str(err.value)
+                assert str(64 ** 4) in str(err.value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16, peak
 
     def test_normalization_preserved(self):
         rng = random.Random(5)
