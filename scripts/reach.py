@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Computations past what tier-1 runs, each against its closed form.
+
+    python3 scripts/reach.py CASE
+
+runs one case from CASES in this process, so its peak resident set size
+(Linux reports it in KiB) is its own:
+
+- h3-order16: H^3(C2xC2xC2xC2, mu_2) against the Kunneth closed form
+  abelian_cohomology((2, 2, 2, 2), 3, 2), twenty factors of 2.  d_3 is
+  50625 x 3375, 171 MB at the int8 width of its mod 2 sweeps.  The run
+  holds two copies of d_3, the stacked array and the reduction's, and
+  reads about 410 MB; a whole-array temporary beside them, such as int64
+  flat indices over d_3, would push it past the bound.
+- h3-order16-nonabelian: H^3(D16, mu_16) and H^3(Q16, mu_16) against
+  dihedral_h3(16, 16) = (2, 2, 2, 8) and dicyclic_h3(16, 16) = (16,).
+  Both d_3 systems are 50625 x 3375.  D16 is a builtin; Q16, the
+  dicyclic group of order 16, is built from its table by dicyclic(4), so
+  the CLI gains no group.  The run reads about 480 MB: two int8 copies of
+  d_3 and their temporaries.
+- subcats-closed-form: the subcategories S(L, M, B) of the untwisted
+  C3xC3xC3 center.  Z(Vec_A) is pointed by A x dual(A), so for
+  A = (Z/3)^3 they are the subgroups of (Z/3)^6: 56632 of them, the
+  Galois number subgroup_count((3, 3, 3) * 2).  That is past what
+  all_subgroups or tier-1 runs: the pairing catalog of an order-27 group
+  has 60K rows.
+
+The closed forms come from tests/test_acceptance.py.  A case prints each
+result, the wall time and the peak, and exits 1 unless every result
+equals its closed form and the peak stays within the case's PEAK_RSS_MB.
+Every check is an if statement, so it holds under python -O too.
+"""
+
+import argparse
+import pathlib
+import resource
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from crossbraid.cohomology import cohomology_group, mu_module  # noqa: E402
+from crossbraid.groups import builtin_group  # noqa: E402
+from crossbraid.subcats import enumerate_subcats  # noqa: E402
+from crossbraid.twisted_center import TwistedGroupData  # noqa: E402
+from test_acceptance import (abelian_cohomology, dicyclic,  # noqa: E402
+                             dicyclic_h3, dihedral_h3, subgroup_count)
+
+
+def h3(G, modulus):
+    return lambda: cohomology_group(G, 3,
+                                    mu_module(modulus)).invariant_factors
+
+
+def subcats_of_untwisted(G):
+    return lambda: len(enumerate_subcats(TwistedGroupData.trivial(G)))
+
+
+# case: (computations, PEAK_RSS_MB); a computation is (its printed line,
+# with {} for the result; the computation; its closed form)
+CASES = {
+    "h3-order16": ((
+        ("H^3(C2xC2xC2xC2, mu_2) = {}", h3(builtin_group("C2xC2xC2xC2"), 2),
+         abelian_cohomology((2, 2, 2, 2), 3, 2)),
+    ), 600),
+    "h3-order16-nonabelian": ((
+        ("H^3(D16, mu_16) = {}", h3(builtin_group("D16"), 16),
+         dihedral_h3(16, 16)),
+        ("H^3(Q16, mu_16) = {}", h3(dicyclic(4), 16), dicyclic_h3(16, 16)),
+    ), 600),
+    "subcats-closed-form": ((
+        ("subcategories of Z(Vec_C3xC3xC3): {}",
+         subcats_of_untwisted(builtin_group("C3xC3xC3")),
+         subgroup_count((3, 3, 3) * 2)),
+    ), 600),
+}
+
+
+def run(case: str) -> int:
+    """Run one case; 1 when a result or the peak fails its check."""
+    computations, peak_rss_mb = CASES[case]
+    failed = False
+    for line, compute, expected in computations:
+        start = time.perf_counter()
+        got = compute()
+        elapsed = time.perf_counter() - start
+        # one computation prints its time beside the peak, several each
+        # beside its own result
+        line = line.format(got)
+        if len(computations) > 1:
+            line += f" in {elapsed:.1f} s"
+        print(line)
+        if got != expected:
+            print(f"expected {expected}")
+            failed = True
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    if len(computations) == 1:
+        print(f"{elapsed:.1f} s, peak RSS {peak:.0f} MB")
+    else:
+        print(f"peak RSS {peak:.0f} MB")
+    if peak > peak_rss_mb:
+        print(f"peak RSS exceeds {peak_rss_mb} MB")
+        failed = True
+    return int(failed)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("case", choices=sorted(CASES))
+    return run(parser.parse_args(argv).case)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

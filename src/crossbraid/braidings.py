@@ -21,11 +21,9 @@ from .groups import (
     center,
     dual_group,
     normal_subgroups,
-    quotient,
     subgroup_as_group,
 )
-from .subcats import (SubcatData, contains, fpdim, pair_subcats, subcat_key,
-                      unit_subcat)
+from .subcats import SubcatData, fpdim, pair_subcats, subcat_key
 from .twisted_center import TwistedGroupData
 
 
@@ -110,19 +108,18 @@ class CrossedBraidingCertificate:
             raise ValueError("certificate requires all three checks to pass")
 
 
-def _reindex(M: Subgroup, H: Subgroup) -> tuple[int, ...]:
-    return tuple(np.searchsorted(M.elements, H.elements).tolist())
-
-
 def check_theorem_conditions(ambient: TwistedGroupData, grading: GradingSpec,
                              s: SubcatData) -> TheoremChecks:
     """Evaluate the three conditions of the crossed-braiding theorem.
 
-    Pointed case: the witness must centralize Rep of the grading group
-    (equivalently L inside ker pi), complement it in dimension, and have
-    M = G.  Rep case: the witness must lie in the centralizer of the
-    canonical S(H,G,1), complement the grading, and pair L injectively
-    against M modulo H.
+    Each is read straight off (L, M, B).  Pointed case: the witness
+    centralizes Rep of the grading group when L lies inside ker pi (B(l, 1)
+    = 0 holds for every datum: the right-slot axiom at m1 = m2 = 1),
+    complements it in dimension, and is transverse when M = G.  Rep case:
+    it lies in the centralizer of the canonical S(G, H, 1) when H <= M and
+    B vanishes on L x H, complements the grading, and is transverse when
+    no row of B but the identity's is zero, so that L pairs injectively
+    against M.
     """
     G = ambient.group
     if not ambient.same_twist(s.parent):
@@ -130,20 +127,19 @@ def check_theorem_conditions(ambient: TwistedGroupData, grading: GradingSpec,
     if not grading.group.same_table(G):
         raise InvalidGrading("grading is for a different group")
     if grading.kind == "pointed":
-        K = grading.projection.kernel()
-        centralizes = contains(unit_subcat(ambient, K, Subgroup(G, (0,))), s)
-        dim_ok = grading.projection.target.order * fpdim(s) == G.order
+        pi = grading.projection
+        centralizes = not any(pi.images[l] for l in s.L.elements)
+        dim_ok = pi.target.order * fpdim(s) == G.order
         transverse = s.M.order == G.order
         return TheoremChecks(centralizes, dim_ok, transverse)
     if not ambient.omega.is_zero:
         raise InvalidGrading("rep gradings require a trivial twist")
-    H = grading.central
-    dual_copy = unit_subcat(ambient, Subgroup(G, G.elements), H)
-    centralizes = contains(dual_copy, s)
+    H, M = grading.central, s.M
+    B = np.reshape(s.B.table, (s.L.order, M.order))
+    centralizes = set(H.elements) <= set(M.elements) and \
+        not B[:, np.searchsorted(M.elements, H.elements)].any()
     dim_ok = H.order * fpdim(s) == G.order
-    transverse = all(
-        any(s.B.exponent_at(l, m) for m in s.M.elements)
-        for l in s.L.elements if l != 0)
+    transverse = bool(B[1:].any(axis=1).all())
     return TheoremChecks(centralizes, dim_ok, transverse)
 
 
@@ -181,20 +177,20 @@ def enumerate_rep(G: FiniteGroup, H: Subgroup) -> list[CrossedBraidingCertificat
     """
     if not H.parent.same_table(G):
         raise ParentMismatch("grading subgroup is for a different group")
-    if not set(H.elements) <= set(center(G).elements):
-        raise NotCentral("grading subgroup must be central")
-    data = TwistedGroupData.trivial(G)
     grading = GradingSpec.rep(H)
+    data = TwistedGroupData.trivial(G)
+    T, inv = G.table, G.inverse
     h_set = set(H.elements)
-    clash = G.table != G.table.T
+    clash = T != T.T
     normals = normal_subgroups(G)
     out = []
     for M in normals:
         if not h_set <= set(M.elements):
             continue
-        Mgrp, _ = subgroup_as_group(M)
-        Q, _ = quotient(Mgrp, Subgroup(Mgrp, _reindex(M, H)))
-        if not Q.is_abelian:
+        # M/H is abelian: every commutator m1 m2 m1^-1 m2^-1 lies in H
+        m2 = np.array(M.elements)
+        m1 = m2[:, None]
+        if not np.isin(T[T[T[m1, m2], inv[m1]], inv[m2]], H.elements).all():
             continue
         target = M.order // H.order
         for L in normals:
@@ -203,14 +199,10 @@ def enumerate_rep(G: FiniteGroup, H: Subgroup) -> list[CrossedBraidingCertificat
             # L must be abelian and commute with M
             if clash[np.array(L.elements)[:, None], L.elements + M.elements].any():
                 continue
-            nm = M.order
             for s in pair_subcats(data, L, M, killed=H):
-                # nondegenerate: only the identity row of the table is zero
-                tab = s.B.table
-                if any(not any(tab[i * nm:(i + 1) * nm])
-                       for i in range(1, L.order)):
-                    continue
-                out.append(_certify(grading, s))
+                checks = check_theorem_conditions(data, grading, s)
+                if checks.transverse:
+                    out.append(CrossedBraidingCertificate(grading, s, checks))
     out.sort(key=lambda c: subcat_key(c.witness))
     return out
 
@@ -222,5 +214,4 @@ def gradings_of_rep(G: FiniteGroup) -> list[GradingSpec]:
     for S in all_subgroups(G):
         if set(S.elements) <= inside:
             out.append(GradingSpec.rep(S))
-    out.sort(key=lambda g: (g.central.order, g.central.elements))
     return out

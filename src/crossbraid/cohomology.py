@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from math import log2, prod
 
 import numpy as np
@@ -187,17 +187,19 @@ class Cochain:
 
     The table may be given as any sequence of ids, a numpy array included,
     and is kept as a tuple; a read-only int64 copy backs the checks and the
-    arithmetic.
+    arithmetic.  normalized claims that every degenerate entry is zero: it
+    is checked here (ValueError otherwise) and not kept, and is_normalized
+    reads the table.
     """
 
     degree: int
     group: FiniteGroup
     module: CoefficientModule
     table: tuple[int, ...]
-    normalized: bool = field(default=False, compare=False)
+    normalized: InitVar[bool] = False
     _array: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, normalized):
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
         try:
@@ -218,15 +220,14 @@ class Cochain:
         arr.flags.writeable = False
         object.__setattr__(self, "_array", arr)
         object.__setattr__(self, "table", tuple(arr.tolist()))
-        if self.normalized and not self.is_normalized:
+        if normalized and not self.is_normalized:
             raise ValueError("flagged normalized but a degenerate entry is nonzero")
 
     @classmethod
     def zero(cls, group: FiniteGroup, module: CoefficientModule,
              degree: int) -> "Cochain":
         return cls(degree, group, module,
-                   np.zeros(group.order ** degree, dtype=np.int64),
-                   normalized=True)
+                   np.zeros(group.order ** degree, dtype=np.int64))
 
     @classmethod
     def from_function(cls, group: FiniteGroup, module: CoefficientModule,
@@ -262,18 +263,15 @@ class Cochain:
                 or not self.module.compatible_with(other.module)):
             raise ParentMismatch("cochains live over different parents")
 
-    def _like(self, values: np.ndarray, normalized: bool) -> "Cochain":
-        return Cochain(self.degree, self.group, self.module, values,
-                       normalized=normalized)
+    def _like(self, values: np.ndarray) -> "Cochain":
+        return Cochain(self.degree, self.group, self.module, values)
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._match(other)
-        return self._like(self.module.group.table[self._array, other._array],
-                          self.normalized and other.normalized)
+        return self._like(self.module.group.table[self._array, other._array])
 
     def __neg__(self) -> "Cochain":
-        return self._like(self.module.group.inverse[self._array],
-                          self.normalized)
+        return self._like(self.module.group.inverse[self._array])
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
@@ -281,7 +279,7 @@ class Cochain:
     def scale(self, k: int) -> "Cochain":
         M = self.module
         power = powers(M.group, np.arange(M.group.order), k % M.exponent)
-        return self._like(power[self._array], self.normalized)
+        return self._like(power[self._array])
 
 
 def random_cochain(group: FiniteGroup, module: CoefficientModule, degree: int,
@@ -297,25 +295,30 @@ def random_cochain(group: FiniteGroup, module: CoefficientModule, degree: int,
     return Cochain(degree, group, module, tuple(table), normalized=normalized)
 
 
+def check_cells(cells: int, what: str) -> None:
+    """BudgetExceeded when a dense table over G^n of this many cells is
+    past DEFAULT_ORDER_BOUND^4, the degree-3 cocycle check at the subgroup
+    cap; read off the shape before any table exists."""
+    if cells > DEFAULT_ORDER_BOUND ** 4:
+        raise BudgetExceeded(f"{what} has {cells} cells, past the limit "
+                             f"{DEFAULT_ORDER_BOUND ** 4}")
+
+
 def _differential_values(c: Cochain) -> np.ndarray:
     """Flat table of d(c) as an int64 array, in Cochain index order.
 
     Slots are open index grids over G^(n+1); every lookup is a gather at a
     flat index, into c's table or into A's flattened multiplication table.
     Its cost is |G|^(n+1) cells, each gathered through int64 indices:
-    BudgetExceeded, before anything is allocated, past the degree-3 check
-    at the subgroup cap, DEFAULT_ORDER_BOUND^4 cells.
+    check_cells reads that count before anything is allocated.
     """
     if c.degree > MAX_DEGREE:
         raise DegreeTooHigh(f"differential limited to degree {MAX_DEGREE}")
     G, M = c.group, c.module
     A = M.group
     s, n, nA = G.order, c.degree, A.order
-    if s ** (n + 1) > DEFAULT_ORDER_BOUND ** 4:
-        raise BudgetExceeded(
-            f"the coboundary of a degree-{n} cochain on a group of order "
-            f"{s} has {s ** (n + 1)} cells, past the limit "
-            f"{DEFAULT_ORDER_BOUND ** 4}")
+    check_cells(s ** (n + 1), f"the coboundary of a degree-{n} cochain on "
+                f"a group of order {s}")
     mul = A.table.ravel()
     inv = A.inverse
     idx = np.indices((s,) * (n + 1), sparse=True)
@@ -342,8 +345,7 @@ def _differential_values(c: Cochain) -> np.ndarray:
 
 def differential(c: Cochain) -> Cochain:
     """Bar-resolution differential; the module action applies to the first slot."""
-    return Cochain(c.degree + 1, c.group, c.module, _differential_values(c),
-                   normalized=c.normalized)
+    return Cochain(c.degree + 1, c.group, c.module, _differential_values(c))
 
 
 def is_cocycle(c: Cochain) -> bool:
@@ -620,7 +622,7 @@ def pushforward(c: Cochain, f: GroupHom,
                     raise NotAHomomorphism(
                         f"map is not action-equivariant at ({g},{a})")
     table = tuple(f(x) for x in c.table)
-    return Cochain(c.degree, c.group, target, table, normalized=c.normalized)
+    return Cochain(c.degree, c.group, target, table)
 
 
 def count_splittings(module: CoefficientModule, G: FiniteGroup,

@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .braidings import CrossedBraidingCertificate, GradingSpec
-from .cohomology import Cochain, CohomologyGroup, class_combination, \
-    is_cocycle, mu_module, trivial_module
+from .cohomology import Cochain, CohomologyGroup, check_cells, \
+    class_combination, is_cocycle, mu_module, trivial_module
 from .errors import NotACocycle, NotAGroup
 from .groups import FiniteGroup, build_group, builtin_group, json_int
 from .subcats import SubcatData, fpdim
@@ -73,7 +73,8 @@ def cochain_to_json(c: Cochain) -> dict:
 
 def cochain_from_json(G: FiniteGroup, obj) -> Cochain:
     """The cochain a document describes; NotACocycle when a field has the
-    wrong type."""
+    wrong type, and BudgetExceeded (check_cells) when its dense table
+    would be too large."""
     if not isinstance(obj, Mapping):
         raise NotACocycle("a cochain document must be a JSON object")
     degree = json_int(obj["degree"], "degree", NotACocycle)
@@ -89,7 +90,9 @@ def cochain_from_json(G: FiniteGroup, obj) -> Cochain:
     if not isinstance(entries, Mapping):
         raise NotACocycle("cochain entries must be a JSON object")
     s = G.order
-    table = [0] * (s ** degree)
+    check_cells(s ** degree,
+                f"a degree-{degree} cochain on a group of order {s}")
+    table = np.zeros(s ** degree, dtype=np.int64)
     for key, val in entries.items():
         gs = _unkey(key, degree)
         for g in gs:
@@ -101,7 +104,7 @@ def cochain_from_json(G: FiniteGroup, obj) -> Cochain:
         if not 0 <= v < module.group.order:
             raise NotACocycle(f"entry value {v} outside the coefficient range")
         table[flat] = v
-    return Cochain(degree, G, module, tuple(table),
+    return Cochain(degree, G, module, table,
                    normalized=bool(obj.get("normalized", False)))
 
 

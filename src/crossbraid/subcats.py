@@ -231,9 +231,7 @@ class SubcatData:
     that B satisfies every pairing axiom.  Data read off a solved pairing
     lattice (pair_subcats, enumerate_subcats) skip those checks: the pair
     came from commuting_normal_pairs or was checked by solve_pairings, and
-    every lattice point satisfies the axioms by construction.  So do the
-    unit pairings of unit_subcat, which satisfy the axioms wherever it
-    builds them.
+    every lattice point satisfies the axioms by construction.
     """
 
     parent: TwistedGroupData
@@ -548,22 +546,6 @@ def pair_subcats(data: TwistedGroupData, L: Subgroup, M: Subgroup,
     """
     sol = solve_pairings(data, L, M, killed)
     return iter(()) if sol is None else _solved_subcats(data, L, M, sol)
-
-
-def unit_subcat(data: TwistedGroupData, L: Subgroup,
-                M: Subgroup) -> SubcatData:
-    """S(L, M, 1), the pairing that is 1 everywhere, built with no sweep.
-
-    L and M must be commuting normal subgroups.  When M is trivial or the
-    twist is trivial, every beta offset in the axioms vanishes (the twist
-    is normalized), so the unit pairing satisfies them all; any other M
-    and twist raise ValueError.
-    """
-    if M.order != 1 and not data.omega.is_zero:
-        raise ValueError("the unit pairing needs a trivial M or twist")
-    table = (0,) * (L.order * M.order)
-    return SubcatData(data, L, M, OmegaBicharacter(data, L, M, table),
-                      _SOLVED)
 
 
 def subcat_key(s: SubcatData):

@@ -16,7 +16,6 @@ from crossbraid.subcats import (
     SubcatData,
     contains,
     enumerate_subcats,
-    unit_subcat,
     verify_bicharacter,
 )
 from crossbraid.twisted_center import TwistedGroupData
@@ -267,6 +266,9 @@ class TestGradingsOfRep:
         assert orders == [1, 2, 4]
         for s in specs:
             assert set(s.central.elements) <= set(cb.center(C4).elements)
+        keys = [(s.central.order, s.central.elements)
+                for s in gradings_of_rep(V4)]
+        assert keys == sorted(keys)
 
 
 class TestOracleEquivalence:
@@ -312,8 +314,16 @@ def verified_unit(data, L, M):
     return SubcatData(data, L, M, OmegaBicharacter(data, L, M, table))
 
 
+def nondegenerate(s):
+    """Whether every l but the identity pairs nontrivially with some m."""
+    return all(any(s.B.exponent_at(l, m) for m in s.M.elements)
+               for l in s.L.elements if l != 0)
+
+
 class TestUnitCopies:
-    """The canonical copies are built with no pairing sweep."""
+    """The conditions are read off (L, M, B) with no pairing sweep, and
+    agree with independent oracles: containment in the verified canonical
+    copy, the dimension count and the shape of the pairing."""
 
     @pytest.fixture
     def sweeps(self, monkeypatch):
@@ -347,6 +357,11 @@ class TestUnitCopies:
                 sweeps.clear()
                 assert [c.centralizes for c in got] == \
                     [contains(copy, s) for s in subs]
+                assert [c.fpdim for c in got] == \
+                    [G.order * s.L.order == N.order * s.M.order
+                     for s in subs]
+                assert [c.transverse for c in got] == \
+                    [set(s.M.elements) == set(G.elements) for s in subs]
                 assert [triple(c.witness) for c in certs] == \
                     [triple(s) for s, c in zip(subs, got) if c]
 
@@ -364,27 +379,9 @@ class TestUnitCopies:
             sweeps.clear()
             assert [c.centralizes for c in got] == \
                 [contains(copy, s) for s in subs]
+            assert [c.fpdim for c in got] == \
+                [spec.central.order * s.L.order == s.M.order for s in subs]
+            assert [c.transverse for c in got] == \
+                [nondegenerate(s) for s in subs]
             assert {triple(c.witness) for c in certs} == \
                 {triple(s) for s, c in zip(subs, got) if c}
-
-    @pytest.mark.parametrize("name", BATTERY)
-    def test_unit_pairing_passes_the_sweep_where_it_is_built(self, name):
-        H = cb.load_h3_fixture(name, verify=False)
-        G = H.group
-        for k in range(H.class_count):
-            data = TwistedGroupData(G, H.class_representative(k))
-            for L in cb.normal_subgroups(G):
-                s = unit_subcat(data, L, unit(G))
-                assert s == verified_unit(data, L, unit(G))
-                assert verify_bicharacter(s.B)
-        data = TwistedGroupData.trivial(G)
-        for L, M in cb.commuting_normal_pairs(G):
-            assert verify_bicharacter(unit_subcat(data, L, M).B)
-
-    def test_unit_pairing_refused_on_a_twisted_m(self):
-        data = twist("C2", 1)
-        with pytest.raises(ValueError):
-            unit_subcat(data, whole(C2), whole(C2))
-        # the refusal is needed: the unit pairing fails the sweep there
-        B = OmegaBicharacter(data, whole(C2), whole(C2), (0,) * 4)
-        assert not verify_bicharacter(B)
