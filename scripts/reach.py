@@ -24,6 +24,14 @@ runs one case from CASES in this process, so its peak resident set size
   Galois number subgroup_count((3, 3, 3) * 2).  That is past what
   all_subgroups or tier-1 runs: the pairing catalog of an order-27 group
   has 60K rows.
+- cli-subcats-order16: the CLI's subcats report for the untwisted
+  C2xC2xC2xC2 center, written into a sink that counts what it is handed
+  and keeps only the head of the first string.  Its count is the Galois
+  number subgroup_count((2,) * 8) = 417199, and so is the number of
+  entries written; the report is about 470 MB of text, which the writer
+  streams, so the run holds one pairing lattice's sorted points (the
+  largest has 2^16 tables of 256 entries) and reads about 210 MB.  The
+  result is (exit code, count, entries).
 
 The closed forms come from tests/test_acceptance.py.  A case prints each
 result, the wall time and the peak, and exits 1 unless every result
@@ -33,6 +41,7 @@ Every check is an if statement, so it holds under python -O too.
 
 import argparse
 import pathlib
+import re
 import resource
 import sys
 import time
@@ -40,6 +49,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from crossbraid.cli import run as run_cli  # noqa: E402
 from crossbraid.cohomology import cohomology_group, mu_module  # noqa: E402
 from crossbraid.groups import builtin_group  # noqa: E402
 from crossbraid.subcats import enumerate_subcats  # noqa: E402
@@ -55,6 +65,32 @@ def h3(G, modulus):
 
 def subcats_of_untwisted(G):
     return lambda: len(enumerate_subcats(TwistedGroupData.trivial(G)))
+
+
+class CountingSink:
+    """A stdout that keeps the first string it is handed and counts the
+    bytes and the subcategory entries (one "fpdim" key each) of all."""
+
+    def __init__(self):
+        self.head = None
+        self.bytes = 0
+        self.entries = 0
+
+    def write(self, text: str) -> None:
+        if self.head is None:
+            self.head = text
+        self.bytes += len(text)
+        self.entries += text.count('"fpdim": ')
+
+
+def cli_subcats(group):
+    def compute():
+        sink = CountingSink()
+        code = run_cli(["subcats", "--group", group], out=sink)
+        count = re.search(r'"count": (\d+)', sink.head)
+        print(f"{sink.bytes} bytes written")
+        return code, count and int(count.group(1)), sink.entries
+    return compute
 
 
 # case: (computations, PEAK_RSS_MB); a computation is (its printed line,
@@ -74,6 +110,11 @@ CASES = {
          subcats_of_untwisted(builtin_group("C3xC3xC3")),
          subgroup_count((3, 3, 3) * 2)),
     ), 600),
+    "cli-subcats-order16": ((
+        ("subcats --group C2xC2xC2xC2: exit, count and entries {}",
+         cli_subcats("C2xC2xC2xC2"),
+         (0,) + (subgroup_count((2,) * 8),) * 2),
+    ), 350),
 }
 
 

@@ -70,6 +70,7 @@ from .obstructions import (
 )
 from .serialize import (
     H3_BATTERY,
+    Stream,
     certificate_to_json,
     cochain_from_json,
     cochain_to_json,
@@ -77,9 +78,16 @@ from .serialize import (
     h3_class_representative,
     load_h3_fixture,
     subcat_to_json,
+    write_json,
 )
 from .subcats import DEFAULT_BUDGET as SUBCAT_BUDGET
-from .subcats import centralizer_subcat, enumerate_subcats, fpdim, working_modulus
+from .subcats import (
+    centralizer_subcat,
+    enumerate_subcats,
+    fpdim,
+    solve_subcats,
+    working_modulus,
+)
 from .twisted_center import (
     TwistedGroupData,
     beta_restricted_cocycle,
@@ -288,14 +296,16 @@ def _cmd_subcats(cfg: RunConfig):
     # cocycle check
     check_lattice_order(G)
     data = _load_twist(cfg, G)
-    subs = enumerate_subcats(
+    # every pair is solved and the budget read here; the data are made
+    # as the report is written
+    count, subs = solve_subcats(
         data, budget=_positive(cfg.budget, "--budget", SUBCAT_BUDGET))
     report = {
         "group": _describe(G),
         "omega": cfg.omega,
         "working_modulus": working_modulus(data),
-        "count": len(subs),
-        "subcategories": [subcat_to_json(s) for s in subs],
+        "count": count,
+        "subcategories": Stream(subs, subcat_to_json),
     }
     return 0, report
 
@@ -330,7 +340,7 @@ def _cmd_crossed_pointed(cfg: RunConfig):
     certs = enumerate_pointed(data, pi)
     base.update({
         "count": len(certs),
-        "certificates": [certificate_to_json(c) for c in certs],
+        "certificates": Stream(certs, certificate_to_json),
     })
     return 0, base
 
@@ -348,7 +358,7 @@ def _cmd_crossed_rep(cfg: RunConfig):
         "group": _describe(G),
         "center_subgroup": [int(x) for x in H.elements],
         "count": len(certs),
-        "certificates": [certificate_to_json(c) for c in certs],
+        "certificates": Stream(certs, certificate_to_json),
     }
     return 0, report
 
@@ -634,6 +644,8 @@ def _parse_args(argv) -> RunConfig:
 def _render_table(report: dict) -> str:
     rows = []
     for key, value in report.items():
+        if isinstance(value, Stream):
+            value = list(value)
         if isinstance(value, (list, dict)):
             value = json.dumps(value, separators=(",", ":"))
         rows.append((key, str(value)))
@@ -656,8 +668,11 @@ def run(argv=None, out=None) -> int:
             json.JSONDecodeError) as e:
         out.write(dump_json({"error": type(e).__name__, "reason": str(e)}))
         return 1
+    # a handler raises every error its input can cause before it returns,
+    # so nothing raises once the report's first byte is written; a Stream
+    # in it is made as it is written (write_json)
     if cfg.format == "json":
-        out.write(dump_json(report))
+        write_json(report, out.write)
     else:
         out.write(_render_table(report))
     return code

@@ -295,13 +295,23 @@ def random_cochain(group: FiniteGroup, module: CoefficientModule, degree: int,
     return Cochain(degree, group, module, tuple(table), normalized=normalized)
 
 
-def check_cells(cells: int, what: str) -> None:
-    """BudgetExceeded when a dense table over G^n of this many cells is
-    past DEFAULT_ORDER_BOUND^4, the degree-3 cocycle check at the subgroup
-    cap; read off the shape before any table exists."""
-    if cells > DEFAULT_ORDER_BOUND ** 4:
-        raise BudgetExceeded(f"{what} has {cells} cells, past the limit "
-                             f"{DEFAULT_ORDER_BOUND ** 4}")
+def check_cells(order: int, degree: int, what: str) -> None:
+    """BudgetExceeded when a dense table over G^degree, for G of this
+    order, is past DEFAULT_ORDER_BOUND^4 cells, the degree-3 cocycle check
+    at the subgroup cap; read off the shape before any table exists.
+
+    Past limit.bit_length() factors of at least 2 the table is past the
+    limit, so the power is taken only below that degree: a huge degree
+    costs neither the power nor its digits in the message.
+    """
+    limit = DEFAULT_ORDER_BOUND ** 4
+    if order > 1 and degree >= limit.bit_length():
+        cells = f"{order}^{degree}"
+    else:
+        cells = order ** degree
+        if cells <= limit:
+            return
+    raise BudgetExceeded(f"{what} has {cells} cells, past the limit {limit}")
 
 
 def _differential_values(c: Cochain) -> np.ndarray:
@@ -317,7 +327,7 @@ def _differential_values(c: Cochain) -> np.ndarray:
     G, M = c.group, c.module
     A = M.group
     s, n, nA = G.order, c.degree, A.order
-    check_cells(s ** (n + 1), f"the coboundary of a degree-{n} cochain on "
+    check_cells(s, n + 1, f"the coboundary of a degree-{n} cochain on "
                 f"a group of order {s}")
     mul = A.table.ravel()
     inv = A.inverse

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import functools
 import json
-from collections.abc import Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
@@ -90,7 +91,7 @@ def cochain_from_json(G: FiniteGroup, obj) -> Cochain:
     if not isinstance(entries, Mapping):
         raise NotACocycle("cochain entries must be a JSON object")
     s = G.order
-    check_cells(s ** degree,
+    check_cells(s, degree,
                 f"a degree-{degree} cochain on a group of order {s}")
     table = np.zeros(s ** degree, dtype=np.int64)
     for key, val in entries.items():
@@ -132,14 +133,14 @@ def grading_to_json(g: GradingSpec) -> dict:
 def certificate_to_json(cert: CrossedBraidingCertificate) -> dict:
     """Certificate document.  Its "ambient" dict (the group table and the
     twist) is shared: every certificate over the same TwistedGroupData gets
-    the same object, built on the first call, so callers must not mutate
-    it.  dump_json encodes a shared subtree once."""
+    the same SharedDict, built on the first call, so callers must not
+    mutate it; the writer encodes it once per call."""
     data = cert.witness.parent
     if data._ambient_json is None:
-        data._ambient_json = {
-            "group": group_to_json(data.group),
-            "omega": cochain_to_json(data.omega),
-        }
+        data._ambient_json = SharedDict(
+            group=group_to_json(data.group),
+            omega=cochain_to_json(data.omega),
+        )
     return {
         "ambient": data._ambient_json,
         "grading": grading_to_json(cert.grading),
@@ -231,6 +232,31 @@ def h3_class_representative(name: str, index: int) -> Cochain:
         lambda j: _stored_representative(name, j), index)
 
 
+class SharedDict(dict):
+    """A dict many documents hold by reference, such as the ambient every
+    certificate over one twist shares: the writer encodes it once per
+    depth per call.  json encodes it as a plain dict."""
+
+
+@dataclass(frozen=True)
+class Stream:
+    """A report's list whose documents are made as it is written.
+
+    Iterating it maps to_json over items; write_json writes each document
+    before the next is made, and list(stream) gives them all.  Only a
+    top-level value of a report may be a Stream, and it is read once.
+    Neither items nor to_json may raise: every error the input can cause
+    must be raised before the report is returned, since the report's text
+    has begun when the stream is read.
+    """
+
+    items: Iterable
+    to_json: Callable[[object], object]
+
+    def __iter__(self) -> Iterator:
+        return map(self.to_json, self.items)
+
+
 # exact types json writes the same at every depth
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
@@ -271,10 +297,10 @@ def _write(obj, level: int, out: list, memo: dict, active: set) -> None:
     nesting depth level.
 
     A container of scalars is one C call.  Any other container is walked
-    here, and memo keeps the span of out its text fills under (id, depth),
-    so a subtree met again at the same depth is copied from that span, not
-    encoded again.  active holds the ids of the containers being walked,
-    to reject a cycle as json does.
+    here; a SharedDict is walked once per depth, and memo keeps its text,
+    with the dict itself so that its id cannot be reused while the memo
+    lives.  active holds the ids of the containers being walked, to
+    reject a cycle as json does.
     """
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, (list, tuple))):
@@ -289,15 +315,19 @@ def _write(obj, level: int, out: list, memo: dict, active: set) -> None:
         text = _flat(level + 1)(obj)
         out += (text[0], inner, text[1:-1], outer, text[-1])
         return
-    key = (id(obj), level)
-    span = memo.get(key)
-    if span is not None:
-        out += out[span[0]:span[1]]
-        return
     if id(obj) in active:
         raise ValueError("Circular reference detected")
+    if type(obj) is SharedDict:
+        key = (id(obj), level)
+        if key not in memo:
+            active.add(id(obj))
+            text = []
+            _write(dict(obj), level, text, memo, active)
+            active.discard(id(obj))
+            memo[key] = obj, "".join(text)
+        out.append(memo[key][1])
+        return
     active.add(id(obj))
-    start = len(out)
     brk = inner
     if is_dict:
         out.append("{")
@@ -314,21 +344,73 @@ def _write(obj, level: int, out: list, memo: dict, active: set) -> None:
             _write(v, level + 1, out, memo, active)
         out += (outer, "]")
     active.discard(id(obj))
-    memo[key] = start, len(out)
+
+
+# text pieces a streamed list gathers before write gets them as one string
+_CHUNK = 4096
+
+
+def write_json(obj, write) -> None:
+    """Hand write the text dump_json(obj) returns, in one or more strings.
+
+    A value of a top-level dict may be a Stream: its items are made,
+    encoded and handed on one at a time, every _CHUNK text pieces, so the
+    items, their documents and the text are never all held at once.  Any
+    other obj is handed on in one string.  A Stream must not raise once
+    it is iterated: the report's text has begun by then, and an error
+    there would end stdout in half a document (see Stream).
+    """
+    out: list[str] = []
+    memo: dict = {}
+    active: set = set()
+    if type(obj) is dict and any(type(v) is Stream for v in obj.values()):
+        inner, sep, outer = _breaks(0)
+        brk = inner
+        out.append("{")
+        for k, v in obj.items():
+            out.append(brk + _key_text(k) + ": ")
+            brk = sep
+            if type(v) is Stream:
+                _write_stream(v, out, memo, active, write)
+            else:
+                _write(v, 1, out, memo, active)
+        out += (outer, "}")
+    else:
+        _write(obj, 0, out, memo, active)
+    out.append("\n")
+    write("".join(out))
+
+
+def _write_stream(stream: Stream, out: list, memo: dict, active: set,
+                  write) -> None:
+    """Append a Stream at depth 1 as its list of documents, handing out
+    to write, and emptying it, every _CHUNK pieces."""
+    inner, sep, outer = _breaks(1)
+    brk = inner
+    out.append("[")
+    for doc in stream:
+        out.append(brk)
+        brk = sep
+        _write(doc, 2, out, memo, active)
+        if len(out) >= _CHUNK:
+            write("".join(out))
+            out.clear()
+    # an empty stream leaves "[" and "]" side by side: "[]"
+    out.append("]" if brk is inner else outer + "]")
 
 
 def dump_json(obj) -> str:
-    """Canonical dump used by the CLI: json.dumps(obj, indent=2) plus a
-    newline, byte for byte, with the same TypeError or ValueError.
+    """Canonical dump: json.dumps(obj, indent=2) plus a newline, byte for
+    byte, with the same TypeError or ValueError; write_json's text as one
+    string.
 
     CPython up to 3.12 encodes indent in pure Python, so this writer walks
     the containers itself (_write): a container of scalars goes to the C
-    encoder in one call, and a subtree that appears more than once at one
-    depth, such as the ambient every crossed-braiding certificate shares,
-    is encoded once per call.  CPython 3.13 encodes indent in C, so the
-    writer can give way to json.dumps once requires-python reaches 3.13.
+    encoder in one call, and a SharedDict, such as the ambient every
+    crossed-braiding certificate shares, is encoded once per depth per
+    call.  CPython 3.13 encodes indent in C, so the walk can give way to
+    json.dumps once requires-python reaches 3.13.
     """
-    out: list[str] = []
-    _write(obj, 0, out, {}, set())
-    out.append("\n")
-    return "".join(out)
+    pieces: list[str] = []
+    write_json(obj, pieces.append)
+    return "".join(pieces)

@@ -531,8 +531,9 @@ def solve_pairings(data: TwistedGroupData, L: Subgroup, M: Subgroup,
 
 
 def _solved_subcats(data: TwistedGroupData, L: Subgroup, M: Subgroup,
-                    sol: CongruenceSolution) -> Iterator[SubcatData]:
-    for tab in sol.enumerate():
+                    tables) -> Iterator[SubcatData]:
+    """S(L, M, B) for each table, read off a solved pairing lattice."""
+    for tab in tables:
         B = OmegaBicharacter._reduced(data, L, M, tab)
         yield SubcatData(data, L, M, B, _SOLVED)
 
@@ -545,13 +546,45 @@ def pair_subcats(data: TwistedGroupData, L: Subgroup, M: Subgroup,
     result is iterated.
     """
     sol = solve_pairings(data, L, M, killed)
-    return iter(()) if sol is None else _solved_subcats(data, L, M, sol)
+    return iter(()) if sol is None else \
+        _solved_subcats(data, L, M, sol.enumerate())
 
 
 def subcat_key(s: SubcatData):
     """The canonical order of subcategory data: (|L|, |M|, L ids, M ids,
     table)."""
     return (s.L.order, s.M.order, s.L.elements, s.M.elements, s.B.table)
+
+
+def solve_subcats(data: TwistedGroupData, budget: int = DEFAULT_BUDGET
+                  ) -> tuple[int, Iterator[SubcatData]]:
+    """The number of subcategory data over the twist, and an iterator
+    over them in canonical order.
+
+    Every commuting normal pair is solved at the call (solve_pairings), in
+    commuting_normal_pairs order, and BudgetExceeded is raised there once
+    the valid pairings, summed over the pairs, pass the budget.  The
+    iterator then raises nothing: it visits the solved pairs in (|L|, |M|,
+    L ids, M ids) order and each pair's lattice points sorted by table,
+    which is subcat_key order, and builds one datum at a time.  Only one
+    pair's points are held at once.
+    """
+    found = 0
+    solved = []
+    for L, M in commuting_normal_pairs(data.group):
+        sol = solve_pairings(data, L, M)
+        if sol is None:
+            continue
+        found += sol.count
+        if found > budget:
+            raise BudgetExceeded(
+                f"{found} valid pairings exceed budget {budget}")
+        solved.append((L, M, sol))
+    solved.sort(key=lambda p: (p[0].order, p[1].order,
+                               p[0].elements, p[1].elements))
+    return found, (s for L, M, sol in solved
+                   for s in _solved_subcats(data, L, M,
+                                            sorted(sol.enumerate())))
 
 
 def enumerate_subcats(data: TwistedGroupData,
@@ -563,18 +596,6 @@ def enumerate_subcats(data: TwistedGroupData,
     exactly with no filter afterwards.  The budget bounds the number of
     valid pairings, summed over the pairs.  The result is sorted by
     subcat_key, is duplicate free, and always includes S(1, G, 1) and
-    S(1, 1, 1).
+    S(1, 1, 1): the list solve_subcats streams.
     """
-    found = 0
-    out = []
-    for L, M in commuting_normal_pairs(data.group):
-        sol = solve_pairings(data, L, M)
-        if sol is None:
-            continue
-        found += sol.count
-        if found > budget:
-            raise BudgetExceeded(
-                f"{found} valid pairings exceed budget {budget}")
-        out.extend(_solved_subcats(data, L, M, sol))
-    out.sort(key=subcat_key)
-    return out
+    return list(solve_subcats(data, budget)[1])

@@ -580,3 +580,31 @@ def test_untwisted_pointed_braidings_are_homs_to_the_dual():
                     (name, K.elements)
                 pairs += 1
     assert pairs > 100
+
+
+def cyclic_twist(n, k):
+    """The cochain document of omega_k(x, y, z) = k x floor((y + z) / n)
+    mod n on C_n, whose element ids are the residues mod n."""
+    return {"degree": 3, "modulus": n, "entries": {
+        f"{x},{y},{z}": k * x % n
+        for x in range(n) for y in range(n) for z in range(n)
+        if y + z >= n and k * x % n}}
+
+
+def test_subcats_of_twisted_cyclic_centers(tmp_path):
+    # Z(Vec_{C_n}^{omega_k}) is pointed, by Z/(n^2/g) x Z/g with
+    # g = gcd(n, 2k): the flux relation m^n = e^(2k) (de Wild Propitius,
+    # thesis, Amsterdam 1995); its subcategories are the subgroups
+    path = tmp_path / "omega.json"
+    cases = 0
+    with Budget(5):
+        for n in (2, 3, 4, 5, 6, 8, 9, 12):
+            for k in range(n):
+                path.write_text(json.dumps(cyclic_twist(n, k)))
+                code, doc = go_json("subcats", "--group", f"C{n}",
+                                    "--omega", str(path))
+                g = math.gcd(n, 2 * k)
+                assert code == 0, doc
+                assert doc["count"] == subgroup_count((n * n // g, g)), (n, k)
+                cases += 1
+    assert cases == 49

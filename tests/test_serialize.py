@@ -1,8 +1,10 @@
-"""dump_json against json.dumps(indent=2), and the shared certificate ambient.
+"""dump_json and write_json against json.dumps(indent=2), the shared
+certificate ambient, and the CLI's streamed reports.
 
-dump_json walks containers itself and keeps each subtree's text per call
-under (id, depth); every test here compares it with the stdlib encoder,
-byte for byte, errors included.
+dump_json walks containers itself and keeps a SharedDict's text per call
+under (id, depth); write_json writes a report's Stream one document at a
+time.  Every test here compares them with the stdlib encoder, byte for
+byte, errors included.
 """
 
 import io
@@ -12,8 +14,17 @@ import numpy as np
 import pytest
 
 import crossbraid as cb
-from crossbraid import cli
-from crossbraid.serialize import certificate_to_json, dump_json
+from crossbraid import cli, subcats
+from crossbraid.serialize import (
+    H3_BATTERY,
+    SharedDict,
+    Stream,
+    certificate_to_json,
+    dump_json,
+    load_h3_fixture,
+    subcat_to_json,
+    write_json,
+)
 
 
 def reference(obj) -> str:
@@ -22,6 +33,16 @@ def reference(obj) -> str:
 
 def assert_same(obj):
     assert dump_json(obj) == reference(obj)
+
+
+def assert_same_text(got: str, want: str):
+    """got == want, reported at the first difference: a full diff of two
+    megabyte texts would take pytest minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"texts differ at {at} of {len(got)} and {len(want)}: "
+                    f"{got[at - 80:at + 80]!r} != {want[at - 80:at + 80]!r}")
 
 
 class TestAgainstJsonDumps:
@@ -118,3 +139,149 @@ class TestSharedAmbient:
         doc = json.loads(text)
         assert doc["count"] == len(doc["certificates"]) > 1
         assert text == reference(doc)
+
+
+def fresh_docs(n):
+    """n documents built one at a time, each dropped once written, so
+    their containers' ids repeat: every third holds one long-lived shared
+    dict, and every other third a shared dict of its own, so the ids of
+    shared dicts would repeat too if the writer let them go."""
+    shared = SharedDict(rows=[[1, 2], [3, 4]], tag={"depth": [0, {}]})
+    for i in range(n):
+        doc = {"i": i, "rows": [[i, i + 1], {"k": [i, [i, {}]]}],
+               "name": f"doc {i}", "empty": [], "sub": {"x": (i, None)}}
+        if i % 3 == 0:
+            doc["shared"] = shared
+            doc["nested"] = [shared, {"again": shared}]
+        elif i % 3 == 1:
+            own = SharedDict(i=[i, {"j": [i]}])
+            doc["own"] = [own, {"again": own}]
+        yield doc
+
+
+class TestStream:
+    """write_json's streamed reports against json.dumps of the list."""
+
+    def write(self, obj):
+        pieces = []
+        write_json(obj, pieces.append)
+        return pieces
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 50, 2000])
+    def test_fresh_documents(self, n):
+        pieces = self.write({"count": n, "docs": Stream(fresh_docs(n), dict),
+                             "after": [1, {"z": 2}]})
+        want = json.dumps({"count": n, "docs": list(fresh_docs(n)),
+                           "after": [1, {"z": 2}]}, indent=2) + "\n"
+        assert_same_text("".join(pieces), want)
+        # past _CHUNK pieces the text is handed on in several strings
+        assert (len(pieces) > 1) == (n == 2000)
+
+    def test_items_pass_through_to_json(self):
+        stream = Stream(range(5), lambda i: {"square": [i * i]})
+        text = "".join(self.write({"squares": stream}))
+        assert text == reference(
+            {"squares": [{"square": [i * i]} for i in range(5)]})
+
+    def test_streams_only_at_the_top_level(self):
+        assert dump_json({"a": Stream([1], int)}) == reference({"a": [1]})
+        with pytest.raises(TypeError, match="Stream"):
+            dump_json({"a": {"b": Stream([1], int)}})
+
+    def test_shared_dict_is_a_dict_to_json(self):
+        shared = SharedDict(a=[1, {"b": 2}])
+        assert_same({"x": shared, "y": [shared, [shared]]})
+        assert json.dumps(shared) == json.dumps(dict(shared))
+
+    def test_shared_dict_in_a_cycle(self):
+        shared = SharedDict(a=[])
+        shared["a"].append(shared)
+        with pytest.raises(ValueError, match="Circular reference"):
+            dump_json({"top": shared})
+
+
+def render_table(doc: dict) -> str:
+    """The table format, read off the parsed JSON document."""
+    rows = [(k, json.dumps(v, separators=(",", ":"))
+             if isinstance(v, (list, dict)) else str(v))
+            for k, v in doc.items()]
+    width = max(len(k) for k, _ in rows)
+    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
+
+
+def materialized_subcats(data):
+    """Every S(L, M, B), pair by pair, then sorted by subcat_key."""
+    subs = [s for L, M in cb.commuting_normal_pairs(data.group)
+            for s in subcats.pair_subcats(data, L, M)]
+    subs.sort(key=subcats.subcat_key)
+    return subs
+
+
+def stored_twists():
+    for name in H3_BATTERY:
+        for k in range(load_h3_fixture(name, verify=False).class_count):
+            yield name, k
+
+
+class TestStreamedReports:
+    """The CLI's streamed stdout is json.dumps(indent=2) of the report
+    built as a list, and its table format is read off that document."""
+
+    def check(self, argv, report):
+        out = io.StringIO()
+        assert cli.run(argv, out=out) == 0
+        assert_same_text(out.getvalue(), reference(report))
+        table = io.StringIO()
+        assert cli.run(argv + ["--format", "table"], out=table) == 0
+        assert_same_text(table.getvalue(), render_table(report))
+
+    def check_subcats(self, name, omega, data):
+        subs = materialized_subcats(data)
+        self.check(["subcats", "--group", name, "--omega", omega], {
+            "group": name, "omega": omega,
+            "working_modulus": subcats.working_modulus(data),
+            "count": len(subs),
+            "subcategories": [subcat_to_json(s) for s in subs]})
+
+    @pytest.mark.parametrize("name, k", list(stored_twists()))
+    def test_subcats_of_every_stored_twist(self, name, k):
+        G = cb.builtin_group(name)
+        data = cb.TwistedGroupData(G, cb.h3_class_representative(name, k))
+        self.check_subcats(name, f"repr:{k}", data)
+
+    @pytest.mark.parametrize("name", ["C2xC2xC2", "C2xC4", "S3", "D8", "Q8"])
+    def test_subcats_untwisted(self, name):
+        data = cb.TwistedGroupData.trivial(cb.builtin_group(name))
+        self.check_subcats(name, "trivial", data)
+
+    @pytest.mark.parametrize("name, central", [
+        ("C2xC4", "full"), ("C2xC4", "trivial"), ("D8", "full"),
+        ("C2xC2xC2", "0"), ("Q8", "0,1")])
+    def test_crossed_rep(self, name, central):
+        G = cb.builtin_group(name)
+        if central == "full":
+            H = cb.center(G)
+        else:
+            ids = (0,) if central == "trivial" else central.split(",")
+            H = cb.Subgroup(G, tuple(map(int, ids)))
+        certs = cb.enumerate_rep(G, H)
+        self.check(["crossed-rep", "--group", name,
+                    "--center-subgroup", central], {
+            "group": name, "center_subgroup": list(H.elements),
+            "count": len(certs),
+            "certificates": [certificate_to_json(c) for c in certs]})
+
+    @pytest.mark.parametrize("name, k, kernel", [
+        ("C4", 1, "0,2"), ("C2xC2", 3, "0"), ("D8", 2, "0,2"),
+        ("C6", 5, "0,3"), ("Q8", 0, "0,1")])
+    def test_crossed_pointed(self, name, k, kernel):
+        G = cb.builtin_group(name)
+        data = cb.TwistedGroupData(G, cb.h3_class_representative(name, k))
+        _, pi = cb.quotient(G, cb.Subgroup(G, tuple(
+            map(int, kernel.split(",")))))
+        certs = cb.enumerate_pointed(data, pi)
+        self.check(["crossed-pointed", "--group", name, "--omega",
+                    f"repr:{k}", "--grading", f"quotient-by:{kernel}"], {
+            "group": name, "omega": f"repr:{k}",
+            "grading_order": pi.target.order, "count": len(certs),
+            "certificates": [certificate_to_json(c) for c in certs]})
