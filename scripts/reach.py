@@ -24,6 +24,14 @@ runs one case from CASES in this process, so its peak resident set size
   Galois number subgroup_count((3, 3, 3) * 2).  That is past what
   all_subgroups or tier-1 runs: the pairing catalog of an order-27 group
   has 60K rows.
+- subcats-order40: the subcategories of the untwisted C40 and D8xC5
+  centers.  For C40 they are the subgroups of C40 x C40, Birkhoff's
+  count subgroup_count((40, 40)) = 296.  D8 and C5 have coprime orders,
+  so every normal subgroup of D8xC5 is a product (Goursat's lemma), a
+  pairing between the parts is trivial and the counts multiply: 45, the
+  pinned count of D8, times subgroup_count((5, 5)).  Each pairing system
+  keeps only the rows at generators, so its factor's row transform stays
+  small.
 - cli-subcats-order16: the CLI's subcats report for the untwisted
   C2xC2xC2xC2 center, written into a sink that counts what it is handed
   and keeps only the head of the first string.  Its count is the Galois
@@ -51,7 +59,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from crossbraid.cli import run as run_cli  # noqa: E402
 from crossbraid.cohomology import cohomology_group, mu_module  # noqa: E402
-from crossbraid.groups import builtin_group  # noqa: E402
+from crossbraid.groups import (builtin_group, cyclic,  # noqa: E402
+                               product_group)
 from crossbraid.subcats import enumerate_subcats  # noqa: E402
 from crossbraid.twisted_center import TwistedGroupData  # noqa: E402
 from test_acceptance import (abelian_cohomology, dicyclic,  # noqa: E402
@@ -109,7 +118,14 @@ CASES = {
         ("subcategories of Z(Vec_C3xC3xC3): {}",
          subcats_of_untwisted(builtin_group("C3xC3xC3")),
          subgroup_count((3, 3, 3) * 2)),
-    ), 600),
+    ), 350),
+    "subcats-order40": ((
+        ("subcategories of Z(Vec_C40): {}",
+         subcats_of_untwisted(builtin_group("C40")), subgroup_count((40, 40))),
+        ("subcategories of Z(Vec_D8xC5): {}",
+         subcats_of_untwisted(product_group(builtin_group("D8"), cyclic(5))),
+         45 * subgroup_count((5, 5))),
+    ), 290),
     "cli-subcats-order16": ((
         ("subcats --group C2xC2xC2xC2: exit, count and entries {}",
          cli_subcats("C2xC2xC2xC2"),

@@ -12,6 +12,7 @@ import itertools
 import re
 from collections import OrderedDict
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -220,6 +221,19 @@ class Subgroup:
 
     def sort_key(self):
         return (len(self.elements), self.elements)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, greedy and ascending: each generator is the
+        least element outside what the earlier ones generate.  Empty for
+        the trivial subgroup."""
+        gens: list[int] = []
+        have: tuple[int, ...] = (0,)
+        while len(have) < self.order:
+            inside = set(have)
+            gens.append(next(x for x in self.elements if x not in inside))
+            have = closure(self.parent, gens)
+        return tuple(gens)
 
 
 @dataclass(frozen=True)
@@ -723,16 +737,6 @@ def commuting_normal_pairs(G: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
 # -- abelian structure ------------------------------------------------------
 
 
-def _greedy_generators(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    have = closure(G, ())
-    while len(have) < G.order:
-        inside = set(have)
-        gens.append(next(x for x in G.elements if x not in inside))
-        have = closure(G, gens)
-    return gens
-
-
 def enumerate_homs_to_abelian(G: FiniteGroup, A: FiniteGroup) -> list[tuple[int, ...]]:
     """All homomorphisms G -> A (A abelian), as image tuples, sorted.
 
@@ -740,7 +744,7 @@ def enumerate_homs_to_abelian(G: FiniteGroup, A: FiniteGroup) -> list[tuple[int,
     """
     if not A.is_abelian:
         raise NotAbelian("target of hom enumeration must be abelian")
-    gens = _greedy_generators(G)
+    gens = list(Subgroup(G, tuple(G.elements), _CLOSED).generators)
     steps = G.table[:, gens].tolist()
     out = []
     for imgs in itertools.product(A.elements, repeat=len(gens)):
@@ -958,7 +962,7 @@ def is_isomorphic(G1: FiniteGroup, G2: FiniteGroup,
     sizes2 = sorted(len(c) for _, c in conjugacy_classes(G2))
     if sizes1 != sizes2:
         return False
-    gens = _greedy_generators(G1)
+    gens = list(Subgroup(G1, tuple(G1.elements), _CLOSED).generators)
     cand_lists = [np.flatnonzero(o2 == o1[g]).tolist() for g in gens]
     return _iso_search(G1.table.tolist(), G2.table.tolist(), gens,
                        cand_lists, {0: 0})

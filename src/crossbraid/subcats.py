@@ -298,8 +298,8 @@ def _pairing_factor(mod: int, shape: tuple[int, int],
                     cells: bytes) -> CongruenceFactor:
     """The factored pairing system with these rows, kept for the process.
 
-    The key is the content of the deduplicated rows (their bytes in the
-    smallest unsigned type holding N'), so equal systems share a factor
+    The key is the content of the rows (their bytes in the smallest
+    unsigned type holding N'), so equal systems share a factor
     whatever group or twist they came from.  A depends on the group and
     the pair (L, M) only; every twist enters through the offsets b, which
     are never cached.  Least recently used factors are dropped past
@@ -309,90 +309,74 @@ def _pairing_factor(mod: int, shape: tuple[int, int],
     return CongruenceFactor(A, mod)
 
 
+# the largest pairing catalog built: 3 |G|^3 + |G|^2 rows at order 547,
+# about 30 bytes a row
+_CATALOG_ROWS = 3 * 547 ** 3 + 547 ** 2
+
+
 class _PairingCatalog:
     """Every pairing row over one (G, N'), sparse, for all its systems.
 
     The rows are those of _axiom_blocks(G, G, G) and then the unit rows
-    e_(l,h) over G x G, each block row-major over its axes (kinds names
-    the subgroup each axis runs over; K is the killed one).  The (L, M)
+    e_(l,h) over G x G, each block row-major over its axes.  kinds names
+    the subgroup each axis of a system's block runs over: _AXES with one
+    axis of each axiom block cut to a generating set (lower case, see
+    _PairingSystem), then L x K for the killed subgroup K.  The (L, M)
     system's rows are the catalog rows at its element ids, in the same
-    order: each has every nonzero cell in L x M, and the cells map one to
-    one onto the system's columns, so two rows of a system are equal
-    exactly when their catalog rows are.
+    order: each has every nonzero cell in L x M.  gens is the generating
+    set of G the invariance block takes.
 
-    A row is held as its class id, and each class as at most three
-    (cell l * |G| + h, coefficient) terms: int32 cells, equal cells
-    merged, terms that vanish mod N' dropped and the rest sorted, padded
-    with cell |G|^2 and coefficient 0.  Coefficients are residues mod N'
-    in the type of the factor keys, the smallest unsigned one holding
-    N'.  zero flags the rows reading 0 = 0.  A row's beta offset is held
-    in the same padded three-term form: gather holds its terms' int32
-    flat indices into beta_table.ravel() and signs their int8 signs,
-    rows x 3 each, with index 0 and sign 0 on padding.
+    A row is held as three (cell l * |G| + h, coefficient) terms, rows x
+    3 each: int32 cells, with equal cells merged and terms that vanish mod
+    N' moved to the padding cell |G|^2, and coefficients as residues mod
+    N' in the smallest unsigned type holding N'.  A row's beta offset is
+    held in the same padded three-term form: gather holds its terms' int32
+    flat indices into beta_table.ravel() and signs their int8 signs, with
+    index 0 and sign 0 on padding.
     """
 
-    __slots__ = ("starts", "gather", "signs", "cls", "zero", "cells",
-                 "coefs")
+    __slots__ = ("starts", "gather", "signs", "cells", "coefs", "gens")
 
-    kinds = _AXES + (("L", "K"),)
+    kinds = (("L", "M", "m"), ("L", "l", "M"), ("g", "L", "M"), ("L", "K"))
 
     def __init__(self, G, mod: int):
         n = G.order
-        # a term packs into cell * 7 + coefficient + 3 and a row into
-        # three terms in base `base`, all in one int64
-        base = 7 * (n * n + 1)
-        if base ** 3 >= 1 << 63:
+        rows = 3 * n ** 3 + n ** 2
+        if rows > _CATALOG_ROWS:
             raise GroupTooLarge(
-                f"pairing rows of a group of order {n} exceed int64 keys")
+                f"the pairing catalog of a group of order {n} holds {rows} "
+                f"rows, past {_CATALOG_ROWS}")
         whole = Subgroup(G, G.elements)
         units = ((G.elements, G.elements),
                  ((np.arange(n * n).reshape(n, n), 1),), ())
         cells, coefs, gather, signs, starts = [], [], [], [], [0]
         for axes, terms, offset in _axiom_blocks(G, whole, whole) + (units,):
             shape = (n,) * len(axes)
-            c = np.zeros((3,) + shape, dtype=np.int64)
-            k = np.zeros((3,) + shape, dtype=np.int8)
+            c = np.full(shape + (3,), n * n, dtype=np.int32)
+            k = np.zeros(shape + (3,), dtype=np.int8)
             for t, (cols, coef) in enumerate(terms):
-                c[t], k[t] = cols, coef
-            cells.append(c.reshape(3, -1))
-            coefs.append(k.reshape(3, -1))
+                c[..., t], k[..., t] = cols, coef
             f = np.zeros(shape + (3,), dtype=np.int32)
             sg = np.zeros(shape + (3,), dtype=np.int8)
             for t, ((a, g, h), sign) in enumerate(offset):
                 f[..., t], sg[..., t] = (a * n + g) * n + h, sign
-            gather.append(f.reshape(-1, 3))
-            signs.append(sg.reshape(-1, 3))
+            for store, part in ((cells, c), (coefs, k), (gather, f),
+                                (signs, sg)):
+                store.append(part.reshape(-1, 3))
             starts.append(starts[-1] + prod(shape))
-        (c0, c1, c2), k = np.concatenate(cells, 1), np.concatenate(coefs, 1)
+        c, k = np.concatenate(cells), np.concatenate(coefs)
         # merge equal cells into the first of them: coefficients in [-3, 3]
-        for i, j, same in ((0, 1, c0 == c1), (0, 2, c0 == c2),
-                           (1, 2, (c1 == c2) & (c0 != c2))):
-            k[i][same] += k[j][same]
-            k[j][same] = 0
-        # symmetric representatives mod N', so a vanishing term reads 0
-        half = (mod - 1) // 2
-        sym = np.array([(x + half) % mod - half for x in range(-3, 4)],
-                       dtype=np.int8)
-        k = sym[k + 3]
-        pad = (n * n) * 7 + 3
-        t0, t1, t2 = (np.where(kj == 0, pad, cj * 7 + kj + 3)
-                      for cj, kj in zip((c0, c1, c2), k))
-        # sort each row's three terms
-        t0, t1 = np.minimum(t0, t1), np.maximum(t0, t1)
-        t1, t2 = np.minimum(t1, t2), np.maximum(t1, t2)
-        t0, t1 = np.minimum(t0, t1), np.maximum(t0, t1)
-        keys, cls = np.unique((t0 * base + t1) * base + t2,
-                              return_inverse=True)
-        packed = np.stack([keys // base ** 2, keys // base % base,
-                           keys % base], axis=1)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            same = c[:, i] == c[:, j]
+            k[same, i] += k[same, j]
+            k[same, j] = 0
         residue = np.array([x % mod for x in range(-3, 4)],
                            dtype=np.min_scalar_type(mod))
         self.starts = tuple(starts[:-1])
         self.gather, self.signs = np.concatenate(gather), np.concatenate(signs)
-        self.cls = cls.ravel().astype(np.int32)
-        self.cells = (packed // 7).astype(np.int32)
-        self.coefs = residue[packed % 7]
-        self.zero = ~self.coefs.any(axis=1)[self.cls]
+        self.coefs = residue[k + 3]
+        self.cells = np.where(self.coefs == 0, n * n, c)
+        self.gens = np.array(whole.generators or (0,))
 
 
 # pairing catalogs one process keeps, least recently used first; one
@@ -411,19 +395,38 @@ class _PairingSystem:
     """The pairing rows over one (G, L, M, killed subgroup, N'), without
     the twist.
 
-    The rows are read off the catalog of (G, N') by index: R, the catalog
-    row of each system row, gives the rows that read 0 = 0, the repeated
-    rows (each with the index of its first twin, by class id) and the rows
-    kept for the factor, the only ones written out densely.  What stays is
-    every row's padded beta offset, the catalog's gather and signs at R,
-    those index sets and the factor of the kept rows.  Nothing the twist
-    decides is held: solve reads every offset from the beta table it is
-    given.  Construction raises NotCentral, NotNormal or InvalidElement (a
-    killed subgroup outside M) for a bad structure.
+    One axis of each axiom block runs over a generating set only: m2 in
+    gens(M) for the right slot, l in gens(L) for the left slot and g in
+    gens(G) for invariance, with (0,) for a trivial subgroup.  The killed
+    unit rows stay L x K.  For a genuine twist these rows have the
+    solutions of the full blocks:
+
+    - Right slot.  beta_l is a 2-cocycle on C_G(l), which holds M, so
+      r(m1, m2) = B(l, m1 m2) - B(l, m1) - B(l, m2) + lift beta_l(m1, m2)
+      satisfies r(m1, m2 s) = r(m1 m2, s) + r(m1, m2) - r(m2, s).  With
+      r(-, s) = 0 for every generator s, induction on the word length of
+      m2 gives r(m1, m2) = 0 for every m2 in M.
+    - Left slot.  The same argument, with the 2-cocycle beta_m on C_G(m),
+      which holds L, and the word length of l.
+    - Invariance.  With c_g(l, m) = beta_l(g, m) + beta_l(gm, g^-1)
+      - beta_l(g, g^-1), a twist satisfies c_gh(l, m) = c_h(g^-1 l g, m)
+      + c_g(l, h m h^-1) (mod N), so the invariance row at gh for (l, m)
+      is the row at h for (g^-1 l g, m) plus the row at g for
+      (l, h m h^-1), offsets included.  Rows at the generators of G give
+      the rows at every word in them, and c_1 = 0 by the same identity.
+
+    The rows are read off the catalog of (G, N') by index (R, the catalog
+    row of each system row), and all of them key the factor: a row
+    reading 0 = c with c nonzero, or two equal rows with different
+    offsets, leave no particular solution x0 with A x0 = b, which the
+    factor's solve refuses.  What stays is every row's padded beta offset,
+    the catalog's gather and signs at R, and the factor.  Nothing the
+    twist decides is held: solve reads every offset from the beta table it
+    is given.  Construction raises NotCentral, NotNormal or InvalidElement
+    (a killed subgroup outside M) for a bad structure.
     """
 
-    __slots__ = ("_lift", "_mod", "_gather", "_signs", "_zero", "_dup",
-                 "_twin", "_kept", "_factor")
+    __slots__ = ("_lift", "_mod", "_gather", "_signs", "_factor")
 
     def __init__(self, G, L: Subgroup, M: Subgroup, killed: Subgroup | None,
                  mod: int):
@@ -437,7 +440,9 @@ class _PairingSystem:
             raise InvalidElement("killed subgroup must lie inside M")
         cat = _pairing_catalog(G, mod)
         n = G.order
-        sets = {"G": np.arange(n), "L": Le, "M": Me,
+        sets = {"L": Le, "M": Me, "g": cat.gens,
+                "l": np.array(L.generators or (0,)),
+                "m": np.array(M.generators or (0,)),
                 "K": None if killed is None else np.array(killed.elements)}
         parts = []
         for kinds, base in zip(cat.kinds, cat.starts):
@@ -449,28 +454,14 @@ class _PairingSystem:
                 local = local[..., None] * n + sets[kind]
             parts.append(base + local.ravel())
         R = np.concatenate(parts)
-        zero = cat.zero[R]
-        live_rows = np.flatnonzero(~zero)
-        _, first, twin = np.unique(cat.cls[R[live_rows]], return_index=True,
-                                   return_inverse=True)
-        twin = first[twin]
-        dup = np.flatnonzero(twin != np.arange(twin.size))
-        first.sort()
-        kept = live_rows[first]
         self._lift, self._mod = G.exponent, mod
         self._gather, self._signs = cat.gather[R], cat.signs[R]
-        self._zero = np.flatnonzero(zero).astype(np.int32)
-        self._dup = live_rows[dup].astype(np.int32)
-        self._twin = live_rows[twin[dup]].astype(np.int32)
-        self._kept = kept.astype(np.int32)
-        # the kept rows, dense: padding cells land in one extra column
+        # dense rows: padding cells land in one extra column
         width = L.order * M.order
         column = np.full(n * n + 1, width, dtype=np.int64)
         column[(Le[:, None] * n + Me).ravel()] = np.arange(width)
-        cls = cat.cls[R[kept]]
-        A = np.zeros((kept.size, width + 1), dtype=cat.coefs.dtype)
-        A[np.arange(kept.size)[:, None], column[cat.cells[cls]]] = \
-            cat.coefs[cls]
+        A = np.zeros((R.size, width + 1), dtype=cat.coefs.dtype)
+        A[np.arange(R.size)[:, None], column[cat.cells[R]]] = cat.coefs[R]
         A = A[:, :width]
         self._factor = _pairing_factor(mod, A.shape, A.tobytes())
 
@@ -478,16 +469,13 @@ class _PairingSystem:
         """Every pairing for the twist with this beta table, or None.
 
         Each row's offset b is one gather of its padded terms from the
-        beta table, times their signs, summed.  A row reading 0 = c with
-        c nonzero, or twin rows with different offsets, mean no pairing
-        exists.
+        beta table, times their signs, summed, lifted by exponent(G) and
+        reduced mod N'.
         """
         b = (beta.ravel()[self._gather] * self._signs).sum(axis=1)
         b *= self._lift
         b %= self._mod
-        if b[self._zero].any() or (b[self._dup] != b[self._twin]).any():
-            return None
-        return self._factor.solve(b[self._kept])
+        return self._factor.solve(b)
 
 
 # pairing systems one process keeps, least recently used first

@@ -550,10 +550,8 @@ class TestCappedChildren:
                      marks=_open_item(5, "the bar system has no cost rule"),
                      id="cohomology-C2^5-degree-3"),
         pytest.param(("subcats", "--group", "C40"), None, None,
-                     marks=_open_item(2, "the factor carries an m x m U"),
                      id="subcats-C40"),
         pytest.param(("subcats", "--group", "C60"), None, None,
-                     marks=_open_item(2, "the factor carries an m x m U"),
                      id="subcats-C60"),
     ])
     def test_ends_in_one_json_document(self, argv, error, reason, tmp_path):

@@ -216,6 +216,20 @@ class TestSubgroups:
             with pytest.raises(cb.InvalidElement):
                 cb.Subgroup(D8, ids)
 
+    @pytest.mark.parametrize("name", BATTERY)
+    def test_generators_are_greedy_and_generate(self, name):
+        # each generator is the least element outside what the earlier
+        # ones generate, so no generator is redundant; trivial: none
+        G = cb.builtin_group(name)
+        for S in cb.all_subgroups(G):
+            gens = S.generators
+            assert cb.closure(G, gens) == S.elements
+            for k, g in enumerate(gens):
+                have = set(cb.closure(G, gens[:k]))
+                assert g == min(set(S.elements) - have), (S.elements, gens)
+            assert S.generators is gens
+        assert cb.Subgroup(G, (0,)).generators == ()
+
     def test_normality(self):
         S3 = cb.symmetric(3)
         normals = cb.normal_subgroups(S3)
