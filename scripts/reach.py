@@ -22,8 +22,8 @@ runs one case from CASES in this process, so its peak resident set size
   C3xC3xC3 center.  Z(Vec_A) is pointed by A x dual(A), so for
   A = (Z/3)^3 they are the subgroups of (Z/3)^6: 56632 of them, the
   Galois number subgroup_count((3, 3, 3) * 2).  That is past what
-  all_subgroups or tier-1 runs: the pairing catalog of an order-27 group
-  has 60K rows.
+  all_subgroups or tier-1 runs: the (G, G) pairing system alone has
+  6561 rows over 729 unknowns.
 - subcats-order40: the subcategories of the untwisted C40 and D8xC5
   centers.  For C40 they are the subgroups of C40 x C40, Birkhoff's
   count subgroup_count((40, 40)) = 296.  D8 and C5 have coprime orders,
@@ -40,6 +40,17 @@ runs one case from CASES in this process, so its peak resident set size
   streams, so the run holds one pairing lattice's sorted points (the
   largest has 2^16 tables of 256 entries) and reads about 210 MB.  The
   result is (exit code, count, entries).
+- crossed-pointed-order256: the CLI's crossed-pointed report for the
+  untwisted C256, graded along the identity, written into the same
+  counting sink.  The kernel of the grading is trivial, so the one
+  pairing system is over 1 x G, where only the zero pairing exists: the
+  count is 1, with one certificate.  C256 is the largest cyclic group
+  on which the cochain rule admits a degree-3 --omega document (256^3
+  cells, the limit 64^4); the trivial twist, which no rule bounds yet,
+  builds a beta table of the same size.  The pairing system has 768
+  rows over 256 unknowns; the run reads about 960 MB, nearly all of it
+  the beta table and its temporaries.  The result is (exit code, count,
+  certificates).
 
 The closed forms come from tests/test_acceptance.py.  A case prints each
 result, the wall time and the peak, and exits 1 unless every result
@@ -78,9 +89,10 @@ def subcats_of_untwisted(G):
 
 class CountingSink:
     """A stdout that keeps the first string it is handed and counts the
-    bytes and the subcategory entries (one "fpdim" key each) of all."""
+    bytes of all and the entries, one marker each."""
 
-    def __init__(self):
+    def __init__(self, marker: str):
+        self.marker = marker
         self.head = None
         self.bytes = 0
         self.entries = 0
@@ -89,13 +101,13 @@ class CountingSink:
         if self.head is None:
             self.head = text
         self.bytes += len(text)
-        self.entries += text.count('"fpdim": ')
+        self.entries += text.count(self.marker)
 
 
-def cli_subcats(group):
+def cli_report(verb, group, marker):
     def compute():
-        sink = CountingSink()
-        code = run_cli(["subcats", "--group", group], out=sink)
+        sink = CountingSink(marker)
+        code = run_cli([verb, "--group", group], out=sink)
         count = re.search(r'"count": (\d+)', sink.head)
         print(f"{sink.bytes} bytes written")
         return code, count and int(count.group(1)), sink.entries
@@ -128,9 +140,13 @@ CASES = {
     ), 290),
     "cli-subcats-order16": ((
         ("subcats --group C2xC2xC2xC2: exit, count and entries {}",
-         cli_subcats("C2xC2xC2xC2"),
+         cli_report("subcats", "C2xC2xC2xC2", '"fpdim": '),
          (0,) + (subgroup_count((2,) * 8),) * 2),
     ), 350),
+    "crossed-pointed-order256": ((
+        ("crossed-pointed --group C256: exit, count and certificates {}",
+         cli_report("crossed-pointed", "C256", '"witness": '), (0, 1, 1)),
+    ), 1150),
 }
 
 

@@ -18,14 +18,19 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
-    GroupTooLarge,
     InvalidElement,
     NotCentral,
     NotNormal,
     ParentMismatch,
 )
 from .exact import CongruenceFactor, CongruenceSolution, UnityExponent
-from .groups import Subgroup, cached, commuting_normal_pairs, is_normal
+from .groups import (
+    Subgroup,
+    cached,
+    cached_on,
+    commuting_normal_pairs,
+    is_normal,
+)
 from .twisted_center import TwistedGroupData
 
 DEFAULT_BUDGET = 1_000_000
@@ -125,35 +130,30 @@ def _positions(G, S: Subgroup) -> np.ndarray:
     return pos
 
 
-# the subgroup each axis of an _axiom_blocks block runs over, per block
-_AXES = (("L", "M", "M"), ("L", "L", "M"), ("G", "L", "M"))
+def _generators_of_group(G) -> np.ndarray:
+    """gens(G) as element ids, (0,) for the trivial group: the axis the
+    invariance rows of every pairing system over G run over."""
+    gens = np.array(Subgroup(G, G.elements).generators or (0,))
+    gens.flags.writeable = False
+    return gens
 
 
-def _inner_slots(G, L: Subgroup, M: Subgroup):
-    """Slots of g^-1 l g in L per (g, l) and of g m g^-1 in M per (g, m);
-    NotNormal unless every one lies inside."""
-    T, inv = G.table, G.inverse
-    g = np.arange(G.order)[:, None]
-    Le, Me = np.array(L.elements), np.array(M.elements)
-    inner_l = _positions(G, L)[T[T[inv[:, None], Le], g]]
-    inner_m = _positions(G, M)[T[T[g, Me], inv[:, None]]]
-    if (inner_l < 0).any() or (inner_m < 0).any():
-        raise NotNormal("L and M must both be normal")
-    return inner_l, inner_m
-
-
-def _axiom_blocks(G, L: Subgroup, M: Subgroup):
+def _axiom_blocks(G, L: Subgroup, M: Subgroup, generators: bool = False):
     """The three pairing axioms over L x M as linear forms in the table.
 
     Unknown i * |M| + j is the entry at (L.elements[i], M.elements[j]).
     One block per axiom, in the order verify_bicharacter reports them:
-    (axes, terms, offset).  axes name the element ids along each array
-    axis, over the subgroups _AXES names: (l, m1, m2) for the right slot,
-    (k, l, m) for the left slot and (g, l, m) for invariance, in the sweep
-    order of the witnesses; the block holds one axiom instance per cell of
-    that shape.  terms are (columns, coefficient) and offset is ((a, g,
-    h), sign), both with index arrays broadcasting to the block's shape;
-    (a, g, h) index a twist's beta_table.  The instance reads
+    (axes, terms, offset).  axes hold the element ids along each array
+    axis: (l, m1, m2) for the right slot, (k, l, m) for the left slot and
+    (g, l, m) for invariance, in the sweep order of the witnesses; the
+    block holds one axiom instance per cell of that shape.  With
+    generators, the last axis of the right slot, the middle axis of the
+    left slot and the first axis of invariance run over gens(M), gens(L)
+    and gens(G) instead ((0,) for a trivial subgroup), and normality is
+    checked at gens(G) alone, as conjugation composes: the rows a
+    _PairingSystem keeps.  terms are (columns, coefficient) and offset is
+    ((a, g, h), sign), both with index arrays broadcasting to the block's
+    shape; (a, g, h) index a twist's beta_table.  The instance reads
 
         sum of coefficient * table[columns]
             ==  lift * sum of sign * beta_table[a, g, h]   (mod N')
@@ -167,24 +167,31 @@ def _axiom_blocks(G, L: Subgroup, M: Subgroup):
     pl, pm = _positions(G, L), _positions(G, M)
     nm = M.order
     u = np.arange(L.order * nm).reshape(-1, nm)
-    g = np.arange(G.order)[:, None]
-    inner_l, inner_m = _inner_slots(G, L, M)
-    sets = {"G": G.elements, "L": L.elements, "M": M.elements}
-    right_axes, left_axes, invariant_axes = (
-        tuple(sets[k] for k in kinds) for kinds in _AXES)
+    if generators:
+        m2, l2 = (np.array(S.generators or (0,)) for S in (M, L))
+        g = cached_on(G, _generators_of_group)
+    else:
+        m2, l2, g = Me, Le, np.arange(G.order)
+    gi = inv[g]
+    # slots of g^-1 l g in L and of g m g^-1 in M
+    inner_l = pl[T[T[gi[:, None], Le], g[:, None]]]
+    inner_m = pm[T[T[g[:, None], Me], gi[:, None]]]
+    if (inner_l < 0).any() or (inner_m < 0).any():
+        raise NotNormal("L and M must both be normal")
     # B(l, m1 m2) - B(l, m1) - B(l, m2) = -lift beta_l(m1, m2)
-    right = (right_axes,
-             ((u[:, pm[T[Me[:, None], Me]]], 1),
-              (u[:, :, None], -1), (u[:, None, :], -1)),
-             (((Le[:, None, None], Me[:, None], Me), -1),))
+    right = ((Le, Me, m2),
+             ((u[:, pm[T[Me[:, None], m2]]], 1),
+              (u[:, :, None], -1), (u[:, None, pm[m2]], -1)),
+             (((Le[:, None, None], Me[:, None], m2), -1),))
     # B(kl, m) - B(k, m) - B(l, m) = lift beta_m(k, l)
-    left = (left_axes,
-            ((u[pl[T[Le[:, None], Le]]], 1), (u[:, None, :], -1), (u, -1)),
-            (((Me, Le[:, None, None], Le[:, None]), 1),))
+    left = ((Le, l2, Me),
+            ((u[pl[T[Le[:, None], l2]]], 1), (u[:, None, :], -1),
+             (u[pl[l2]], -1)),
+            (((Me, Le[:, None, None], l2[:, None]), 1),))
     # B(g^-1 l g, m) - B(l, g m g^-1)
     #   = lift (beta_l(g, m) + beta_l(gm, g^-1) - beta_l(g, g^-1))
-    l, g3, gi3 = Le[:, None], g[:, :, None], inv[:, None, None]
-    invariant = (invariant_axes,
+    l, g3, gi3 = Le[:, None], g[:, None, None], gi[:, None, None]
+    invariant = ((g, Le, Me),
                  ((u[inner_l], 1), (u[:, :1] + inner_m[:, None, :], -1)),
                  (((l, g3, Me), 1), ((l, T[g3, Me], gi3), 1),
                   ((l, g3, gi3), -1)))
@@ -309,88 +316,6 @@ def _pairing_factor(mod: int, shape: tuple[int, int],
     return CongruenceFactor(A, mod)
 
 
-# the largest pairing catalog built: 3 |G|^3 + |G|^2 rows at order 547,
-# about 30 bytes a row
-_CATALOG_ROWS = 3 * 547 ** 3 + 547 ** 2
-
-
-class _PairingCatalog:
-    """Every pairing row over one (G, N'), sparse, for all its systems.
-
-    The rows are those of _axiom_blocks(G, G, G) and then the unit rows
-    e_(l,h) over G x G, each block row-major over its axes.  kinds names
-    the subgroup each axis of a system's block runs over: _AXES with one
-    axis of each axiom block cut to a generating set (lower case, see
-    _PairingSystem), then L x K for the killed subgroup K.  The (L, M)
-    system's rows are the catalog rows at its element ids, in the same
-    order: each has every nonzero cell in L x M.  gens is the generating
-    set of G the invariance block takes.
-
-    A row is held as three (cell l * |G| + h, coefficient) terms, rows x
-    3 each: int32 cells, with equal cells merged and terms that vanish mod
-    N' moved to the padding cell |G|^2, and coefficients as residues mod
-    N' in the smallest unsigned type holding N'.  A row's beta offset is
-    held in the same padded three-term form: gather holds its terms' int32
-    flat indices into beta_table.ravel() and signs their int8 signs, with
-    index 0 and sign 0 on padding.
-    """
-
-    __slots__ = ("starts", "gather", "signs", "cells", "coefs", "gens")
-
-    kinds = (("L", "M", "m"), ("L", "l", "M"), ("g", "L", "M"), ("L", "K"))
-
-    def __init__(self, G, mod: int):
-        n = G.order
-        rows = 3 * n ** 3 + n ** 2
-        if rows > _CATALOG_ROWS:
-            raise GroupTooLarge(
-                f"the pairing catalog of a group of order {n} holds {rows} "
-                f"rows, past {_CATALOG_ROWS}")
-        whole = Subgroup(G, G.elements)
-        units = ((G.elements, G.elements),
-                 ((np.arange(n * n).reshape(n, n), 1),), ())
-        cells, coefs, gather, signs, starts = [], [], [], [], [0]
-        for axes, terms, offset in _axiom_blocks(G, whole, whole) + (units,):
-            shape = (n,) * len(axes)
-            c = np.full(shape + (3,), n * n, dtype=np.int32)
-            k = np.zeros(shape + (3,), dtype=np.int8)
-            for t, (cols, coef) in enumerate(terms):
-                c[..., t], k[..., t] = cols, coef
-            f = np.zeros(shape + (3,), dtype=np.int32)
-            sg = np.zeros(shape + (3,), dtype=np.int8)
-            for t, ((a, g, h), sign) in enumerate(offset):
-                f[..., t], sg[..., t] = (a * n + g) * n + h, sign
-            for store, part in ((cells, c), (coefs, k), (gather, f),
-                                (signs, sg)):
-                store.append(part.reshape(-1, 3))
-            starts.append(starts[-1] + prod(shape))
-        c, k = np.concatenate(cells), np.concatenate(coefs)
-        # merge equal cells into the first of them: coefficients in [-3, 3]
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            same = c[:, i] == c[:, j]
-            k[same, i] += k[same, j]
-            k[same, j] = 0
-        residue = np.array([x % mod for x in range(-3, 4)],
-                           dtype=np.min_scalar_type(mod))
-        self.starts = tuple(starts[:-1])
-        self.gather, self.signs = np.concatenate(gather), np.concatenate(signs)
-        self.coefs = residue[k + 3]
-        self.cells = np.where(self.coefs == 0, n * n, c)
-        self.gens = np.array(whole.generators or (0,))
-
-
-# pairing catalogs one process keeps, least recently used first; one
-# pairings benchmark pass needs 19
-PAIRING_CATALOGS = 32
-_CATALOGS: OrderedDict = OrderedDict()
-
-
-def _pairing_catalog(G, mod: int) -> _PairingCatalog:
-    """The pairing catalog of this group table and N', built on first use."""
-    return cached(_CATALOGS, (mod, G.table.tobytes()),
-                  lambda: _PairingCatalog(G, mod), PAIRING_CATALOGS)
-
-
 class _PairingSystem:
     """The pairing rows over one (G, L, M, killed subgroup, N'), without
     the twist.
@@ -415,15 +340,17 @@ class _PairingSystem:
       (l, h m h^-1), offsets included.  Rows at the generators of G give
       the rows at every word in them, and c_1 = 0 by the same identity.
 
-    The rows are read off the catalog of (G, N') by index (R, the catalog
-    row of each system row), and all of them key the factor: a row
-    reading 0 = c with c nonzero, or two equal rows with different
-    offsets, leave no particular solution x0 with A x0 = b, which the
-    factor's solve refuses.  What stays is every row's padded beta offset,
-    the catalog's gather and signs at R, and the factor.  Nothing the
-    twist decides is held: solve reads every offset from the beta table it
-    is given.  Construction raises NotCentral, NotNormal or InvalidElement
-    (a killed subgroup outside M) for a bad structure.
+    The rows are _axiom_blocks(G, L, M, generators=True) and then the
+    killed unit rows, and all of them key the factor: a row reading 0 = c
+    with c nonzero, or two equal rows with different offsets, leave no
+    particular solution x0 with A x0 = b, which the factor's solve
+    refuses.  What stays is every row's beta offset in a padded
+    three-term form (gather: int32 flat indices into beta_table.ravel(),
+    signs: their int8 signs, index 0 and sign 0 on padding) and the
+    factor.  Nothing the twist decides is held: solve reads every offset
+    from the beta table it is given.  Construction raises NotCentral,
+    NotNormal or InvalidElement (a killed subgroup outside M) for a bad
+    structure.
     """
 
     __slots__ = ("_lift", "_mod", "_gather", "_signs", "_factor")
@@ -431,38 +358,45 @@ class _PairingSystem:
     def __init__(self, G, L: Subgroup, M: Subgroup, killed: Subgroup | None,
                  mod: int):
         T = G.table
-        Le, Me = np.array(L.elements), np.array(M.elements)
-        if not np.array_equal(T[Le[:, None], Me], T[Me, Le[:, None]]):
+        # subgroups commute when their generators do
+        Lg, Mg = (np.array(S.generators or (0,)) for S in (L, M))
+        if not np.array_equal(T[Lg[:, None], Mg], T[Mg, Lg[:, None]]):
             raise NotCentral("L and M must commute elementwise")
-        _inner_slots(G, L, M)     # NotNormal
-        if killed is not None and \
-                (_positions(G, M)[list(killed.elements)] < 0).any():
-            raise InvalidElement("killed subgroup must lie inside M")
-        cat = _pairing_catalog(G, mod)
-        n = G.order
-        sets = {"L": Le, "M": Me, "g": cat.gens,
-                "l": np.array(L.generators or (0,)),
-                "m": np.array(M.generators or (0,)),
-                "K": None if killed is None else np.array(killed.elements)}
-        parts = []
-        for kinds, base in zip(cat.kinds, cat.starts):
-            if sets[kinds[-1]] is None:     # no killed subgroup
-                continue
-            # the block's catalog rows at the element ids along its axes
-            local = np.zeros((), dtype=np.int64)
-            for kind in kinds:
-                local = local[..., None] * n + sets[kind]
-            parts.append(base + local.ravel())
-        R = np.concatenate(parts)
-        self._lift, self._mod = G.exponent, mod
-        self._gather, self._signs = cat.gather[R], cat.signs[R]
-        # dense rows: padding cells land in one extra column
+        blocks = _axiom_blocks(G, L, M, generators=True)    # NotNormal
         width = L.order * M.order
-        column = np.full(n * n + 1, width, dtype=np.int64)
-        column[(Le[:, None] * n + Me).ravel()] = np.arange(width)
-        A = np.zeros((R.size, width + 1), dtype=cat.coefs.dtype)
-        A[np.arange(R.size)[:, None], column[cat.cells[R]]] = cat.coefs[R]
-        A = A[:, :width]
+        if killed is not None:
+            pk = _positions(G, M)[list(killed.elements)]
+            if (pk < 0).any():
+                raise InvalidElement("killed subgroup must lie inside M")
+            # B(l, k) = 0 on L x K
+            cols = np.arange(0, width, M.order)[:, None] + pk
+            unit_rows = ((L.elements, killed.elements), ((cols, 1),), ())
+            blocks += (unit_rows,)
+        n = G.order
+        shapes = [tuple(map(len, axes)) for axes, _, _ in blocks]
+        size = sum(map(prod, shapes))
+        # coefficients of merged terms stay in [-3, 3]
+        A = np.zeros((size, width), dtype=np.int8)
+        # flat indices into beta_table, |G|^3 cells
+        gather = np.zeros((size, 3),
+                          dtype=np.int32 if n ** 3 < 1 << 31 else np.int64)
+        signs = np.zeros((size, 3), dtype=np.int8)
+        start = 0
+        for (_, terms, offset), shape in zip(blocks, shapes):
+            stop = start + prod(shape)
+            rows = np.arange(start, stop).reshape(shape)
+            for cols, coef in terms:
+                A[rows, cols] += coef
+            for t, ((a, g, h), sign) in enumerate(offset):
+                gather[rows, t] = (a * n + g) * n + h
+                signs[start:stop, t] = sign
+            start = stop
+        # the factor key: residues mod N' in the smallest unsigned type
+        residue = np.array([x % mod for x in range(-3, 4)],
+                           dtype=np.min_scalar_type(mod))
+        A = residue[A + 3]
+        self._lift, self._mod = G.exponent, mod
+        self._gather, self._signs = gather, signs
         self._factor = _pairing_factor(mod, A.shape, A.tobytes())
 
     def solve(self, beta: np.ndarray) -> CongruenceSolution | None:

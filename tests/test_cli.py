@@ -553,6 +553,10 @@ class TestCappedChildren:
                      id="subcats-C40"),
         pytest.param(("subcats", "--group", "C60"), None, None,
                      id="subcats-C60"),
+        pytest.param(("crossed-pointed", "--group", "C160"), None, None,
+                     id="crossed-pointed-C160"),
+        pytest.param(("crossed-pointed", "--group", "C200"), None, None,
+                     id="crossed-pointed-C200"),
     ])
     def test_ends_in_one_json_document(self, argv, error, reason, tmp_path):
         omega = tmp_path / "omega.json"
@@ -579,7 +583,6 @@ def clear_process_caches():
     cli._parser.cache_clear()
     subcats._pairing_factor.cache_clear()
     subcats._SYSTEMS.clear()
-    subcats._CATALOGS.clear()
     groups._BUILTINS.clear()
     cohomology._MU.clear()
     for cached in (serialize._fixture, serialize._stored,
@@ -609,10 +612,9 @@ MIXED_JOBS = [
 
 
 class TestProcessCaches:
-    """The stored fixture, the pairing catalogs, the pairing systems and
-    their factors, the builtin groups, the mu_n modules and what is kept
-    on each group outlive a run; none may carry anything of one job into
-    the next."""
+    """The stored fixture, the pairing systems and their factors, the
+    builtin groups, the mu_n modules and what is kept on each group
+    outlive a run; none may carry anything of one job into the next."""
 
     # (verb, group, earlier twist j, later twist k)
     TWISTS = [("subcats", "D8", 1, 5), ("subcats", "C2xC2", 3, 6),
@@ -629,12 +631,10 @@ class TestProcessCaches:
         go(verb, "--group", group, "--omega", f"repr:{j}")
         built = subcats._pairing_factor.cache_info().misses
         systems = set(subcats._SYSTEMS)
-        catalogs = set(subcats._CATALOGS)
         assert go(verb, "--group", group, "--omega", f"repr:{k}") == fresh
         # twist k solved on systems and factors built for twist j alone
         assert subcats._pairing_factor.cache_info().misses == built
         assert set(subcats._SYSTEMS) == systems
-        assert set(subcats._CATALOGS) == catalogs
 
     def test_repr_builds_only_the_representatives_it_uses(self):
         clear_process_caches()
@@ -671,8 +671,6 @@ class TestProcessCaches:
         assert info.maxsize == subcats.PAIRING_FACTORS
         assert 0 < info.currsize <= info.maxsize
         assert 0 < len(subcats._SYSTEMS) <= subcats.PAIRING_FACTORS
-        # one catalog per (group table, N'): three groups, one N' each
-        assert len(subcats._CATALOGS) == 3
         assert serialize._stored.cache_info().currsize == 3
 
     def test_shared_arrays_are_read_only(self):
@@ -727,12 +725,12 @@ class TestProcessCaches:
         script = ("import crossbraid.cli\n"
                   "from crossbraid import cohomology, groups, subcats\n"
                   "print(len(groups._BUILTINS), len(cohomology._MU),\n"
-                  "      len(subcats._SYSTEMS), len(subcats._CATALOGS))\n")
+                  "      len(subcats._SYSTEMS))\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               env=dict(os.environ, PYTHONPATH=str(src)),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0", "0", "0"]
+        assert proc.stdout.split() == ["0", "0", "0"]
 
     def test_mixed_verbs_in_any_order_match_each_job_alone(self):
         alone = {}

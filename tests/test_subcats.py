@@ -711,7 +711,7 @@ class TestFactoredPairings:
     def test_corrupted_twists_meet_the_generator_row_oracle(self):
         # twists that are no cocycle: the generator rows may admit what
         # the full rows refuse, so the oracle is the generator rows,
-        # solved per pair without the catalog or the shared factor
+        # solved per pair without the shared factor
         seen = set()
         for data in corrupted_twists(20191008):
             for L, M in cb.commuting_normal_pairs(data.group):
@@ -946,11 +946,11 @@ class TestPairingSystemCache:
 
 
 def per_pair_system(G, L, M, killed, mod):
-    """A pairing system's offset terms and factor key, built per pair from
-    _axiom_blocks(G, L, M) with no catalog: each axiom block cut along one
-    axis to a generating set (m2 in gens(M), l in gens(L), g in gens(G),
-    (0,) for a trivial subgroup), the killed unit rows L x K after them,
-    and every row kept."""
+    """A pairing system's offset terms and factor key, sliced per pair
+    from the full blocks of _axiom_blocks(G, L, M): each axiom block cut
+    along one axis to a generating set (m2 in gens(M), l in gens(L), g in
+    gens(G), (0,) for a trivial subgroup), the killed unit rows L x K
+    after them, and every row kept."""
     def cut(S):
         return [S.elements.index(x) for x in S.generators or (0,)]
 
@@ -1004,8 +1004,9 @@ def assert_same_system(G, L, M, killed, mod):
 
 
 class TestPairingCatalog:
-    """Every pairing system read off its group's catalog is byte for byte
-    the generator rows built per pair from _axiom_blocks."""
+    """Every pairing system _PairingSystem builds is byte for byte the
+    generator rows per_pair_system slices from the full blocks of
+    _axiom_blocks, so the directly built cut is checked independently."""
 
     GROUPS = cb.H3_BATTERY + ("C8", "C2xC4", "C2xC2xC2", "D16")
 
@@ -1038,12 +1039,11 @@ class TestPairingCatalog:
         for job in calls:
             assert_same_system(*job)
 
-    def test_structural_errors_come_before_the_catalog(self):
+    def test_structural_errors_are_raised(self):
         D8 = cb.builtin_group("D8")
         V, W = _klein_normals(D8)
         S = _nonnormal_order2(D8)
         H = cb.center(D8)
-        subcats._CATALOGS.clear()
         for L, M, killed, error in [(V, W, None, cb.NotCentral),
                                     (S, unit(D8), None, cb.NotNormal),
                                     (unit(D8), S, None, cb.NotNormal),
@@ -1051,24 +1051,21 @@ class TestPairingCatalog:
                                      cb.InvalidElement)]:
             with pytest.raises(error):
                 subcats._PairingSystem(D8, L, M, killed, 8)
-        assert not subcats._CATALOGS
 
-    def test_refuses_a_group_whose_rows_overflow_int64_keys(self):
-        # the catalog of order 548 would hold 3 |G|^3 + |G|^2 rows, about
-        # 4.9e8 rows and 15 GB: refused before any row is built
+    def test_builds_the_trivial_pair_of_an_order_548_group(self):
+        # one row per axiom at the one generator of C548: no table of
+        # |G|^3 rows stands behind it
         G = cb.cyclic(548)
-        subcats._CATALOGS.clear()
-        with pytest.raises(cb.GroupTooLarge, match="pairing catalog"):
-            subcats._PairingSystem(G, unit(G), unit(G), None, 548)
-        assert not subcats._CATALOGS
+        system = subcats._PairingSystem(G, unit(G), unit(G), None, 548)
+        assert system._factor._a.shape == (3, 1)
+        sol = system.solve(np.zeros((548,) * 3, dtype=np.int8))
+        assert sorted(sol.enumerate()) == [(0,)]
 
-    def test_catalogs_never_pass_their_bound(self):
-        subcats._CATALOGS.clear()
-        G = cb.builtin_group("C2")
-        for k in range(1, subcats.PAIRING_CATALOGS + 8):
-            data = TwistedGroupData.trivial(G, modulus=k)
-            assert points(solve_pairings(data, whole(G), whole(G))) == \
-                points(solve_before_factoring(data, whole(G), whole(G)))
-            assert len(subcats._CATALOGS) <= subcats.PAIRING_CATALOGS
-        assert len(subcats._CATALOGS) == subcats.PAIRING_CATALOGS
-
+    def test_beta_indices_past_int32_widen(self, monkeypatch):
+        # the left-slot offsets of (1, C1300) reach m |G|^2 = 1299 * 1300^2,
+        # past the int32 maximum
+        monkeypatch.setattr(subcats, "_pairing_factor", lambda *key: None)
+        G = cb.cyclic(1300)
+        system = subcats._PairingSystem(G, unit(G), whole(G), None, 1300)
+        assert system._gather.dtype == np.int64
+        assert system._gather.max() == 1299 * 1300 ** 2
