@@ -8,16 +8,17 @@ runs one case from CASES in this process, so its peak resident set size
 
 - h3-order16: H^3(C2xC2xC2xC2, mu_2) against the Kunneth closed form
   abelian_cohomology((2, 2, 2, 2), 3, 2), twenty factors of 2.  d_3 is
-  50625 x 3375, 171 MB at the int8 width of its mod 2 sweeps.  The run
-  holds two copies of d_3, the stacked array and the reduction's, and
-  reads about 410 MB; a whole-array temporary beside them, such as int64
-  flat indices over d_3, would push it past the bound.
+  50625 x 3375, 171 MB at the int8 width of its mod 2 sweeps.  The
+  reduction takes over the stacked array and works on it in place, so
+  the run holds one copy of d_3 and reads about 250 MB; a second copy,
+  or a whole-array temporary beside it such as int64 flat indices over
+  d_3, would push it past the bound.
 - h3-order16-nonabelian: H^3(D16, mu_16) and H^3(Q16, mu_16) against
   dihedral_h3(16, 16) = (2, 2, 2, 8) and dicyclic_h3(16, 16) = (16,).
   Both d_3 systems are 50625 x 3375.  D16 is a builtin; Q16, the
   dicyclic group of order 16, is built from its table by dicyclic(4), so
-  the CLI gains no group.  The run reads about 480 MB: two int8 copies of
-  d_3 and their temporaries.
+  the CLI gains no group.  The run reads about 320 MB: one int8 copy of
+  d_3, reduced in place, and its temporaries.
 - subcats-closed-form: the subcategories S(L, M, B) of the untwisted
   C3xC3xC3 center.  Z(Vec_A) is pointed by A x dual(A), so for
   A = (Z/3)^3 they are the subgroups of (Z/3)^6: 56632 of them, the
@@ -45,9 +46,9 @@ runs one case from CASES in this process, so its peak resident set size
   counting sink.  The kernel of the grading is trivial, so the one
   pairing system is over 1 x G, where only the zero pairing exists: the
   count is 1, with one certificate.  C256 is the largest cyclic group
-  on which the cochain rule admits a degree-3 --omega document (256^3
-  cells, the limit 64^4); the trivial twist, which no rule bounds yet,
-  builds a beta table of the same size.  The pairing system has 768
+  on which the cochain rule admits a degree-3 --omega document or the
+  trivial twist's zero cochain (256^3 cells, the limit 64^4); the twist
+  builds a beta table of that size.  The pairing system has 768
   rows over 256 unknowns; the run reads about 960 MB, nearly all of it
   the beta table and its temporaries.  The result is (exit code, count,
   certificates).
@@ -120,12 +121,12 @@ CASES = {
     "h3-order16": ((
         ("H^3(C2xC2xC2xC2, mu_2) = {}", h3(builtin_group("C2xC2xC2xC2"), 2),
          abelian_cohomology((2, 2, 2, 2), 3, 2)),
-    ), 600),
+    ), 320),
     "h3-order16-nonabelian": ((
         ("H^3(D16, mu_16) = {}", h3(builtin_group("D16"), 16),
          dihedral_h3(16, 16)),
         ("H^3(Q16, mu_16) = {}", h3(dicyclic(4), 16), dicyclic_h3(16, 16)),
-    ), 600),
+    ), 400),
     "subcats-closed-form": ((
         ("subcategories of Z(Vec_C3xC3xC3): {}",
          subcats_of_untwisted(builtin_group("C3xC3xC3")),

@@ -39,6 +39,11 @@ from .groups import (DEFAULT_ORDER_BOUND, FiniteGroup, GroupHom,
 
 MAX_DEGREE = 3
 DEFAULT_BUDGET = 10_000_000
+# bytes one bar system may take with the transforms of its reduction; the
+# largest that any pinned job, tier-1 or the order-16 reaches build, d_3
+# of an order-16 group (50625 x 3375 at int8, with V and the image block
+# 194 MB), sits under it
+BAR_SYSTEM_BYTES = 1 << 28
 
 
 class CoefficientModule:
@@ -226,6 +231,8 @@ class Cochain:
     @classmethod
     def zero(cls, group: FiniteGroup, module: CoefficientModule,
              degree: int) -> "Cochain":
+        check_cells(group.order, degree, f"the zero degree-{degree} cochain "
+                    f"on a group of order {group.order}")
         return cls(degree, group, module,
                    np.zeros(group.order ** degree, dtype=np.int64))
 
@@ -404,7 +411,11 @@ def _bar_matrix(G: FiniteGroup, module: CoefficientModule, n: int,
         add(keep, merged[keep], sign * eye)
         sign = -sign
     add(everything, h[:, :n], sign * eye)
-    D %= e
+    # mod 2^k the residue is the low k bits, as in exact._Reduction._sym
+    if e & (e - 1):
+        D %= e
+    else:
+        D &= e - 1
     return D, ins, outs
 
 
@@ -414,7 +425,12 @@ def _bar_system(G: FiniteGroup, module: CoefficientModule, n: int,
 
     The constraint rows force each scaled coordinate into its (e/m_j) Z
     sublattice.  The array is built at the width that a reduction mod e
-    of its shape sweeps in, so the reduction's one copy is at that width.
+    of its shape sweeps in, with entries in [0, e), so the reduction can
+    take it over in place (diagonalize_mod's overwrite).
+
+    BudgetExceeded past BAR_SYSTEM_BYTES, read off the shape before any
+    allocation: the array, V (num_vars^2 cells) and an image block of one
+    column per input of d_{n-1}, all at the width.
     """
     k, e = module.rank, module.exponent
     size = G.order - (1 if normalized else 0)
@@ -423,7 +439,14 @@ def _bar_system(G: FiniteGroup, module: CoefficientModule, n: int,
     cols = np.flatnonzero(orders < e)
     rows = size ** (n + 1) * k
     shape = (rows + cols.size, num_vars)
-    system = np.zeros(shape, dtype=_sweep_dtype(e, shape))
+    dtype = _sweep_dtype(e, shape)
+    image = size ** (n - 1) * k if n else 0
+    cost = (shape[0] + num_vars + image) * num_vars * dtype.itemsize
+    if cost > BAR_SYSTEM_BYTES:
+        raise BudgetExceeded(
+            f"the degree-{n} bar system takes {cost} bytes with its "
+            f"transforms, past the limit {BAR_SYSTEM_BYTES}")
+    system = np.zeros(shape, dtype=dtype)
     ins = _bar_matrix(G, module, n, normalized, out=system[:rows])[1]
     system[rows + np.arange(cols.size), cols] = orders[cols]
     return system, ins
@@ -579,10 +602,11 @@ def cohomology_group(G: FiniteGroup, degree: int, module: CoefficientModule,
         return _trivial_cohomology(G, degree, module)
 
     # the reduction carries the image of d_{n-1} into y = Vinv x
-    # coordinates, Y = Vinv W, without forming Vinv
+    # coordinates, Y = Vinv W, without forming Vinv; it reduces the
+    # stacked system where it lies, which nothing reads after
     stacked, ins = _bar_system(G, module, degree, normalized=True)
     W = _image_columns(G, module, degree, stacked.shape[1])
-    diag, V, Y = diagonalize_mod(stacked, e, image=W)
+    diag, V, Y = diagonalize_mod(stacked, e, image=W, overwrite=True)
     cocycles = _Lattice(diag, V, e)
     kernel, step, orders = cocycles.kernel, cocycles.step, cocycles.orders
     if not kernel.any():

@@ -193,7 +193,9 @@ class _Reduction:
 
     Mod N, a and carry may hold any integers: each is reduced into one new
     array of _sweep_dtype's width, the narrowest signed type that holds a
-    sweep, or Python ints past int64.  Over Z, a sweep adds at most
+    sweep, or Python ints past int64.  With overwrite set, an a that
+    _sym_holds for is taken as it is and reduced in place instead, so the
+    caller's array becomes the workspace.  Over Z, a sweep adds at most
     max(m, n) + 2 products of entries of magnitude w to an entry (Uinv and
     Vinv take dot products): the arrays are int64 while _fits_int64 allows
     that, else Python ints, and _guard widens every array in place once w
@@ -211,7 +213,8 @@ class _Reduction:
     """
 
     def __init__(self, a, mod=None, want_u=False, want_uinv=False,
-                 want_v=False, want_vinv=False, carry=None, image=None):
+                 want_v=False, want_vinv=False, carry=None, image=None,
+                 overwrite=False):
         self.mod = mod
         m, n = np.shape(a)
         self._terms = max(m, n) + 2
@@ -223,9 +226,6 @@ class _Reduction:
                 carry = np.ascontiguousarray(carry, dtype)
         else:
             dtype = _sweep_dtype(mod, (m, n))
-            self.a = _residues(a, mod, dtype)
-            carry, image = (None if x is None else _residues(x, mod, dtype)
-                            for x in (carry, image))
             # _sym's scalars, at the width: numpy range-checks a Python int
             # against a narrow array on every operation.  Mod 2^k the
             # residue is the low k bits, a mask that is exact in two's
@@ -236,6 +236,10 @@ class _Reduction:
                 self._reduce, self._by = np.remainder, scalar(mod)
             else:
                 self._reduce, self._by = np.bitwise_and, scalar(mod - 1)
+            owned = overwrite and self._sym_holds(a, dtype)
+            self.a = a if owned else _residues(a, mod, dtype)
+            carry, image = (None if x is None else _residues(x, mod, dtype)
+                            for x in (carry, image))
         self.uinv = np.eye(m, dtype=dtype, order="F") if want_uinv else None
         self.v = np.eye(n, dtype=dtype, order="F") if want_v else None
         self.vinv = np.eye(n, dtype=dtype) if want_vinv else image
@@ -257,6 +261,18 @@ class _Reduction:
         self._reduce(arr, self._by, out=arr)
         arr -= self._half
         return arr
+
+    def _sym_holds(self, a, dtype) -> bool:
+        """Whether _sym alone reduces a where it lies: a is writeable and
+        C-contiguous at the width, and each entry x keeps x + (N-1)//2
+        within it, or the reduction is a mask, which a wrap past the width
+        cannot change, or the width is Python ints, which never wrap."""
+        if not (isinstance(a, np.ndarray) and a.dtype == dtype
+                and a.flags.c_contiguous and a.flags.writeable):
+            return False
+        if dtype == object or self._reduce is np.bitwise_and or not a.size:
+            return True
+        return int(a.max()) <= np.iinfo(dtype).max - self._half
 
     def _reduce_all(self):
         for arr in self._tracked().values():
@@ -326,35 +342,34 @@ class _Reduction:
         block -= np.multiply.outer(q, src[cols])
         cells[flat] = self._sym(block)
 
-    def bulk_row_clear(self, t, q):
-        """rows t+1.. -= q ⊗ row t, one vectorized elimination sweep.
+    def bulk_row_clear(self, t, rows, q):
+        """rows -= q ⊗ row t, one vectorized elimination sweep.
 
-        Only the rows with q != 0 are touched, and in them only the columns
-        where row t is nonzero (see _axpy).  Only called mid-pivot, when rows
-        below t are zero left of column t, so the matrix update stays inside
-        the active block.
+        rows are the rows below t whose quotient q is nonzero, and in them
+        only the columns where row t is nonzero are touched (see _axpy).
+        Only called mid-pivot, when rows below t are zero left of column
+        t, so the matrix update stays inside the active block.
         """
-        nz = q.nonzero()[0]
-        q, rows = q[nz], t + 1 + nz
         self._axpy(self.a, rows, q, self.a[t, t:], t)
         if self.uinv is not None:
             self._add_dot(self.uinv[:, t], self.uinv[:, rows].dot(_wide(q)))
         if self.carry is not None:
             self._axpy(self.carry, rows, q, self.carry[t])
 
-    def bulk_col_clear(self, t, q):
-        """cols t+1.. -= col t ⊗ q, touching only row t of the matrix.
+    def bulk_col_clear(self, t, cols, q):
+        """cols -= col t ⊗ q, touching only row t of the matrix.
 
-        Only called mid-pivot, when column t is zero off the pivot, with q
-        the nearest quotients of row t by the pivot: the matrix changes
-        only in row t, which keeps the remainders.  V and Vinv change only in
-        the columns (rows) with q != 0, and V only in the rows where its
-        column t is nonzero (see _axpy).
+        Only called mid-pivot, when column t is zero off the pivot, with
+        cols the columns past t whose nearest quotient q of row t by the
+        pivot is nonzero: the matrix changes only in row t, which keeps the
+        remainders.  After a unit pivot the quotients are the entries
+        themselves, so zeros are written without a sweep.  V and Vinv
+        change only in those columns (rows), and V only in the rows where
+        its column t is nonzero (see _axpy).
         """
-        nz = q.nonzero()[0]
-        q, cols = q[nz], t + 1 + nz
         row = self.a[t]
-        row[cols] = self._sym(row[cols] - row[t] * q)
+        piv = row.item(t)
+        row[cols] = 0 if piv == 1 else self._sym(row[cols] - piv * q)
         if self.v is not None:
             self._axpy(self.v.T, cols, q, self.v[:, t])
         if self.vinv is not None:
@@ -413,23 +428,37 @@ class _Reduction:
                 piv = -piv
             unit = piv == 1
             col = self.a[t + 1:, t]
-            if col.any():
-                # nearest-quotient sweep; residues end up at most piv/2
-                q = col.copy() if unit else (col + piv // 2) // piv
-                self.bulk_row_clear(t, q)
-                col = self.a[t + 1:, t]
-                if not unit and col.any():
+            at = col.nonzero()[0]
+            if at.size:
+                rows, q = self._quotients(col, at, piv)
+                rows += t + 1
+                self.bulk_row_clear(t, rows, q)
+                if not unit and np.count_nonzero(col):
                     self.swap_rows(t, t + 1 + self._min_nonzero(col))
                     continue
             row = self.a[t, t + 1:]
-            if row.any():
-                q = row.copy() if unit else (row + piv // 2) // piv
-                self.bulk_col_clear(t, q)
-                row = self.a[t, t + 1:]
-                if not unit and row.any():
+            at = row.nonzero()[0]
+            if at.size:
+                cols, q = self._quotients(row, at, piv)
+                cols += t + 1
+                self.bulk_col_clear(t, cols, q)
+                if not unit and np.count_nonzero(row):
                     self.swap_cols(t, t + 1 + self._min_nonzero(row))
                     continue
             break
+
+    @staticmethod
+    def _quotients(vec, at, piv):
+        """The nearest quotients by the pivot of vec's nonzero entries at
+        offsets at, kept where nonzero, with their offsets: for a unit
+        pivot, the entries themselves.  Residues end up at most piv/2."""
+        q = vec[at]
+        if piv == 1:
+            return at, q
+        q += piv // 2
+        q //= piv
+        keep = q.nonzero()[0]
+        return at[keep], q[keep]
 
     def diagonalize(self, start=0):
         """Pivot at start, start + 1, ... until the trailing block is zero.
@@ -582,14 +611,14 @@ class _Lattice:
     up to multiples of its step s_j = N / gcd(d_j, N); when s_j < N it
     carries the kernel generator V[:, j] s_j of order N / s_j.  All of it
     depends on A alone, so it is read off once here, in _residue_dtype:
-    exact in Python ints once N passes int64.  The pivot columns of V are
-    kept in dtype, by default _residue_dtype too.
+    exact in Python ints once N passes int64.  V comes reduced mod N.  Its
+    pivot columns are converted to dtype, by default _residue_dtype too,
+    when particular first needs them.
     """
 
     def __init__(self, d, V: np.ndarray, modulus: int, dtype=None):
         d = [x % modulus for x in d]
         rank = next((i for i, x in enumerate(d) if not x), len(d))
-        V = V % modulus
         wide = _residue_dtype(modulus)
         g = np.gcd(np.array(d[:rank] + [0] * (V.shape[1] - rank),
                             dtype=wide), modulus)
@@ -606,7 +635,14 @@ class _Lattice:
                               for x, gi in zip(d, self._g.tolist())],
                              dtype=wide)
         # only the pivot columns enter a particular solution
-        self._v = V[:, :rank].astype(wide if dtype is None else dtype)
+        self._pivot_columns = V[:, :rank], wide if dtype is None else dtype
+
+    @functools.cached_property
+    def _v(self) -> np.ndarray:
+        """V's pivot columns in their dtype, a copy: V itself is let go."""
+        columns, dtype = self._pivot_columns
+        del self._pivot_columns
+        return columns.astype(dtype)
 
     @functools.cached_property
     def generators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -647,7 +683,7 @@ def solve_congruences(A, b, modulus: int) -> CongruenceSolution | None:
     if modulus < 1:
         raise ValueError("modulus must be positive")
     red = _Reduction(A, mod=modulus, want_v=True, carry=b[:, None])
-    lattice = _Lattice(red.diagonalize(), red.v, modulus)
+    lattice = _Lattice(red.diagonalize(), red.v % modulus, modulus)
     c = red.carry[:, 0] % modulus
     # rows past the pivots read 0 = c_i
     if c[lattice.rank:].any():
@@ -678,7 +714,8 @@ class CongruenceFactor:
                 or (A.size and A.max() >= modulus)):
             A = _residues(as_int_matrix(A), modulus, compact)
         red = _Reduction(A, mod=modulus, want_u=True, want_v=True)
-        self._lattice = _Lattice(red.diagonalize(), red.v, modulus, compact)
+        self._lattice = _Lattice(red.diagonalize(), red.v % modulus, modulus,
+                                 compact)
         self._a = A
         self._u = (red.carry[:self._lattice.rank] % modulus).astype(compact)
 
@@ -696,7 +733,7 @@ class CongruenceFactor:
         return self._lattice.solution(x0)
 
 
-def diagonalize_mod(A, modulus: int, image=None):
+def diagonalize_mod(A, modulus: int, image=None, overwrite=False):
     """Diagonal form of A over Z/modulus with column transform and its inverse.
 
     Returns (diagonal, V, Vinv) such that x solves A x = 0 (mod N) exactly
@@ -704,10 +741,14 @@ def diagonalize_mod(A, modulus: int, image=None):
     only gcd(d_j, N) matters downstream.  Given an n x w image, the third
     value is Vinv @ image (mod N) instead, and Vinv itself is never built.
 
-    A is not changed: the reduction works on one copy, made at the width
-    _sweep_dtype picks, and V and the third value come back at that width.
+    V and the third value come back at the width _sweep_dtype picks.  A is
+    not changed: the reduction works on one copy at that width.  With
+    overwrite=True, as scipy's overwrite_a, an A that is C-contiguous at
+    that width is reduced where it lies when its entries let _sym reduce
+    them in place (see _Reduction._sym_holds), and holds the reduced
+    matrix afterwards; any other A is copied as without it.
     """
     red = _Reduction(as_int_matrix(A), mod=modulus, want_v=True,
-                     want_vinv=image is None, image=image)
+                     want_vinv=image is None, image=image, overwrite=overwrite)
     d = red.diagonalize()
     return [x % modulus for x in d], red.v % modulus, red.vinv % modulus

@@ -505,17 +505,15 @@ class TestLargeModulus:
 # cells through int64 indices, 11.9 GiB
 OMEGA_C200 = {"degree": 3, "modulus": 2, "entries": {"1,1,1": 1}}
 PAST_CELLS = f"cells, past the limit {cb.groups.DEFAULT_ORDER_BOUND ** 4}"
-
-
-def _open_item(item, why):
-    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {why}")
+PAST_BAR_BYTES = ("bytes with its transforms, past the limit "
+                  f"{cb.cohomology.BAR_SYSTEM_BYTES}")
 
 
 class TestCappedChildren:
     """Inputs whose cost no gate bounded, so they ended in a traceback:
     each runs in a child that caps its own address space at 1 GiB, and
     must print one JSON document and exit 0, 1 or 2 in time.  A row with an error names
-    the document it must print; the xfail rows still end in a traceback."""
+    the document it must print."""
 
     @pytest.mark.parametrize("argv, error, reason", [
         pytest.param(("subcats", "--group", "C200", "--omega", "OMEGA"),
@@ -546,8 +544,8 @@ class TestCappedChildren:
                      "BudgetExceeded", "1000000000 " + PAST_CELLS,
                      id="fibered-C1000"),
         pytest.param(("cohomology", "--group", "C2xC2xC2xC2xC2",
-                      "--degree", "3", "--modulus", "2"), None, None,
-                     marks=_open_item(5, "the bar system has no cost rule"),
+                      "--degree", "3", "--modulus", "2"),
+                     "BudgetExceeded", "28428746943 " + PAST_BAR_BYTES,
                      id="cohomology-C2^5-degree-3"),
         pytest.param(("subcats", "--group", "C40"), None, None,
                      id="subcats-C40"),
@@ -557,6 +555,12 @@ class TestCappedChildren:
                      id="crossed-pointed-C160"),
         pytest.param(("crossed-pointed", "--group", "C200"), None, None,
                      id="crossed-pointed-C200"),
+        pytest.param(("crossed-pointed", "--group", "C257"),
+                     "BudgetExceeded", "16974593 " + PAST_CELLS,
+                     id="crossed-pointed-C257"),
+        pytest.param(("crossed-pointed", "--group", "C300"),
+                     "BudgetExceeded", "27000000 " + PAST_CELLS,
+                     id="crossed-pointed-C300"),
     ])
     def test_ends_in_one_json_document(self, argv, error, reason, tmp_path):
         omega = tmp_path / "omega.json"

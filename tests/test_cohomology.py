@@ -360,8 +360,11 @@ class TestCohomologyGroupStructure:
         from crossbraid import cohomology
         real = cohomology.diagonalize_mod
 
-        def rolled(A, modulus, image=None):
-            d, V, Y = real(A, modulus, image=image)
+        calls = []
+
+        def rolled(A, modulus, image=None, overwrite=False):
+            calls.append(overwrite)
+            d, V, Y = real(A, modulus, image=image, overwrite=overwrite)
             return d, V, np.roll(Y, 1, axis=0)
 
         assert cohomology_group(C4, 2, mu_module(4)).invariant_factors == (4,)
@@ -369,6 +372,8 @@ class TestCohomologyGroupStructure:
         with pytest.raises(cb.NotACocycle,
                            match="escapes the cocycle kernel"):
             cohomology_group(C4, 2, mu_module(4))
+        # the stacked system is handed over to be reduced in place
+        assert calls == [True]
 
     def test_deterministic(self):
         a = cohomology_group(V4, 2, trivial_module(C4))
@@ -620,6 +625,32 @@ class TestMatchesReferenceEngine:
                     assert ins == want_ins
                     assert system.tolist() == D.tolist() + cons
 
+    @pytest.mark.parametrize("name,coeff", [("S3", "C6"), ("C2xC2", "C2xC4")])
+    def test_bar_system_cost_is_read_off_the_shape(self, name, coeff,
+                                                   monkeypatch):
+        # the array, V and an image block of one column per input of
+        # d_{n-1}, all at the width, against one fixed limit
+        G = cb.builtin_group(name)
+        module = trivial_module(cb.builtin_group(coeff))
+        cases = [(n, normalized, _bar_system(G, module, n, normalized)[0])
+                 for n in (1, 2, 3) for normalized in (True, False)]
+        for n, normalized, system in cases:
+            rows, cols = system.shape
+            image = cols // (G.order - normalized)
+            cost = (rows + cols + image) * cols * system.itemsize
+            monkeypatch.setattr(cb.cohomology, "BAR_SYSTEM_BYTES", cost)
+            _bar_system(G, module, n, normalized)
+            monkeypatch.setattr(cb.cohomology, "BAR_SYSTEM_BYTES", cost - 1)
+            with pytest.raises(cb.BudgetExceeded, match=f"takes {cost} bytes"):
+                _bar_system(G, module, n, normalized)
+
+    def test_bar_system_limit_admits_order_16(self):
+        # d_3 of an order-16 group on the normalized subcomplex, at int8:
+        # the largest system the reaches build
+        rows, cols = 15 ** 4, 15 ** 3
+        cost = (rows + cols + 15 ** 2) * cols
+        assert cost <= cb.cohomology.BAR_SYSTEM_BYTES
+
     def test_inversion_modules_exist(self):
         tags = {name: [t for t, _ in bar_modules(cb.builtin_group(name))]
                 for name in ORDER_LE_8}
@@ -667,6 +698,22 @@ class TestCochainChecks:
                 assert not Cochain(n, C3, M, table).is_normalized
             else:
                 assert Cochain(n, C3, M, table, normalized=True).is_normalized
+
+    @pytest.mark.parametrize("order, degree", [(257, 3), (5, 11)])
+    def test_zero_cochain_cell_limit_is_read_before_any_table(self, order,
+                                                             degree):
+        # 256^3 = 64^4 cells is the largest zero table admitted
+        G, M = cb.cyclic(order), mu_module(2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(cb.BudgetExceeded) as err:
+                Cochain.zero(G, M, degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"{order ** degree} cells" in str(err.value)
+        assert str(64 ** 4) in str(err.value)
+        assert peak < 2 ** 16, peak
 
     def test_degree_zero_has_no_degenerate_entry(self):
         c = Cochain(0, C3, trivial_module(C4), (3,), normalized=True)

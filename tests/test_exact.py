@@ -442,6 +442,14 @@ def int64_or_object(x):
     return x if x.dtype == object else x.astype(np.int64)
 
 
+def full_quotients(q, at, size):
+    """The quotients q at the positions at of a length-size vector, zero
+    elsewhere, in q's dtype."""
+    full = np.zeros(size, dtype=q.dtype)
+    full[at] = q
+    return full
+
+
 class DenseReduction(exact._Reduction):
     """The engine with its original dense sweeps and pivot search.
 
@@ -449,10 +457,13 @@ class DenseReduction(exact._Reduction):
     search masks zeros with np.where.  The support-restricted engine must
     reproduce its diagonal, transforms and carried right-hand sides exactly.
     The Uinv and Vinv dot products are summed in int64 here, apart from the
-    engine's own helpers, so a narrow sum in the engine cannot hide.
+    engine's own helpers, so a narrow sum in the engine cannot hide.  The
+    engine hands each sweep only the rows (columns) with nonzero
+    quotients; the oracle spreads them over every row (column) past t.
     """
 
-    def bulk_row_clear(self, t, q):
+    def bulk_row_clear(self, t, rows, q):
+        q = full_quotients(q, rows - t - 1, self.a.shape[0] - t - 1)
         self.a[t + 1:, t:] -= np.outer(q, self.a[t, t:])
         self._sym(self.a[t + 1:, t:])
         if self.uinv is not None:
@@ -463,7 +474,8 @@ class DenseReduction(exact._Reduction):
             self.carry[t + 1:] -= np.outer(q, self.carry[t])
             self._sym(self.carry[t + 1:])
 
-    def bulk_col_clear(self, t, q):
+    def bulk_col_clear(self, t, cols, q):
+        q = full_quotients(q, cols - t - 1, self.a.shape[1] - t - 1)
         self.a[t:, t + 1:] -= np.outer(self.a[t:, t], q)
         self._sym(self.a[t:, t + 1:])
         if self.v is not None:
@@ -498,12 +510,10 @@ class DenseReduction(exact._Reduction):
 class SkipOneRow(exact._Reduction):
     """A broken sweep that leaves the last row with q != 0 uncleared."""
 
-    def bulk_row_clear(self, t, q):
-        nz = q.nonzero()[0]
-        if len(nz) > 1:
-            q = q.copy()
-            q[nz[-1]] = 0
-        super().bulk_row_clear(t, q)
+    def bulk_row_clear(self, t, rows, q):
+        if len(rows) > 1:
+            rows, q = rows[:-1], q[:-1]
+        super().bulk_row_clear(t, rows, q)
 
 
 def with_engine(engine, fn, *args, **kwargs):
@@ -940,7 +950,7 @@ class TestSweepWidths:
                 uinv, v, vinv = extremes(9, 9), extremes(8, 8), extremes(8, 8)
                 red.uinv[...], red.v[...], red.vinv[...] = uinv, v, vinv
                 q = [row[0] for row in A[1:]]
-                red.bulk_row_clear(0, red.a[1:, 0].copy())
+                red.bulk_row_clear(0, np.arange(1, 9), red.a[1:, 0].copy())
                 A[1:] = [[sym(x - qi * y) for x, y in zip(row, A[0])]
                          for qi, row in zip(q, A[1:])]
                 for row in uinv:
@@ -948,7 +958,7 @@ class TestSweepWidths:
                         x * qi for x, qi in zip(row[1:], q)))
                 assert red.a.tolist() == A and red.uinv.tolist() == uinv
                 q = A[0][1:]
-                red.bulk_col_clear(0, red.a[0, 1:].copy())
+                red.bulk_col_clear(0, np.arange(1, 8), red.a[0, 1:].copy())
                 A[0][1:] = [sym(x - qi) for x, qi in zip(A[0][1:], q)]
                 for row in v:
                     row[1:] = [sym(x - row[0] * qi)
@@ -1073,6 +1083,90 @@ class TestMask:
         got = red._sym(np.array(values, dtype=object))
         h = (N - 1) // 2
         assert got.tolist() == [(v + h) % N - h for v in values]
+
+
+# -- overwrite: the reduction takes over an array at its width ---------------
+
+# int8 (2, 6, 9), int32, int64 and Python-int sweeps
+OVERWRITE_MODULI = (2, 6, 9, 400, 10**5, 10**10 + 19)
+
+
+def at_sweep_width(A, N):
+    """A as a new C-contiguous array at the width a reduction mod N of its
+    shape sweeps in."""
+    return np.array(A, dtype=exact._sweep_dtype(N, A.shape), order="C")
+
+
+def assert_copied(X, N):
+    """overwrite=True leaves X as it was, and returns what a call on a
+    C-contiguous copy returns."""
+    before = X.copy()
+    got = diagonalize_mod(X, N, overwrite=True)
+    assert identical(X, before)
+    assert identical(got, diagonalize_mod(np.ascontiguousarray(before), N))
+
+
+class TestOverwrite:
+    """diagonalize_mod(A, N, overwrite=True) reduces an A that is
+    C-contiguous at the sweep width where it lies, and returns the same
+    (d, V, Vinv or Vinv W), values and dtypes, as a call that copies A;
+    any other A is copied and left as it was."""
+
+    @pytest.mark.parametrize("N", OVERWRITE_MODULI)
+    def test_matches_a_copy_and_the_dense_sweeps(self, N):
+        rng = random.Random(f"overwrite:{N}")
+        for i in range(16):
+            m, n = rng.randint(1, 14), rng.randint(1, 10)
+            # entries off the symmetric representatives, so the in-place
+            # reduction has work to do
+            X = at_sweep_width(random_matrix(rng, m, n, -N, N, 0.5), N)
+            W = (None if i % 2 else
+                 random_matrix(rng, n, rng.randint(0, 4), -N, N, 0.5))
+            kept = X.copy()
+            want = diagonalize_mod(X, N, image=W)
+            assert identical(X, kept), "A changed without overwrite"
+            assert identical(want, with_engine(
+                DenseReduction, diagonalize_mod, kept, N, image=W))
+            got = diagonalize_mod(X, N, image=W, overwrite=True)
+            assert identical(got, want)
+            # X was the workspace: it holds the diagonal form
+            d = np.diag(X).astype(object) % N
+            off = X.copy()
+            np.fill_diagonal(off, 0)
+            assert d.tolist() == want[0] and not off.any()
+
+    def test_other_layouts_types_and_read_only_arrays_are_copied(self):
+        rng = random.Random("overwrite:copied")
+        for N in OVERWRITE_MODULI:
+            for _ in range(6):
+                m, n = rng.randint(2, 12), rng.randint(2, 9)
+                A = random_matrix(rng, m, n, -N, N, 0.5)
+                X = at_sweep_width(A, N)
+                other = np.int16 if X.dtype == np.int8 else np.int8
+                frozen = X.copy()
+                frozen.flags.writeable = False
+                for Y in (np.asfortranarray(X), at_sweep_width(A.T, N).T,
+                          X[:, ::2], (A % 100).astype(other), frozen):
+                    assert not (Y.flags.c_contiguous and Y.flags.writeable
+                                and Y.dtype == X.dtype)
+                    assert_copied(Y, N)
+
+    def test_entries_that_would_wrap_are_copied(self):
+        # x + (N - 1) // 2 past the width's max would wrap before the
+        # remainder; a mask is exact through the wrap
+        rng = random.Random("overwrite:wrap")
+        for N in (6, 9, 21, 400):
+            X = at_sweep_width(np.zeros((7, 5), dtype=np.int64), N)
+            top = np.iinfo(X.dtype).max
+            X[...] = [[rng.choice((top, top - (N - 1) // 2 + 1, -top, 3))
+                       for _ in range(5)] for _ in range(7)]
+            assert_copied(X, N)
+        for N in (2, 16):
+            info = np.iinfo(np.int8)
+            X = np.array([[rng.randint(info.min, info.max) for _ in range(6)]
+                          for _ in range(8)], dtype=np.int8)
+            want = diagonalize_mod(X.copy(), N)
+            assert identical(diagonalize_mod(X, N, overwrite=True), want)
 
 
 # -- an independent Smith-form oracle past int64 -------------------------------
