@@ -433,16 +433,23 @@ class PropertyFailed(Exception):
 def _battery_twists(cfg: RunConfig) -> list[tuple[str, int, TwistedGroupData]]:
     """Every stored twist as (battery name, class index, datum).
 
-    --corrupt-omega changes one entry of C4's class 1 as it is built,
-    before any beta read, so every row reading the list sees it.
+    --corrupt-omega bumps the entry at (1, 1, 1) of C4's class 1 by one:
+    that datum holds the bumped cochain, unverified, so every row reading
+    the list sees it.
     """
     twists = []
     for name in H3_BATTERY:
         H = load_h3_fixture(name)
         for k in range(H.class_count):
-            data = TwistedGroupData(H.group, H.class_representative(k))
+            omega = H.class_representative(k)
             if cfg.corrupt_omega and name == "C4" and k == 1:
-                data._w[1, 1, 1] = (data._w[1, 1, 1] + 1) % data.modulus
+                table = list(omega.table)
+                cell = omega.index((1, 1, 1))
+                table[cell] = (table[cell] + 1) % omega.module.group.order
+                omega = Cochain(3, H.group, omega.module, table)
+                data = TwistedGroupData._unverified(H.group, omega)
+            else:
+                data = TwistedGroupData(H.group, omega)
             twists.append((name, k, data))
     return twists
 

@@ -175,11 +175,14 @@ def mu_module(n: int) -> CoefficientModule:
 
 @functools.lru_cache(maxsize=64)
 def _degenerate_slots(s: int, n: int) -> np.ndarray:
-    """Flat indices of the n-tuples over range(s) that contain the identity."""
-    flat = np.arange(s ** n)
-    hit = np.zeros(s ** n, dtype=bool)
-    for j in range(n):
-        hit |= flat // s ** j % s == 0
+    """Flat indices of the n-tuples over range(s) that contain the identity.
+
+    One boolean mask over G^n is the only table built: each coordinate is
+    an open grid, s cells long.
+    """
+    hit = np.zeros((s,) * n, dtype=bool)
+    for x in np.indices((s,) * n, sparse=True):
+        hit |= x == 0
     slots = np.flatnonzero(hit)
     slots.flags.writeable = False
     return slots
@@ -207,9 +210,10 @@ class Cochain:
     def __post_init__(self, normalized):
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
+        integral = (isinstance(self.table, np.ndarray)
+                    and self.table.dtype.kind in "biu")
         try:
-            if isinstance(self.table, np.ndarray) and \
-                    self.table.dtype.kind in "biu":
+            if integral:
                 # uint64 ids past 2^63 wrap to negatives, which fail below
                 arr = self.table.astype(np.int64)
             else:
@@ -220,11 +224,14 @@ class Cochain:
             raise ValueError(
                 f"table has {arr.size} entries, expected "
                 f"{self.group.order ** self.degree}")
-        if arr.min() < 0 or arr.max() >= self.module.group.order:
+        table = tuple(arr.tolist())
+        # fromiter truncates 1.7 and parses "1": an entry must equal its id
+        if (arr.min() < 0 or arr.max() >= self.module.group.order
+                or not integral and table != tuple(self.table)):
             raise ValueError("table entry is not a coefficient id")
         arr.flags.writeable = False
         object.__setattr__(self, "_array", arr)
-        object.__setattr__(self, "table", tuple(arr.tolist()))
+        object.__setattr__(self, "table", table)
         if normalized and not self.is_normalized:
             raise ValueError("flagged normalized but a degenerate entry is nonzero")
 

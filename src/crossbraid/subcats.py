@@ -76,9 +76,12 @@ class OmegaBicharacter:
             raise ValueError(
                 f"table needs {self.L.order * self.M.order} entries, "
                 f"got {len(self.table)}")
+        ids = tuple(map(int, self.table))
+        # int truncates 0.9 and parses "0": an entry must equal its id
+        if ids != tuple(self.table):
+            raise ValueError("table entry is not a coefficient id")
         mod = self.modulus
-        object.__setattr__(self, "table",
-                           tuple(int(x) % mod for x in self.table))
+        object.__setattr__(self, "table", tuple(x % mod for x in ids))
 
     @classmethod
     def _reduced(cls, parent: TwistedGroupData, L: Subgroup, M: Subgroup,

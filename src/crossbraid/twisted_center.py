@@ -33,7 +33,7 @@ from .groups import (
 class TwistedGroupData:
     """A finite group together with a verified normalized 3-cocycle twist."""
 
-    __slots__ = ("group", "omega", "modulus", "_w", "_beta", "_ambient_json")
+    __slots__ = ("group", "omega", "modulus", "_beta", "_ambient_json")
 
     def __init__(self, group: FiniteGroup, omega: Cochain):
         if not omega.group.same_table(group):
@@ -48,14 +48,22 @@ class TwistedGroupData:
         # the zero twist is a cocycle; the identity check costs |G|^4
         if not omega.is_zero and not is_cocycle(omega):
             raise NotACocycle("twist fails the 3-cocycle identity")
+        self._hold(group, omega)
+
+    @classmethod
+    def _unverified(cls, group: FiniteGroup,
+                    omega: Cochain) -> "TwistedGroupData":
+        """A datum over a degree-3 cochain in a cyclic mu_N on group's
+        table, built with no check: how the selftest and the tests hand
+        the library a broken twist."""
+        self = object.__new__(cls)
+        self._hold(group, omega)
+        return self
+
+    def _hold(self, group: FiniteGroup, omega: Cochain) -> None:
         self.group = group
         self.omega = omega
-        self.modulus = A.order
-        s = group.order
-        # a private, writable copy: the selftest corrupts it in place.  Every
-        # beta read goes through beta_table, which is built from it once, so
-        # a corruption must come before the first beta read to be seen.
-        self._w = omega._array.reshape((s, s, s)).copy()
+        self.modulus = omega.module.group.order
         self._beta = None
         # serialize.certificate_to_json's ambient document, built on first use
         self._ambient_json = None
@@ -70,18 +78,23 @@ class TwistedGroupData:
         one per triple at [a, g, h], as an (s, s, s) array.
 
         Built on first use and kept, read-only, for the life of the datum.
+        It is built in place, read straight off omega's cells: beside the
+        result, one (s, s, s) array lives at a time, the index of the
+        second term's gather and then the third term's gather.
         """
         if self._beta is None:
             G = self.group
             T, inv = G.table, G.inverse
             conj = conjugation_table(G)        # conj[x, a] = x a x^-1
             s = G.order
+            w = self.omega._array.reshape((s, s, s))
             a = np.arange(s)[:, None, None]
             g = np.arange(s)[None, :, None]
             h = np.arange(s)[None, None, :]
-            t2 = self._w[g, h, conj[inv[T[g, h]], a]]
-            t3 = self._w[g, conj[inv[g], a], h]
-            beta = (self._w + t2 - t3) % self.modulus
+            beta = w[g, h, conj[inv[T[g, h]], a]]
+            beta += w
+            beta -= w[g, conj[inv[g], a], h]
+            beta %= self.modulus
             beta.flags.writeable = False
             self._beta = beta
         return self._beta

@@ -504,6 +504,7 @@ class TestLargeModulus:
 # a nonzero twist on C200: its cocycle check alone would gather |G|^4
 # cells through int64 indices, 11.9 GiB
 OMEGA_C200 = {"degree": 3, "modulus": 2, "entries": {"1,1,1": 1}}
+ZERO_OMEGA = {"degree": 3, "modulus": 2, "entries": {}}
 PAST_CELLS = f"cells, past the limit {cb.groups.DEFAULT_ORDER_BOUND ** 4}"
 PAST_BAR_BYTES = ("bytes with its transforms, past the limit "
                   f"{cb.cohomology.BAR_SYSTEM_BYTES}")
@@ -555,6 +556,11 @@ class TestCappedChildren:
                      id="crossed-pointed-C160"),
         pytest.param(("crossed-pointed", "--group", "C200"), None, None,
                      id="crossed-pointed-C200"),
+        pytest.param(("crossed-pointed", "--group", "C256"), None, None,
+                     id="crossed-pointed-C256"),
+        pytest.param(("center-census", "--group", "C256",
+                      "--omega", "ZERO_OMEGA"), None, None,
+                     id="center-census-C256-zero-omega"),
         pytest.param(("crossed-pointed", "--group", "C257"),
                      "BudgetExceeded", "16974593 " + PAST_CELLS,
                      id="crossed-pointed-C257"),
@@ -563,24 +569,43 @@ class TestCappedChildren:
                      id="crossed-pointed-C300"),
     ])
     def test_ends_in_one_json_document(self, argv, error, reason, tmp_path):
-        omega = tmp_path / "omega.json"
-        omega.write_text(json.dumps(OMEGA_C200))
-        argv = [str(omega) if a == "OMEGA" else a for a in argv]
-        src = pathlib.Path(cb.__file__).resolve().parents[1]
-        script = ("import resource, sys\n"
-                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-                  "from crossbraid.cli import run\n"
-                  "sys.exit(run(sys.argv[1:]))\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *argv],
-            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
-            capture_output=True, text=True, timeout=60)
-        assert proc.returncode in (0, 1, 2), proc.stderr
-        doc = json.loads(proc.stdout)
-        assert not proc.stderr
+        code, doc = run_capped(argv, tmp_path, 1 << 30)
         if error is not None:
-            assert (proc.returncode, doc["error"]) == (2, error)
+            assert (code, doc["error"]) == (2, error)
             assert reason in doc["reason"]
+
+    @pytest.mark.parametrize("argv", [
+        ("crossed-pointed", "--group", "C256"),
+        ("center-census", "--group", "C256", "--omega", "ZERO_OMEGA"),
+    ], ids=["crossed-pointed", "center-census-zero-omega"])
+    def test_twist_of_order_256_fits_in_768_mib(self, argv, tmp_path):
+        # the run holds omega's cells and ids, the beta table and one
+        # temporary beside it, 128 MiB each, and its address space peaks
+        # near 610 MiB: two more such arrays do not fit
+        code, doc = run_capped(argv, tmp_path, 3 << 28)
+        assert code == 0 and doc["group"] == "C256"
+
+
+def run_capped(argv, tmp_path, cap):
+    """Run the CLI in a child that caps its own address space at cap
+    bytes: its exit code and its one JSON document, with stderr empty."""
+    files = {"OMEGA": OMEGA_C200, "ZERO_OMEGA": ZERO_OMEGA}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / f"{a}.json") if a in files else a for a in argv]
+    src = pathlib.Path(cb.__file__).resolve().parents[1]
+    script = ("import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+              "from crossbraid.cli import run\n"
+              "sys.exit(run(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    doc = json.loads(proc.stdout)
+    assert not proc.stderr
+    return proc.returncode, doc
 
 
 def clear_process_caches():

@@ -660,7 +660,7 @@ class TestMatchesReferenceEngine:
 
 # -- array-backed cochains: every check still fires, the loop stays the oracle --
 
-NOT_AN_ID = [-1, 4, 2 ** 63, 2 ** 70]
+NOT_AN_ID = [-1, 4, 2 ** 63, 2 ** 70, 1.7, "1"]
 
 
 class TestCochainChecks:
@@ -673,17 +673,32 @@ class TestCochainChecks:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     @pytest.mark.parametrize("bad", NOT_AN_ID,
-                             ids=["negative", "order", "2^63", "2^70"])
+                             ids=["negative", "order", "2^63", "2^70",
+                                  "fraction", "string"])
     def test_rejects_entry_that_is_no_coefficient_id(self, n, bad):
         M = trivial_module(C4)
         table = [0] * 3 ** n
         table[-1] = bad     # the last tuple, (2, ..., 2), is not degenerate
         givens = [table, tuple(table), np.array(table)]
-        if 0 <= bad < 2 ** 64:
+        if isinstance(bad, int) and 0 <= bad < 2 ** 64:
             givens.append(np.array(table, dtype=np.uint64))
+        if not isinstance(bad, int):
+            # as in (0.0, 1.7): integral floats beside the bad entry
+            givens.append([0.0] * (3 ** n - 1) + [bad])
         for given in givens:
             with pytest.raises(ValueError):
                 Cochain(n, C3, M, given)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_degenerate_slots_match_the_digit_formula(self, s, n):
+        flat = np.arange(s ** n)
+        hit = np.zeros(s ** n, dtype=bool)
+        for j in range(n):
+            hit |= flat // s ** j % s == 0
+        slots = cb.cohomology._degenerate_slots(s, n)
+        assert slots.dtype == np.flatnonzero(hit).dtype
+        assert slots.tolist() == np.flatnonzero(hit).tolist()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rejects_nonzero_degenerate_entry_flagged_normalized(self, n):

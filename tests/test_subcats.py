@@ -74,6 +74,9 @@ class TestOmegaBicharacter:
         assert b.table == (0, 0, 1, 1)
         assert b.exponent_at(1, 0) == 1
         assert b.value(1, 1) == cb.UnityExponent(1, 2)
+        for bad in ((0.9, "0", 0, 0), (0, 0, 0, "1"), (0, 0, 0, 1.5)):
+            with pytest.raises(ValueError, match="not a coefficient id"):
+                OmegaBicharacter(data, whole(C2), whole(C2), bad)
 
     def test_wrong_length(self):
         data = TwistedGroupData.trivial(C2)

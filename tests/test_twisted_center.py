@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 import crossbraid as cb
+from crossbraid import cli
 from crossbraid.twisted_center import (
     TwistedGroupData,
     beta,
@@ -34,8 +36,17 @@ def stored_data():
             yield TwistedGroupData(G, omega)
 
 
+def bumped(omega, cell):
+    """omega with the entry at cell raised by one: a new cochain, built
+    from a copy of omega's table."""
+    table = list(omega.table)
+    i = omega.index(cell)
+    table[i] = (table[i] + 1) % omega.module.group.order
+    return Cochain(omega.degree, omega.group, omega.module, table)
+
+
 def corrupted_twists(seed):
-    """Stored twists with one omega entry bumped after validation, the way
+    """Stored twists with one omega entry bumped, held unverified, the way
     selftest --corrupt-omega breaks a twist; a seeded sample of cells."""
     rng = random.Random(seed)
     for name in ("C3", "C4", "S3", "C2xC2"):
@@ -43,10 +54,9 @@ def corrupted_twists(seed):
         G = H.group
         for index in range(2):
             for _ in range(8):
-                data = TwistedGroupData(G, H.class_representative(index))
                 cell = tuple(rng.randrange(1, G.order) for _ in range(3))
-                data._w[cell] = (data._w[cell] + 1) % data.modulus
-                yield data
+                omega = bumped(H.class_representative(index), cell)
+                yield TwistedGroupData._unverified(G, omega)
 
 
 # -- scalar oracles: beta and the census loop the library once ran ---------
@@ -54,14 +64,14 @@ def corrupted_twists(seed):
 def scalar_beta(data, a, g, h):
     """Exponent of beta_a(g,h) = w(a,g,h) w(g,h,(gh)^-1 a gh) / w(g, g^-1 a g, h),
     evaluated one scalar at a time from the twist's cells."""
-    T, inv, w = data.group.table, data.group.inverse, data._w
+    T, inv, w = data.group.table, data.group.inverse, data.omega.value
 
     def conj(x, y):  # x y x^-1
         return T[T[x, y], inv[x]]
 
     gh = T[g, h]
-    return int(w[a, g, h] + w[g, h, conj(inv[gh], a)]
-               - w[g, conj(inv[g], a), h]) % data.modulus
+    return int(w(a, g, h) + w(g, h, conj(inv[gh], a))
+               - w(g, conj(inv[g], a), h)) % data.modulus
 
 
 def scalar_is_regular(data, a, x, centralizer_elems):
@@ -121,6 +131,47 @@ class TestTwistedGroupData:
         assert not bad.is_zero and not cb.is_cocycle(bad)
         with pytest.raises(cb.NotACocycle):
             TwistedGroupData(cb.cyclic(3), bad)
+
+    @pytest.mark.parametrize("order", [64, 128])
+    def test_zero_twist_copies_no_cube(self, order):
+        # omega is held once: the checks build the degenerate-slot mask,
+        # |G|^3 bytes, and no int64 table over G^3
+        G = cb.cyclic(order)
+        omega = Cochain.zero(G, mu_module(2), 3)
+        cb.cohomology._degenerate_slots.cache_clear()
+        tracemalloc.start()
+        try:
+            data = TwistedGroupData(G, omega)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.omega is omega
+        assert peak < 2 * order ** 3
+
+    def test_beta_table_holds_one_temporary(self):
+        # beside the result, one (s, s, s) array and tables over G x G
+        G = cb.cyclic(64)
+        data = TwistedGroupData.trivial(G, 2)
+        tracemalloc.start()
+        try:
+            table = data.beta_table
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 8 * 64 ** 3
+        assert peak <= 2 * table.nbytes + 16 * table[0].nbytes
+
+    def test_selftest_corruption_is_another_twist(self):
+        def c4_class_1(corrupt):
+            cfg = cli.RunConfig(verb="selftest", corrupt_omega=corrupt)
+            return next(data for name, k, data in cli._battery_twists(cfg)
+                        if (name, k) == ("C4", 1))
+        intact, broken = c4_class_1(False), c4_class_1(True)
+        assert intact.same_twist(c4_class_1(False))
+        assert not broken.same_twist(intact)
+        assert not intact.same_twist(broken)
+        assert broken.omega.value(1, 1, 1) == \
+            (intact.omega.value(1, 1, 1) + 1) % 4
 
     def test_rejects_unnormalized(self):
         c = Cochain.from_function(C2, mu_module(2), 3, lambda g, h, k: 1)
@@ -215,8 +266,8 @@ class TestBetaRestrictedCocycle:
 
     def test_corrupted_omega_detected(self):
         H = load_h3_fixture("C4")
-        data = TwistedGroupData(C4, H.class_representative(1))
-        data._w[1, 1, 1] = (data._w[1, 1, 1] + 1) % 4
+        data = TwistedGroupData._unverified(
+            C4, bumped(H.class_representative(1), (1, 1, 1)))
         with pytest.raises(cb.BetaNotCocycle):
             beta_restricted_cocycle(data, 1)
 
