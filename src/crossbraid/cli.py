@@ -71,13 +71,13 @@ from .obstructions import (
 from .serialize import (
     H3_BATTERY,
     Stream,
-    certificate_to_json,
+    certificate_stream,
     cochain_from_json,
     cochain_to_json,
     dump_json,
     h3_class_representative,
     load_h3_fixture,
-    subcat_to_json,
+    subcat_stream,
     write_json,
 )
 from .subcats import DEFAULT_BUDGET as SUBCAT_BUDGET
@@ -305,7 +305,7 @@ def _cmd_subcats(cfg: RunConfig):
         "omega": cfg.omega,
         "working_modulus": working_modulus(data),
         "count": count,
-        "subcategories": Stream(subs, subcat_to_json),
+        "subcategories": subcat_stream(subs),
     }
     return 0, report
 
@@ -340,7 +340,7 @@ def _cmd_crossed_pointed(cfg: RunConfig):
     certs = enumerate_pointed(data, pi)
     base.update({
         "count": len(certs),
-        "certificates": Stream(certs, certificate_to_json),
+        "certificates": certificate_stream(certs),
     })
     return 0, base
 
@@ -358,7 +358,7 @@ def _cmd_crossed_rep(cfg: RunConfig):
         "group": _describe(G),
         "center_subgroup": [int(x) for x in H.elements],
         "count": len(certs),
-        "certificates": Stream(certs, certificate_to_json),
+        "certificates": certificate_stream(certs),
     }
     return 0, report
 

@@ -625,7 +625,9 @@ def cohomology_group(G: FiniteGroup, degree: int, module: CoefficientModule,
         raise NotACocycle("image vector escapes the cocycle kernel")
     tau = Y[kernel] // step[kernel, None]
     if tau.shape[1]:
-        tau = np.unique(tau, axis=1)
+        # the distinct columns, sorted; asking for return_index keeps
+        # np.unique off the path that imports numpy.ma
+        tau = np.unique(tau, axis=1, return_index=True)[0]
 
     relations = _smith(np.hstack([tau, np.diag(orders)]), want_uinv=True)
     factors, reps = [], []

@@ -611,7 +611,10 @@ def closure(G: FiniteGroup, seed) -> tuple[int, ...]:
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
     comms = G.table[conjugation_table(G), G.inverse]  # [a, b] = a b a^-1 b^-1
-    return Subgroup(G, closure(G, np.unique(comms).tolist()), _CLOSED)
+    # the ids that occur, by a mask: np.unique would import numpy.ma
+    seen = np.zeros(G.order, dtype=bool)
+    seen[comms] = True
+    return Subgroup(G, closure(G, np.flatnonzero(seen).tolist()), _CLOSED)
 
 
 def check_lattice_order(G: FiniteGroup) -> None:
@@ -692,7 +695,9 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
         raise NotNormal(f"subgroup {N.elements} is not normal")
     # rep_of[a] is the least id of the coset aN
     rep_of = G.table[:, list(N.elements)].min(axis=1)
-    reps = np.unique(rep_of)
+    # the least id of a coset is its own rep (np.unique would import
+    # numpy.ma)
+    reps = np.flatnonzero(rep_of == np.arange(G.order))
     proj_ids = np.searchsorted(reps, rep_of)
     table = proj_ids[G.table[reps[:, None], reps]]
     name = None

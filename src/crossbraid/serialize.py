@@ -12,7 +12,9 @@ import json
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from importlib import resources
-from json.encoder import encode_basestring_ascii
+from itertools import compress
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -109,15 +111,73 @@ def cochain_from_json(G: FiniteGroup, obj) -> Cochain:
                    normalized=bool(obj.get("normalized", False)))
 
 
+# subgroup pairs (and depths) whose key order and text template are kept:
+# a stream reaches its pairs one after another, so a few are enough
+_PAIRS = 4
+
+
+@functools.lru_cache(maxsize=_PAIRS)
+def _pair_keys(L: tuple[int, ...], M: tuple[int, ...]
+               ) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """The cells of a pairing table on L x M, row-major over the ids of L
+    and M, and their "l,m" keys, both in sorted key order: the order of a
+    subcategory document's "B"."""
+    keys = [f"{int(l)},{int(m)}" for l in L for m in M]
+    cells = sorted(range(len(keys)), key=keys.__getitem__)
+    return tuple(cells), tuple(keys[k] for k in cells)
+
+
 def subcat_to_json(s: SubcatData) -> dict:
     """Sparse subcategory document; omitted pairing entries are exponent 0."""
-    L = [int(x) for x in s.L.elements]
-    M = [int(x) for x in s.M.elements]
-    cols = len(M)
-    # one pass over the table of ints; only its nonzero cells get a key
-    entries = sorted([(f"{L[k // cols]},{M[k % cols]}", v)
-                      for k, v in enumerate(s.B.table) if v])
-    return {"L": L, "M": M, "B": dict(entries), "fpdim": fpdim(s)}
+    table = s.B.table
+    cells, keys = _pair_keys(s.L.elements, s.M.elements)
+    return {"L": [int(x) for x in s.L.elements],
+            "M": [int(x) for x in s.M.elements],
+            "B": {key: table[k] for k, key in zip(cells, keys) if table[k]},
+            "fpdim": fpdim(s)}
+
+
+class _SubcatTemplate(NamedTuple):
+    """The text of every subcategory document over one pair (L, M) with
+    one fpdim at one depth, all but B's nonzero values."""
+
+    pick: Callable   # a table's values in key order
+    keys: tuple[str, ...]   # '"l,m": ' of each cell, in key order
+    sep: str   # between two B entries
+    head: str   # the document up to B's first entry
+    tail: str   # the document after B's last entry
+    empty: str   # the whole document when B is all zeros
+
+
+@functools.lru_cache(maxsize=_PAIRS)
+def _subcat_template(L: tuple[int, ...], M: tuple[int, ...], dim: int,
+                     level: int) -> _SubcatTemplate:
+    """The template of every subcategory document over (L, M) with
+    fpdim dim at depth level, built once when a stream reaches the pair."""
+    cells, keys = _pair_keys(L, M)
+    inner, sep, outer = _breaks(level)
+    b_inner, b_sep, b_outer = _breaks(level + 1)
+    # L and M are lists of ints at depth level + 1, never empty
+    lists = [f"[{b_inner}{b_sep.join(str(int(x)) for x in ids)}{b_outer}]"
+             for ids in (L, M)]
+    head = f'{{{inner}"L": {lists[0]}{sep}"M": {lists[1]}{sep}"B": '
+    tail = f'{sep}"fpdim": {dim}{outer}}}'
+    # itemgetter of one cell returns the value, not a 1-tuple
+    pick = itemgetter(*cells) if len(cells) > 1 else tuple
+    return _SubcatTemplate(pick, tuple(f'"{key}": ' for key in keys), b_sep,
+                           head + "{" + b_inner, b_outer + "}" + tail,
+                           head + "{}" + tail)
+
+
+def _subcat_text(s: SubcatData, level: int, memo: dict) -> str:
+    """json.dumps(subcat_to_json(s), indent=2)'s text at depth level, as
+    one join over the template of s's pair."""
+    t = _subcat_template(s.L.elements, s.M.elements, fpdim(s), level)
+    vals = t.pick(s.B.table)
+    # B's keys and values where the value is nonzero; str(v) is json's int
+    entries = t.sep.join(map(add, compress(t.keys, vals),
+                             map(str, filter(None, vals))))
+    return "".join((t.head, entries, t.tail)) if entries else t.empty
 
 
 def grading_to_json(g: GradingSpec) -> dict:
@@ -130,11 +190,8 @@ def grading_to_json(g: GradingSpec) -> dict:
     return {"kind": "rep", "central": [int(x) for x in g.central.elements]}
 
 
-def certificate_to_json(cert: CrossedBraidingCertificate) -> dict:
-    """Certificate document.  Its "ambient" dict (the group table and the
-    twist) is shared: every certificate over the same TwistedGroupData gets
-    the same SharedDict, built on the first call, so callers must not
-    mutate it; the writer encodes it once per call."""
+def _certificate_fields(cert: CrossedBraidingCertificate) -> dict:
+    """certificate_to_json's document with the witness left as its datum."""
     data = cert.witness.parent
     if data._ambient_json is None:
         data._ambient_json = SharedDict(
@@ -144,13 +201,42 @@ def certificate_to_json(cert: CrossedBraidingCertificate) -> dict:
     return {
         "ambient": data._ambient_json,
         "grading": grading_to_json(cert.grading),
-        "witness": subcat_to_json(cert.witness),
+        "witness": cert.witness,
         "checks": {
             "centralizes": cert.checks.centralizes,
             "fpdim": cert.checks.fpdim,
             "transverse": cert.checks.transverse,
         },
     }
+
+
+def certificate_to_json(cert: CrossedBraidingCertificate) -> dict:
+    """Certificate document.  Its "ambient" dict (the group table and the
+    twist) is shared: every certificate over the same TwistedGroupData gets
+    the same SharedDict, built on the first call, so callers must not
+    mutate it; the writer encodes it once per call."""
+    doc = _certificate_fields(cert)
+    doc["witness"] = subcat_to_json(cert.witness)
+    return doc
+
+
+def _certificate_text(cert: CrossedBraidingCertificate, level: int,
+                      memo: dict) -> str:
+    """json.dumps(certificate_to_json(cert), indent=2)'s text at depth
+    level: the ambient through memo, the witness through its pair's
+    template one depth deeper, and the rest through _write."""
+    inner, sep, outer = _breaks(level)
+    out = ["{"]
+    brk = inner
+    for key, value in _certificate_fields(cert).items():
+        out.append(f'{brk}"{key}": ')
+        brk = sep
+        if key == "witness":
+            out.append(_subcat_text(value, level + 1, memo))
+        else:
+            _write(value, level + 1, out, memo, set())
+    out += (outer, "}")
+    return "".join(out)
 
 
 # -- stored H^3 representatives ---------------------------------------------
@@ -242,19 +328,38 @@ class SharedDict(dict):
 class Stream:
     """A report's list whose documents are made as it is written.
 
-    Iterating it maps to_json over items; write_json writes each document
-    before the next is made, and list(stream) gives them all.  Only a
+    Iterating it maps to_json over items, and list(stream) gives every
+    document.  write_json writes each document before the next is made:
+    with text, as text(item, depth, memo), which must equal the text
+    json.dumps(to_json(item), indent=2) gives at that depth (memo holds
+    the call's SharedDict texts); without it, by walking to_json(item).
+    subcat_stream and certificate_stream give the two streams the CLI
+    writes, each with its per-pair template (_subcat_template).  Only a
     top-level value of a report may be a Stream, and it is read once.
-    Neither items nor to_json may raise: every error the input can cause
-    must be raised before the report is returned, since the report's text
-    has begun when the stream is read.
+    Neither items, to_json nor text may raise: every error the input can
+    cause must be raised before the report is returned, since the
+    report's text has begun when the stream is read.
     """
 
     items: Iterable
     to_json: Callable[[object], object]
+    text: Callable[[object, int, dict], str] | None = None
 
     def __iter__(self) -> Iterator:
         return map(self.to_json, self.items)
+
+
+def subcat_stream(subs: Iterable[SubcatData]) -> Stream:
+    """The subcategory documents of subs, each written from its pair's
+    template."""
+    return Stream(subs, subcat_to_json, _subcat_text)
+
+
+def certificate_stream(certs: Iterable[CrossedBraidingCertificate]
+                       ) -> Stream:
+    """The certificate documents of certs, each witness written from its
+    pair's template."""
+    return Stream(certs, certificate_to_json, _certificate_text)
 
 
 # exact types json writes the same at every depth
@@ -262,15 +367,24 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 @functools.cache
-def _flat(level: int):
-    """JSONEncoder.encode with items separated by a comma, a newline and
-    the indent of depth level.
+def _flat(level: int) -> Callable[[object], str]:
+    """JSONEncoder().encode with items separated by a comma, a newline
+    and the indent of depth level.
 
-    indent stays None, so CPython encodes a whole container of scalars in
-    C; the caller adds the newlines around its brackets.  A scalar's text
-    is the same at every depth.
+    indent stays None, so a whole container of scalars is one call of
+    the C encoder, built here once per depth; the caller adds the
+    newlines around its brackets.  It keeps no markers, since a container
+    of scalars cannot hold a cycle.  Where CPython has no C encoder, this
+    is JSONEncoder.encode, as json itself falls back.  A scalar's text is
+    the same at every depth.
     """
-    return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
+    sep = ",\n" + "  " * level
+    if c_make_encoder is None:
+        return json.JSONEncoder(separators=(sep, ": ")).encode
+    encode = c_make_encoder(None, json.JSONEncoder().default,
+                            encode_basestring_ascii, None, ": ", sep,
+                            False, False, True)
+    return lambda obj: "".join(encode(obj, 0))
 
 
 @functools.cache
@@ -346,19 +460,21 @@ def _write(obj, level: int, out: list, memo: dict, active: set) -> None:
     active.discard(id(obj))
 
 
-# text pieces a streamed list gathers before write gets them as one string
-_CHUNK = 4096
+# characters of documents a streamed list gathers before write gets them
+_CHUNK = 1 << 16
 
 
 def write_json(obj, write) -> None:
     """Hand write the text dump_json(obj) returns, in one or more strings.
 
     A value of a top-level dict may be a Stream: its items are made,
-    encoded and handed on one at a time, every _CHUNK text pieces, so the
-    items, their documents and the text are never all held at once.  Any
-    other obj is handed on in one string.  A Stream must not raise once
-    it is iterated: the report's text has begun by then, and an error
-    there would end stdout in half a document (see Stream).
+    encoded and handed on one at a time, in strings of about _CHUNK
+    characters that each end between two documents, so the items, their
+    documents and the text are never all held at once, and no document
+    is split between two strings.  Any other obj is handed on in one
+    string.  A Stream must not raise once it is iterated: the report's
+    text has begun by then, and an error there would end stdout in half
+    a document (see Stream).
     """
     out: list[str] = []
     memo: dict = {}
@@ -383,18 +499,27 @@ def write_json(obj, write) -> None:
 
 def _write_stream(stream: Stream, out: list, memo: dict, active: set,
                   write) -> None:
-    """Append a Stream at depth 1 as its list of documents, handing out
-    to write, and emptying it, every _CHUNK pieces."""
+    """Append a Stream at depth 1 as its list of documents, each as one
+    string, handing out to write, and emptying it, once the documents
+    in it pass _CHUNK characters."""
     inner, sep, outer = _breaks(1)
     brk = inner
+    size = 0
     out.append("[")
-    for doc in stream:
-        out.append(brk)
+    for item in stream.items:
+        if stream.text is None:
+            pieces: list[str] = []
+            _write(stream.to_json(item), 2, pieces, memo, active)
+            doc = "".join(pieces)
+        else:
+            doc = stream.text(item, 2, memo)
+        out += (brk, doc)
         brk = sep
-        _write(doc, 2, out, memo, active)
-        if len(out) >= _CHUNK:
+        size += len(doc)
+        if size >= _CHUNK:
             write("".join(out))
             out.clear()
+            size = 0
     # an empty stream leaves "[" and "]" side by side: "[]"
     out.append("]" if brk is inner else outer + "]")
 
@@ -405,11 +530,15 @@ def dump_json(obj) -> str:
     string.
 
     CPython up to 3.12 encodes indent in pure Python, so this writer walks
-    the containers itself (_write): a container of scalars goes to the C
-    encoder in one call, and a SharedDict, such as the ambient every
-    crossed-braiding certificate shares, is encoded once per depth per
-    call.  CPython 3.13 encodes indent in C, so the walk can give way to
-    json.dumps once requires-python reaches 3.13.
+    the containers itself (_write): a container of scalars is one call of
+    a C encoder built once per depth (_flat), and a SharedDict, such as
+    the ambient every crossed-braiding certificate shares, is encoded
+    once per depth per call.  The streamed subcategory and certificate
+    documents skip the walk: each is one join over its pair's text
+    template (subcat_stream, certificate_stream).  CPython 3.13 encodes
+    indent in C, so the walk can give way to json.dumps once
+    requires-python reaches 3.13; the templates would still save the
+    documents themselves.
     """
     pieces: list[str] = []
     write_json(obj, pieces.append)

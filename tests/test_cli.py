@@ -761,6 +761,23 @@ class TestProcessCaches:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "0", "0"]
 
+    def test_no_job_imports_numpy_ma(self):
+        # np.unique imports numpy.ma unless it is asked for an index, an
+        # inverse or counts: milliseconds and about a megabyte a process
+        src = pathlib.Path(cb.__file__).resolve().parents[1]
+        script = ("import io, sys\n"
+                  "from crossbraid import cli\n"
+                  "for argv in (['fibered', '--extension', 'C2', '--normal', '0'],\n"
+                  "             ['cohomology', '--group', 'C2xC2', '--degree', '3'],\n"
+                  "             ['subgroups', '--group', 'D8'], ['selftest']):\n"
+                  "    print(cli.run(argv, out=io.StringIO()))\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0", "0", "0", "False"]
+
     def test_mixed_verbs_in_any_order_match_each_job_alone(self):
         alone = {}
         for argv in MIXED_JOBS:

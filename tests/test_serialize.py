@@ -3,8 +3,9 @@ certificate ambient, and the CLI's streamed reports.
 
 dump_json walks containers itself and keeps a SharedDict's text per call
 under (id, depth); write_json writes a report's Stream one document at a
-time.  Every test here compares them with the stdlib encoder, byte for
-byte, errors included.
+time, and the CLI's subcategory and certificate streams write each
+document from its pair's text template.  Every test here compares them
+with the stdlib encoder, byte for byte, errors included.
 """
 
 import io
@@ -14,14 +15,16 @@ import numpy as np
 import pytest
 
 import crossbraid as cb
-from crossbraid import cli, subcats
+from crossbraid import cli, serialize, subcats
 from crossbraid.serialize import (
     H3_BATTERY,
     SharedDict,
     Stream,
+    certificate_stream,
     certificate_to_json,
     dump_json,
     load_h3_fixture,
+    subcat_stream,
     subcat_to_json,
     write_json,
 )
@@ -174,8 +177,25 @@ class TestStream:
         want = json.dumps({"count": n, "docs": list(fresh_docs(n)),
                            "after": [1, {"z": 2}]}, indent=2) + "\n"
         assert_same_text("".join(pieces), want)
-        # past _CHUNK pieces the text is handed on in several strings
+        # the text is handed on once its documents pass _CHUNK characters,
+        # so every string but the last holds that many and ends a document
         assert (len(pieces) > 1) == (n == 2000)
+        for piece in pieces[:-1]:
+            assert len(piece) >= serialize._CHUNK
+            assert piece.endswith("\n    }")
+
+    def test_no_document_is_split(self):
+        # a sink may count a marker per string, as scripts/reach.py does
+        pieces = []
+        write_json({"subcategories": subcat_stream(
+            cb.enumerate_subcats(cb.TwistedGroupData.trivial(
+                cb.builtin_group("C2xC2xC2"))))}, pieces.append)
+        assert len(pieces) > 2
+        doc = json.loads("".join(pieces))
+        assert sum(p.count('"fpdim": ') for p in pieces) == \
+            len(doc["subcategories"]) == 2825
+        for piece in pieces[:-1]:
+            assert piece.endswith("\n    }")
 
     def test_items_pass_through_to_json(self):
         stream = Stream(range(5), lambda i: {"square": [i * i]})
@@ -198,6 +218,113 @@ class TestStream:
         shared["a"].append(shared)
         with pytest.raises(ValueError, match="Circular reference"):
             dump_json({"top": shared})
+
+
+def reindent(obj, level: int) -> str:
+    """json.dumps(obj, indent=2) as it reads at nesting depth level."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
+
+
+class TestTemplates:
+    """A streamed subcategory or certificate document is written from
+    its pair's text template; each must read as json.dumps of the
+    document subcat_to_json or certificate_to_json gives, at any depth."""
+
+    @pytest.mark.parametrize("name, k", [("C2xC2xC2", None), ("D8", 2),
+                                         ("Q8", 1), ("C6", 5), ("C4", 0)])
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_subcats(self, name, k, level):
+        G = cb.builtin_group(name)
+        data = (cb.TwistedGroupData.trivial(G) if k is None else
+                cb.TwistedGroupData(G, cb.h3_class_representative(name, k)))
+        for s in cb.enumerate_subcats(data):
+            assert serialize._subcat_text(s, level, {}) == \
+                reindent(subcat_to_json(s), level)
+
+    def test_all_zero_pairing(self):
+        G = cb.builtin_group("S3")
+        data = cb.TwistedGroupData.trivial(G)
+        whole, one = cb.Subgroup(G, tuple(range(6))), cb.Subgroup(G, (0,))
+        s = cb.SubcatData(data, one, whole,
+                          cb.OmegaBicharacter(data, one, whole, (0,) * 6))
+        assert subcat_to_json(s)["B"] == {}
+        for level in (0, 2, 3):
+            text = serialize._subcat_text(s, level, {})
+            assert text == reindent(subcat_to_json(s), level)
+            assert '"B": {}' in text
+
+    def test_equal_ids_over_groups_of_other_orders(self):
+        # S(1, 1, 1) has the same L, M and B over every group, and an
+        # fpdim of |G|: the template memo must not mix them up
+        subs = []
+        for name in ("C2", "C4", "C2xC2", "S3", "C4", "C2"):
+            data = cb.TwistedGroupData.trivial(cb.builtin_group(name))
+            one = cb.Subgroup(data.group, (0,))
+            subs.append(cb.SubcatData(
+                data, one, one, cb.OmegaBicharacter(data, one, one, (0,))))
+        for s in subs + subs[::-1]:
+            doc = subcat_to_json(s)
+            assert doc["fpdim"] == s.parent.group.order
+            assert serialize._subcat_text(s, 2, {}) == reindent(doc, 2)
+
+    @pytest.mark.parametrize("name, central", [
+        ("C2xC4", "trivial"), ("D8", "full"), ("C2xC2xC2", "0")])
+    def test_rep_certificates(self, name, central):
+        G = cb.builtin_group(name)
+        H = cb.center(G) if central == "full" else cb.Subgroup(G, (0,))
+        certs = cb.enumerate_rep(G, H)
+        assert certs
+        memo = {}
+        for c in certs:
+            assert serialize._certificate_text(c, 2, memo) == \
+                reindent(certificate_to_json(c), 2)
+
+    @pytest.mark.parametrize("name, k, kernel", [
+        ("C4", 1, (0, 2)), ("D8", 2, (0, 2)), ("C2xC2", 3, (0,))])
+    def test_pointed_certificates(self, name, k, kernel):
+        G = cb.builtin_group(name)
+        data = cb.TwistedGroupData(G, cb.h3_class_representative(name, k))
+        _, pi = cb.quotient(G, cb.Subgroup(G, kernel))
+        certs = cb.enumerate_pointed(data, pi)
+        assert certs
+        memo = {}
+        for c in certs:
+            assert serialize._certificate_text(c, 2, memo) == \
+                reindent(certificate_to_json(c), 2)
+
+    def test_streams_iterate_as_their_documents(self):
+        data = cb.TwistedGroupData.trivial(cb.builtin_group("D8"))
+        subs = cb.enumerate_subcats(data)
+        assert list(subcat_stream(subs)) == [subcat_to_json(s) for s in subs]
+        G = cb.builtin_group("D8")
+        certs = cb.enumerate_rep(G, cb.center(G))
+        assert list(certificate_stream(certs)) == \
+            [certificate_to_json(c) for c in certs]
+
+    def test_memo_stays_within_its_bound(self):
+        assert cli.run(["subcats", "--group", "C2xC2xC2"],
+                       out=io.StringIO()) == 0
+        for memo in (serialize._subcat_template, serialize._pair_keys):
+            info = memo.cache_info()
+            assert info.maxsize == serialize._PAIRS
+            assert 0 < info.currsize <= serialize._PAIRS
+
+    def test_without_the_c_encoder(self, monkeypatch):
+        # where CPython has no C encoder, _flat is JSONEncoder.encode
+        monkeypatch.setattr(serialize, "c_make_encoder", None)
+        serialize._flat.cache_clear()
+        try:
+            for obj in ([1, True, None, 1.5, "é"], {"a": [float("nan")]},
+                        {1: [2, 3], "b": {"c": [[4], {}]}}):
+                assert_same(obj)
+            with pytest.raises(TypeError):
+                dump_json([np.int64(1)])
+            G = cb.builtin_group("C2xC4")
+            certs = cb.enumerate_rep(G, cb.Subgroup(G, (0,)))
+            assert dump_json({"c": certificate_stream(certs)}) == \
+                reference({"c": [certificate_to_json(c) for c in certs]})
+        finally:
+            serialize._flat.cache_clear()
 
 
 def render_table(doc: dict) -> str:
