@@ -15,6 +15,7 @@ from importlib import resources
 from itertools import compress
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import add, itemgetter
+from sys import intern
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -41,10 +42,6 @@ def group_from_json(obj) -> FiniteGroup:
     return build_group(obj)
 
 
-def _key(gs) -> str:
-    return ",".join(str(g) for g in gs)
-
-
 def _unkey(text: str, degree: int):
     if degree == 0:
         if text:
@@ -64,12 +61,14 @@ def cochain_to_json(c: Cochain) -> dict:
         out["modulus"] = A.order
     else:
         out["module"] = group_to_json(A)
-    entries = {}
-    s = c.group.order
-    for i in np.flatnonzero(c._array).tolist():
-        gs = [i // s ** j % s for j in range(c.degree - 1, -1, -1)]
-        entries[_key(gs)] = c.table[i]
-    out["entries"] = dict(sorted(entries.items()))
+    cells = np.flatnonzero(c._array)
+    if c.degree:
+        # the ids of every nonzero cell at once, one array per slot
+        ids = np.unravel_index(cells, (c.group.order,) * c.degree)
+        keys = map(",".join, zip(*(map(str, i.tolist()) for i in ids)))
+    else:
+        keys = [""] * len(cells)
+    out["entries"] = dict(sorted(zip(keys, c._array[cells].tolist())))
     out["normalized"] = c.is_normalized
     return out
 
@@ -112,8 +111,10 @@ def cochain_from_json(G: FiniteGroup, obj) -> Cochain:
 
 
 # subgroup pairs (and depths) whose key order and text template are kept:
-# a stream reaches its pairs one after another, so a few are enough
-_PAIRS = 4
+# enough for every pair one process meets over the pairs and twists of
+# the small groups (449 templates in one pass of the pairings benchmark),
+# so a pair met again, under another twist or verb, reuses its text
+_PAIRS = 512
 
 
 @functools.lru_cache(maxsize=_PAIRS)
@@ -121,8 +122,9 @@ def _pair_keys(L: tuple[int, ...], M: tuple[int, ...]
                ) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """The cells of a pairing table on L x M, row-major over the ids of L
     and M, and their "l,m" keys, both in sorted key order: the order of a
-    subcategory document's "B"."""
-    keys = [f"{int(l)},{int(m)}" for l in L for m in M]
+    subcategory document's "B".  A key text recurs over many pairs, and
+    is held once (sys.intern)."""
+    keys = [intern(f"{int(l)},{int(m)}") for l in L for m in M]
     cells = sorted(range(len(keys)), key=keys.__getitem__)
     return tuple(cells), tuple(keys[k] for k in cells)
 
@@ -144,9 +146,10 @@ class _SubcatTemplate(NamedTuple):
     pick: Callable   # a table's values in key order
     keys: tuple[str, ...]   # '"l,m": ' of each cell, in key order
     sep: str   # between two B entries
-    head: str   # the document up to B's first entry
-    tail: str   # the document after B's last entry
-    empty: str   # the whole document when B is all zeros
+    head: str   # the document up to B
+    open: str   # B up to its first entry
+    close: str   # B after its last entry
+    tail: str   # the document after B
 
 
 @functools.lru_cache(maxsize=_PAIRS)
@@ -164,9 +167,9 @@ def _subcat_template(L: tuple[int, ...], M: tuple[int, ...], dim: int,
     tail = f'{sep}"fpdim": {dim}{outer}}}'
     # itemgetter of one cell returns the value, not a 1-tuple
     pick = itemgetter(*cells) if len(cells) > 1 else tuple
-    return _SubcatTemplate(pick, tuple(f'"{key}": ' for key in keys), b_sep,
-                           head + "{" + b_inner, b_outer + "}" + tail,
-                           head + "{}" + tail)
+    return _SubcatTemplate(pick, tuple(intern(f'"{key}": ') for key in keys),
+                           b_sep, head, intern("{" + b_inner),
+                           intern(b_outer + "}"), tail)
 
 
 def _subcat_text(s: SubcatData, level: int, memo: dict) -> str:
@@ -177,7 +180,9 @@ def _subcat_text(s: SubcatData, level: int, memo: dict) -> str:
     # B's keys and values where the value is nonzero; str(v) is json's int
     entries = t.sep.join(map(add, compress(t.keys, vals),
                              map(str, filter(None, vals))))
-    return "".join((t.head, entries, t.tail)) if entries else t.empty
+    if entries:
+        return "".join((t.head, t.open, entries, t.close, t.tail))
+    return "".join((t.head, "{}", t.tail))
 
 
 def grading_to_json(g: GradingSpec) -> dict:

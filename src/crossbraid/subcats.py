@@ -12,7 +12,8 @@ from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
-from math import prod
+from typing import NamedTuple
+from weakref import ref
 
 import numpy as np
 
@@ -35,8 +36,8 @@ from .twisted_center import TwistedGroupData
 
 DEFAULT_BUDGET = 1_000_000
 
-# pairing systems, and their factors, one process keeps (see
-# _pairing_system and _pairing_factor)
+# pairing rows, their factors and their subgroup pieces one process
+# keeps, each (see _pairing_system and _pairing_factor)
 PAIRING_FACTORS = 1024
 
 
@@ -141,7 +142,13 @@ def _generators_of_group(G) -> np.ndarray:
     return gens
 
 
-def _axiom_blocks(G, L: Subgroup, M: Subgroup, generators: bool = False):
+def _table_bytes(G) -> bytes:
+    """G's table as bytes: the group's part of a pairing-rows key, one
+    object per group, so the keys of its rows share it."""
+    return G.table.tobytes()
+
+
+def _axiom_blocks(G, L: Subgroup, M: Subgroup):
     """The three pairing axioms over L x M as linear forms in the table.
 
     Unknown i * |M| + j is the entry at (L.elements[i], M.elements[j]).
@@ -149,32 +156,24 @@ def _axiom_blocks(G, L: Subgroup, M: Subgroup, generators: bool = False):
     (axes, terms, offset).  axes hold the element ids along each array
     axis: (l, m1, m2) for the right slot, (k, l, m) for the left slot and
     (g, l, m) for invariance, in the sweep order of the witnesses; the
-    block holds one axiom instance per cell of that shape.  With
-    generators, the last axis of the right slot, the middle axis of the
-    left slot and the first axis of invariance run over gens(M), gens(L)
-    and gens(G) instead ((0,) for a trivial subgroup), and normality is
-    checked at gens(G) alone, as conjugation composes: the rows a
-    _PairingSystem keeps.  terms are (columns, coefficient) and offset is
-    ((a, g, h), sign), both with index arrays broadcasting to the block's
-    shape; (a, g, h) index a twist's beta_table.  The instance reads
+    block holds one axiom instance per cell of that shape.  terms are
+    (columns, coefficient) and offset is ((a, g, h), sign), both with
+    index arrays broadcasting to the block's shape; (a, g, h) index a
+    twist's beta_table.  The instance reads
 
         sum of coefficient * table[columns]
             ==  lift * sum of sign * beta_table[a, g, h]   (mod N')
 
     with lift = exponent(G), which carries mu_N into mu_N'.  Nothing here
     depends on the twist: it enters only through the beta values the
-    offsets gather.
+    offsets gather.  _PairingRows keeps these rows cut to generating sets.
     """
     T, inv = G.table, G.inverse
     Le, Me = np.array(L.elements), np.array(M.elements)
     pl, pm = _positions(G, L), _positions(G, M)
     nm = M.order
     u = np.arange(L.order * nm).reshape(-1, nm)
-    if generators:
-        m2, l2 = (np.array(S.generators or (0,)) for S in (M, L))
-        g = cached_on(G, _generators_of_group)
-    else:
-        m2, l2, g = Me, Le, np.arange(G.order)
+    g = np.arange(G.order)
     gi = inv[g]
     # slots of g^-1 l g in L and of g m g^-1 in M
     inner_l = pl[T[T[gi[:, None], Le], g[:, None]]]
@@ -182,15 +181,15 @@ def _axiom_blocks(G, L: Subgroup, M: Subgroup, generators: bool = False):
     if (inner_l < 0).any() or (inner_m < 0).any():
         raise NotNormal("L and M must both be normal")
     # B(l, m1 m2) - B(l, m1) - B(l, m2) = -lift beta_l(m1, m2)
-    right = ((Le, Me, m2),
-             ((u[:, pm[T[Me[:, None], m2]]], 1),
-              (u[:, :, None], -1), (u[:, None, pm[m2]], -1)),
-             (((Le[:, None, None], Me[:, None], m2), -1),))
+    right = ((Le, Me, Me),
+             ((u[:, pm[T[Me[:, None], Me]]], 1),
+              (u[:, :, None], -1), (u[:, None, :], -1)),
+             (((Le[:, None, None], Me[:, None], Me), -1),))
     # B(kl, m) - B(k, m) - B(l, m) = lift beta_m(k, l)
-    left = ((Le, l2, Me),
-            ((u[pl[T[Le[:, None], l2]]], 1), (u[:, None, :], -1),
-             (u[pl[l2]], -1)),
-            (((Me, Le[:, None, None], l2[:, None]), 1),))
+    left = ((Le, Le, Me),
+            ((u[pl[T[Le[:, None], Le]]], 1), (u[:, None, :], -1),
+             (u[None], -1)),
+            (((Me, Le[:, None, None], Le[:, None]), 1),))
     # B(g^-1 l g, m) - B(l, g m g^-1)
     #   = lift (beta_l(g, m) + beta_l(gm, g^-1) - beta_l(g, g^-1))
     l, g3, gi3 = Le[:, None], g[:, None, None], gi[:, None, None]
@@ -319,9 +318,78 @@ def _pairing_factor(mod: int, shape: tuple[int, int],
     return CongruenceFactor(A, mod)
 
 
-class _PairingSystem:
-    """The pairing rows over one (G, L, M, killed subgroup, N'), without
-    the twist.
+class _SubgroupRows(NamedTuple):
+    """What the pairing rows over G take from one subgroup S of G, in
+    either slot.  Index x runs over S.elements, s over gens(S) and g over
+    gens(G), with (0,) for a trivial group.  The arrays are read-only."""
+
+    positions: np.ndarray   # _positions(G, S)
+    gens: np.ndarray   # gens(S)
+    normal: bool   # whether g^-1 S g = S for every g
+    slot: np.ndarray   # int8 R_S: row (x, s) is e_(xs) - e_x - e_s
+    inner_l: np.ndarray   # int8 one-hot of g^-1 x g at (g, x); normal only
+    inner_m: np.ndarray   # int8 one-hot of g x g^-1 at (g, x); normal only
+    first: np.ndarray   # x |G|^2 at (x, 0): the a of beta_table[a, -, -]
+    pairs: np.ndarray   # x |G| + s at (x, s), flat: beta_table[-, x, s]
+    # beta_table[-, g, x], [-, g x, g^-1] and [-, g, g^-1] at (t, g, 0, x)
+    invariance: np.ndarray
+
+
+def _subgroup_rows(G, S: Subgroup) -> _SubgroupRows:
+    """S's pieces of the pairing rows over G; _PairingRows keeps them per
+    (G, S) in _SUBGROUP_ROWS."""
+    T, n = G.table, G.order
+    el = np.array(S.elements)
+    pos = _positions(G, S)
+    gens = np.array(S.generators or (0,))
+    x, s = np.arange(S.order)[:, None], np.arange(len(gens))
+    slot = np.zeros((S.order, len(gens), S.order), dtype=np.int8)
+    slot[x, s, pos[T[el[:, None], gens]]] += 1
+    slot[x, s, x] -= 1
+    slot[x, s, pos[gens]] -= 1
+    g = cached_on(G, _generators_of_group)[:, None]
+    gi = G.inverse[g]
+    inner_l, inner_m = pos[T[T[gi, el], g]], pos[T[T[g, el], gi]]
+    # g^-1 S g lies in S exactly when g S g^-1 does: both have |S| elements
+    normal = bool((inner_l >= 0).all())
+    if normal:
+        unit = np.eye(S.order, dtype=np.int8)
+        inner_l, inner_m = unit[inner_l], unit[inner_m]
+    invariance = np.stack(np.broadcast_arrays(
+        g * n + el, T[g, el] * n + gi, g * n + gi))[:, :, None]
+    rows = _SubgroupRows(pos, gens, normal, slot.reshape(-1, S.order),
+                         inner_l, inner_m, el[:, None] * n * n,
+                         (el[:, None] * n + gens).ravel(), invariance)
+    for a in rows:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=PAIRING_FACTORS)
+def _offset_signs(r1: int, r2: int, r3: int, size: int) -> np.ndarray:
+    """The signs of the padded offset terms of pairing rows whose right
+    slot, left slot and invariance blocks end at rows r1, r2 and r3 of
+    size: -1 on the right slot's term, 1 on the left slot's, 1, 1 and -1
+    on the three of invariance, none on the killed rows.  Rows with these
+    blocks share the one read-only array."""
+    signs = np.zeros((size, 3), dtype=np.int8)
+    signs[:r1, 0] = -1
+    signs[r1:r2, 0] = 1
+    signs[r2:r3] = 1, 1, -1
+    signs.flags.writeable = False
+    return signs
+
+
+# pairing rows one process keeps, and the subgroup pieces they are
+# built from, least recently used first
+_ROWS: OrderedDict = OrderedDict()
+_SUBGROUP_ROWS: OrderedDict = OrderedDict()
+
+
+class _PairingRows:
+    """The pairing rows over one (G, L, M, killed subgroup), without the
+    twist or N'.
 
     One axis of each axiom block runs over a generating set only: m2 in
     gens(M) for the right slot, l in gens(L) for the left slot and g in
@@ -343,64 +411,155 @@ class _PairingSystem:
       (l, h m h^-1), offsets included.  Rows at the generators of G give
       the rows at every word in them, and c_1 = 0 by the same identity.
 
-    The rows are _axiom_blocks(G, L, M, generators=True) and then the
-    killed unit rows, and all of them key the factor: a row reading 0 = c
-    with c nonzero, or two equal rows with different offsets, leave no
-    particular solution x0 with A x0 = b, which the factor's solve
-    refuses.  What stays is every row's beta offset in a padded
-    three-term form (gather: int32 flat indices into beta_table.ravel(),
-    signs: their int8 signs, index 0 and sign 0 on padding) and the
-    factor.  Nothing the twist decides is held: solve reads every offset
-    from the beta table it is given.  Construction raises NotCentral,
-    NotNormal or InvalidElement (a killed subgroup outside M) for a bad
-    structure.
+    The rows are those of _axiom_blocks(G, L, M) with each block cut to
+    its generating set, in the same order, and then the killed unit rows.
+    Over the unknowns l |M| + m they are Kronecker products of pieces of
+    one subgroup each (_SubgroupRows): I_L (x) R_M for the right slot,
+    R_L (x) I_M for the left slot, P_g (x) I_M - I_L (x) Q_g at each
+    g in gens(G), with P_g and Q_g the conjugations g^-1 l g and
+    g m g^-1, and I_L (x) E_K for the killed rows.  All of them key the
+    factor: a row reading 0 = c with c nonzero, or two equal rows with
+    different offsets, leave no particular solution x0 with A x0 = b,
+    which the factor's solve refuses.
+
+    Held: every row's beta offset in a padded three-term form (gather:
+    int32 flat indices into beta_table.ravel(), signs: their int8 signs,
+    index 0 and sign 0 on padding), the lift exponent(G), and a weak
+    reference to the factor at each N' seen (factors), so the factor
+    lives as long as _pairing_factor keeps it.  A is not held: build
+    writes it afresh for an N' whose factor is gone.  Nothing the twist
+    decides is held.  Construction raises NotCentral, NotNormal or
+    InvalidElement (a killed subgroup outside M) for a bad structure.
+    """
+
+    __slots__ = ("lift", "gather", "signs", "factors", "_l", "_m", "_unit")
+
+    def __init__(self, G, L: Subgroup, M: Subgroup, killed: Subgroup | None,
+                 table: bytes):
+        l, m = (cached(_SUBGROUP_ROWS, (table, S.elements),
+                       lambda: _subgroup_rows(G, S), PAIRING_FACTORS)
+                for S in (L, M))
+        T = G.table
+        # subgroups commute when their generators do
+        if (T[l.gens[:, None], m.gens] != T[m.gens, l.gens[:, None]]).any():
+            raise NotCentral("L and M must commute elementwise")
+        if not (l.normal and m.normal):
+            raise NotNormal("L and M must both be normal")
+        nl, nm = L.order, M.order
+        unit, killed_rows = None, 0
+        if killed is not None:
+            pk = m.positions[list(killed.elements)]
+            if (pk < 0).any():
+                raise InvalidElement("killed subgroup must lie inside M")
+            # B(l, k) = 0 on L x K: row k of E_K is the unit vector at k
+            unit = pk[:, None] == np.arange(nm)
+            killed_rows = nl * len(pk)
+        self._l, self._m, self._unit = l, m, unit
+        r1, r2, r3 = self._stops()
+        size = r3 + killed_rows
+        n = G.order
+        # flat indices into beta_table, |G|^3 cells
+        gather = np.zeros((size, 3),
+                          dtype=np.int32 if n ** 3 < 1 << 31 else np.int64)
+        # B(l, m1 s) - B(l, m1) - B(l, s) = -lift beta_l(m1, s)
+        np.add(l.first, m.pairs, out=gather[:r1, 0].reshape(nl, -1))
+        # B(kt, m) - B(k, m) - B(t, m) = lift beta_m(k, t)
+        np.add(l.pairs[:, None], m.first.T,
+               out=gather[r1:r2, 0].reshape(-1, nm))
+        # B(g^-1 l g, m) - B(l, g m g^-1)
+        #   = lift (beta_l(g, m) + beta_l(gm, g^-1) - beta_l(g, g^-1))
+        np.add(l.first, m.invariance,
+               out=gather[r2:r3].T.reshape(3, -1, nl, nm))
+        self.lift, self.gather = G.exponent, gather
+        self.signs = _offset_signs(r1, r2, r3, size)
+        self.factors = {}
+
+    def _stops(self) -> tuple[int, int, int]:
+        """The rows where the right slot, left slot and invariance
+        blocks end."""
+        l, m = self._l, self._m
+        w = len(l.first) * len(m.first)
+        r1 = len(l.first) * len(m.pairs)
+        r2 = r1 + len(l.pairs) * len(m.first)
+        return r1, r2, r2 + len(m.invariance[0]) * w
+
+    def factor(self, mod: int) -> CongruenceFactor:
+        """The factor of these rows mod N', built on first use."""
+        held = self.factors.get(mod)
+        factor = None if held is None else held()
+        if factor is None:
+            factor = self.build(mod)
+            self.factors[mod] = ref(factor)
+        return factor
+
+    def build(self, mod: int) -> CongruenceFactor:
+        """The factor of these rows mod N' (_pairing_factor), keyed by
+        their residues in the smallest unsigned type holding N'."""
+        A = self._matrix()
+        # coefficients of merged terms stay in [-3, 3]
+        A += 3
+        A = np.array([x % mod for x in range(-3, 4)],
+                     dtype=np.min_scalar_type(mod))[A]
+        shape, cells = A.shape, A.tobytes()
+        # the factor's A is a view of cells: drop this copy before the
+        # reduction
+        del A
+        return _pairing_factor(mod, shape, cells)
+
+    def _matrix(self) -> np.ndarray:
+        """A as int8, written block by block into one preallocated array
+        through strided views."""
+        l, m = self._l, self._m
+        r1, r2, r3 = self._stops()
+        nl, nm = len(l.first), len(m.first)
+        k1, k2, ng = len(m.pairs), len(l.pairs), len(m.invariance[0])
+        w = nl * nm
+        A = np.zeros((len(self.gather), w), dtype=np.int8)
+
+        def block(start, shape, steps):
+            # a view of A from flat cell start, stepping steps cells
+            # along each axis of shape; A's cells are bytes
+            return np.ndarray(shape, np.int8, A, start, steps)
+
+        # I_L (x) R_M: row (l, x) at column l |M| + m
+        block(0, (nl, k1, nm), (k1 * w + nm, w, 1))[...] = m.slot
+        # R_L (x) I_M: row (x, m) at column l |M| + m
+        block(r1 * w, (k2, nl, nm), (nm * w, nm, w + 1))[...] = \
+            l.slot[:, :, None]
+        # P_g (x) I_M - I_L (x) Q_g: row (g, l, m)
+        block(r2 * w, (ng, nl, nl, nm), (w * w, nm * w, nm, w + 1))[...] = \
+            l.inner_l[..., None]
+        inner = block(r2 * w, (ng, nl, nm, nm), (w * w, nm * w + nm, w, 1))
+        inner -= m.inner_m[:, None]
+        if self._unit is not None:
+            # I_L (x) E_K: row (l, k)
+            nk = len(self._unit)
+            block(r3 * w, (nl, nk, nm), (nk * w + nm, w, 1))[...] = \
+                self._unit
+        return A
+
+
+class _PairingSystem:
+    """The pairing rows of one (G, L, M, killed subgroup) at one N', with
+    their factor.
+
+    Given rows, the structure's cached _PairingRows, the system shares
+    their offsets and their factor at N'.  Without, the rows and the
+    factor are built here and kept nowhere.
     """
 
     __slots__ = ("_lift", "_mod", "_gather", "_signs", "_factor")
 
     def __init__(self, G, L: Subgroup, M: Subgroup, killed: Subgroup | None,
-                 mod: int):
-        T = G.table
-        # subgroups commute when their generators do
-        Lg, Mg = (np.array(S.generators or (0,)) for S in (L, M))
-        if not np.array_equal(T[Lg[:, None], Mg], T[Mg, Lg[:, None]]):
-            raise NotCentral("L and M must commute elementwise")
-        blocks = _axiom_blocks(G, L, M, generators=True)    # NotNormal
-        width = L.order * M.order
-        if killed is not None:
-            pk = _positions(G, M)[list(killed.elements)]
-            if (pk < 0).any():
-                raise InvalidElement("killed subgroup must lie inside M")
-            # B(l, k) = 0 on L x K
-            cols = np.arange(0, width, M.order)[:, None] + pk
-            unit_rows = ((L.elements, killed.elements), ((cols, 1),), ())
-            blocks += (unit_rows,)
-        n = G.order
-        shapes = [tuple(map(len, axes)) for axes, _, _ in blocks]
-        size = sum(map(prod, shapes))
-        # coefficients of merged terms stay in [-3, 3]
-        A = np.zeros((size, width), dtype=np.int8)
-        # flat indices into beta_table, |G|^3 cells
-        gather = np.zeros((size, 3),
-                          dtype=np.int32 if n ** 3 < 1 << 31 else np.int64)
-        signs = np.zeros((size, 3), dtype=np.int8)
-        start = 0
-        for (_, terms, offset), shape in zip(blocks, shapes):
-            stop = start + prod(shape)
-            rows = np.arange(start, stop).reshape(shape)
-            for cols, coef in terms:
-                A[rows, cols] += coef
-            for t, ((a, g, h), sign) in enumerate(offset):
-                gather[rows, t] = (a * n + g) * n + h
-                signs[start:stop, t] = sign
-            start = stop
-        # the factor key: residues mod N' in the smallest unsigned type
-        residue = np.array([x % mod for x in range(-3, 4)],
-                           dtype=np.min_scalar_type(mod))
-        A = residue[A + 3]
-        self._lift, self._mod = G.exponent, mod
-        self._gather, self._signs = gather, signs
-        self._factor = _pairing_factor(mod, A.shape, A.tobytes())
+                 mod: int, rows: _PairingRows | None = None):
+        if rows is None:
+            rows = _PairingRows(G, L, M, killed, G.table.tobytes())
+            factor = rows.build(mod)
+        else:
+            factor = rows.factor(mod)
+        self._lift, self._mod = rows.lift, mod
+        self._gather, self._signs = rows.gather, rows.signs
+        self._factor = factor
 
     def solve(self, beta: np.ndarray) -> CongruenceSolution | None:
         """Every pairing for the twist with this beta table, or None.
@@ -415,25 +574,24 @@ class _PairingSystem:
         return self._factor.solve(b)
 
 
-# pairing systems one process keeps, least recently used first
-_SYSTEMS: OrderedDict = OrderedDict()
-
-
 def _pairing_system(G, L: Subgroup, M: Subgroup, killed: Subgroup | None,
                     mod: int) -> _PairingSystem:
-    """The pairing system of this structure, built on first use.
+    """The pairing system of this structure mod N', on rows built on
+    first use.
 
-    Keyed by content (N', the group table and the element ids of L, M and
-    the killed subgroup), so equal structures share a system whatever
-    objects carry them.  A structure that fails to build is not kept, so
-    it raises again on every call.  Least recently used systems are
-    dropped past PAIRING_FACTORS.
+    The rows are keyed by content (the group table and the element ids
+    of L, M and the killed subgroup) but not by N', so equal structures
+    share them whatever objects carry them, at every N'.  A structure
+    that fails to build is not kept, so it raises again on every call.
+    Least recently used rows are dropped past PAIRING_FACTORS, and so
+    are the subgroup pieces they are built from.
     """
-    key = (mod, G.table.tobytes(), L.elements, M.elements,
+    table = cached_on(G, _table_bytes)
+    key = (table, L.elements, M.elements,
            None if killed is None else killed.elements)
-    return cached(_SYSTEMS, key,
-                  lambda: _PairingSystem(G, L, M, killed, mod),
+    rows = cached(_ROWS, key, lambda: _PairingRows(G, L, M, killed, table),
                   PAIRING_FACTORS)
+    return _PairingSystem(G, L, M, killed, mod, rows)
 
 
 def solve_pairings(data: TwistedGroupData, L: Subgroup, M: Subgroup,
@@ -445,7 +603,8 @@ def solve_pairings(data: TwistedGroupData, L: Subgroup, M: Subgroup,
     linear row.  Every lattice point is a valid pairing.  With killed, a
     subgroup of M, the pairing must also vanish on L x killed.  L and M
     must be commuting normal subgroups.  Returns None when no pairing
-    exists.  The rows are built once per structure (_pairing_system); each
+    exists.  The rows are built once per (G, L, M, killed) whatever the
+    working modulus N', and factored once per N' (_pairing_system); each
     call gathers its own offsets from the twist's beta table.
     """
     G = data.group

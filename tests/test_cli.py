@@ -611,7 +611,8 @@ def run_capped(argv, tmp_path, cap):
 def clear_process_caches():
     cli._parser.cache_clear()
     subcats._pairing_factor.cache_clear()
-    subcats._SYSTEMS.clear()
+    subcats._ROWS.clear()
+    subcats._SUBGROUP_ROWS.clear()
     groups._BUILTINS.clear()
     cohomology._MU.clear()
     for cached in (serialize._fixture, serialize._stored,
@@ -659,11 +660,15 @@ class TestProcessCaches:
         clear_process_caches()
         go(verb, "--group", group, "--omega", f"repr:{j}")
         built = subcats._pairing_factor.cache_info().misses
-        systems = set(subcats._SYSTEMS)
+        rows = dict(subcats._ROWS)
+        factors = {key: dict(r.factors) for key, r in rows.items()}
         assert go(verb, "--group", group, "--omega", f"repr:{k}") == fresh
-        # twist k solved on systems and factors built for twist j alone
+        # twist k solved on rows and factors built for twist j alone: no
+        # new rows, and no A written afresh for any N'
         assert subcats._pairing_factor.cache_info().misses == built
-        assert set(subcats._SYSTEMS) == systems
+        assert subcats._ROWS == rows
+        assert all(subcats._ROWS[key] is r for key, r in rows.items())
+        assert {key: r.factors for key, r in rows.items()} == factors
 
     def test_repr_builds_only_the_representatives_it_uses(self):
         clear_process_caches()
@@ -699,7 +704,8 @@ class TestProcessCaches:
         info = subcats._pairing_factor.cache_info()
         assert info.maxsize == subcats.PAIRING_FACTORS
         assert 0 < info.currsize <= info.maxsize
-        assert 0 < len(subcats._SYSTEMS) <= subcats.PAIRING_FACTORS
+        assert 0 < len(subcats._ROWS) <= subcats.PAIRING_FACTORS
+        assert 0 < len(subcats._SUBGROUP_ROWS) <= subcats.PAIRING_FACTORS
         assert serialize._stored.cache_info().currsize == 3
 
     def test_shared_arrays_are_read_only(self):
@@ -754,12 +760,12 @@ class TestProcessCaches:
         script = ("import crossbraid.cli\n"
                   "from crossbraid import cohomology, groups, subcats\n"
                   "print(len(groups._BUILTINS), len(cohomology._MU),\n"
-                  "      len(subcats._SYSTEMS))\n")
+                  "      len(subcats._ROWS), len(subcats._SUBGROUP_ROWS))\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               env=dict(os.environ, PYTHONPATH=str(src)),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0", "0"]
+        assert proc.stdout.split() == ["0", "0", "0", "0"]
 
     def test_no_job_imports_numpy_ma(self):
         # np.unique imports numpy.ma unless it is asked for an index, an

@@ -10,6 +10,7 @@ with the stdlib encoder, byte for byte, errors included.
 
 import io
 import json
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from crossbraid.serialize import (
     Stream,
     certificate_stream,
     certificate_to_json,
+    cochain_to_json,
     dump_json,
     load_h3_fixture,
     subcat_stream,
@@ -325,6 +327,38 @@ class TestTemplates:
                 reference({"c": [certificate_to_json(c) for c in certs]})
         finally:
             serialize._flat.cache_clear()
+
+
+def per_entry_entries(c) -> dict:
+    """cochain_to_json's entries, each cell split into its ids alone."""
+    s = c.group.order
+    entries = {}
+    for i, v in enumerate(c.table):
+        if v:
+            gs = [i // s ** j % s for j in range(c.degree - 1, -1, -1)]
+            entries[",".join(str(g) for g in gs)] = v
+    return dict(sorted(entries.items()))
+
+
+class TestCochainEntries:
+    @pytest.mark.parametrize("degree", range(4))
+    def test_match_a_per_entry_split(self, degree):
+        # C12's ids 10 and 11 sort before 2 as strings
+        rng = random.Random(20261022 + degree)
+        for name in ("C1", "C2", "S3", "C2xC4", "C12"):
+            G = cb.builtin_group(name)
+            for n, normalized in ((2, True), (5, False), (12, True)):
+                c = cb.random_cochain(G, cb.mu_module(n), degree, rng,
+                                      normalized=normalized)
+                want = per_entry_entries(c)
+                got = cochain_to_json(c)["entries"]
+                assert list(got.items()) == list(want.items())
+                assert all(type(v) is int for v in got.values())
+        # the one cell of degree 0 has the empty key
+        one = cb.Cochain(0, cb.builtin_group("C3"), cb.mu_module(4), (3,))
+        assert cochain_to_json(one)["entries"] == {"": 3}
+        zero = cb.Cochain(degree, G, cb.mu_module(4), (0,) * G.order ** degree)
+        assert cochain_to_json(zero)["entries"] == {}
 
 
 def render_table(doc: dict) -> str:

@@ -825,8 +825,17 @@ class TestPairingFactorCache:
 
 
 def clear_pairing_caches():
-    subcats._SYSTEMS.clear()
+    subcats._ROWS.clear()
+    subcats._SUBGROUP_ROWS.clear()
     subcats._pairing_factor.cache_clear()
+
+
+def held_factors():
+    """The live factor of every cached structure at every N' it holds."""
+    return {(key, mod): factor
+            for key, rows in subcats._ROWS.items()
+            for mod, held in rows.factors.items()
+            if (factor := held()) is not None}
 
 
 def by_group(twists):
@@ -840,8 +849,9 @@ def by_group(twists):
 
 
 class TestPairingSystemCache:
-    """solve_pairings keeps one system per (G, L, M, killed, N'); a system
-    built for one twist must give every later twist its own solution."""
+    """solve_pairings keeps rows per (G, L, M, killed) and their factor
+    per N'; rows built for one twist must give every later twist its own
+    solution."""
 
     @pytest.mark.parametrize("source", ["stored", "corrupted"])
     def test_cold_then_warm_systems_match_the_oracle(self, source):
@@ -858,21 +868,25 @@ class TestPairingSystemCache:
             # every later twist solves on it
             for job, w in zip(jobs, want):
                 assert points(solve_pairings(*job)) == w, job
-            built = dict(subcats._SYSTEMS)
-            assert len(built) < len(jobs) and len(built) <= PAIRING_FACTORS
+            rows, built = dict(subcats._ROWS), held_factors()
+            assert len(built) < len(jobs) and len(rows) <= PAIRING_FACTORS
+            assert len(rows) <= len(built)
             reused += len(jobs) - len(built)
-            # warm: the same systems, no new ones
+            # warm: the same rows and factors, no new ones
             for job, w in zip(jobs, want):
                 assert points(solve_pairings(*job)) == w, job
-            assert subcats._SYSTEMS.keys() == built.keys()
-            assert all(subcats._SYSTEMS[k] is v for k, v in built.items())
+            assert subcats._ROWS.keys() == rows.keys()
+            assert all(subcats._ROWS[k] is v for k, v in rows.items())
+            assert held_factors().keys() == built.keys()
+            assert all(held_factors()[k] is v for k, v in built.items())
         assert reused
 
     def test_never_holds_more_than_its_bound(self):
         clear_pairing_caches()
-        G = cb.builtin_group("C2xC2")
+        # the 16 pairs of C6 have 16 distinct rows (the 25 of C2xC2 only 9)
+        G = cb.builtin_group("C6")
         pairs = cb.commuting_normal_pairs(G)
-        # one working modulus per k: enough structures to pass the bound
+        # one working modulus per k: enough factors to pass the bound
         jobs = [(TwistedGroupData.trivial(G, modulus=k), L, M)
                 for k in range(1, PAIRING_FACTORS // len(pairs) + 2)
                 for L, M in pairs]
@@ -880,35 +894,63 @@ class TestPairingSystemCache:
         for data, L, M in jobs:
             assert points(solve_pairings(data, L, M)) == \
                 points(solve_before_factoring(data, L, M))
-            assert len(subcats._SYSTEMS) <= PAIRING_FACTORS
-        assert len(subcats._SYSTEMS) == PAIRING_FACTORS
-        # the first systems were evicted; rebuilding them changes nothing
+            held = {id(f) for f in held_factors().values()}
+            assert len(held) <= PAIRING_FACTORS
+        assert len(held) == PAIRING_FACTORS
+        assert len(subcats._ROWS) == len(pairs)
+        # the first factors were evicted; rebuilding them changes nothing
         for data, L, M in jobs[:30]:
             assert points(solve_pairings(data, L, M)) == \
                 points(solve_before_factoring(data, L, M))
-        assert len(subcats._SYSTEMS) == PAIRING_FACTORS
+        assert len({id(f) for f in held_factors().values()}) == \
+            PAIRING_FACTORS
+
+    def test_rows_and_subgroup_pieces_stay_bounded(self, monkeypatch):
+        # the 35 structures and 21 subgroups of C2xC2xC2 and D8 past a
+        # bound of 8
+        monkeypatch.setattr(subcats, "PAIRING_FACTORS", 8)
+        clear_pairing_caches()
+        for name in ("C2xC2xC2", "D8"):
+            data = TwistedGroupData.trivial(cb.builtin_group(name))
+            for L, M in cb.commuting_normal_pairs(data.group):
+                assert points(solve_pairings(data, L, M)) == \
+                    points(solve_before_factoring(data, L, M))
+                assert len(subcats._ROWS) <= 8
+                assert len(subcats._SUBGROUP_ROWS) <= 8
+        assert len(subcats._ROWS) == len(subcats._SUBGROUP_ROWS) == 8
+        # evicted pieces are rebuilt alike
+        data = TwistedGroupData.trivial(cb.builtin_group("C2xC2xC2"))
+        for L, M in cb.commuting_normal_pairs(data.group):
+            assert points(solve_pairings(data, L, M)) == \
+                points(solve_before_factoring(data, L, M))
 
     def test_a_sequence_past_the_old_bound_builds_no_system_twice(
             self, monkeypatch):
-        # one pairings benchmark pass needs 701 structures; these three
+        # one pairings benchmark pass needs 591 structures; these three
         # groups need 356, past the former bound of 256
-        built = []
+        built, written = [], []
 
-        class Counted(subcats._PairingSystem):
+        class Counted(subcats._PairingRows):
             __slots__ = ()
 
-            def __init__(self, G, L, M, killed, mod):
-                built.append((mod, G.table.tobytes(), L.elements, M.elements))
-                super().__init__(G, L, M, killed, mod)
+            def __init__(self, G, L, M, killed, table):
+                built.append((table, L.elements, M.elements))
+                super().__init__(G, L, M, killed, table)
 
-        monkeypatch.setattr(subcats, "_PairingSystem", Counted)
-        monkeypatch.setattr(subcats, "_SYSTEMS", type(subcats._SYSTEMS)())
+            def build(self, mod):
+                written.append((id(self), mod))
+                return super().build(mod)
+
+        monkeypatch.setattr(subcats, "_PairingRows", Counted)
+        monkeypatch.setattr(subcats, "_ROWS", type(subcats._ROWS)())
+        subcats._pairing_factor.cache_clear()
         runs = [TwistedGroupData.trivial(cb.builtin_group(name))
                 for name in ("C2xC2xC2", "C2xC4", "C3xC3")]
         counts = [len(enumerate_subcats(data)) for data in runs]
-        assert len(built) > 256
+        assert len(built) > 256 and len(written) == len(built)
         assert [len(enumerate_subcats(data)) for data in runs] == counts
         assert len(set(built)) == len(built)
+        assert len(set(written)) == len(written)
 
     def test_two_working_moduli_get_two_systems(self):
         clear_pairing_caches()
@@ -918,7 +960,10 @@ class TestPairingSystemCache:
             data = TwistedGroupData.trivial(G, modulus=k)
             assert points(solve_pairings(data, L, M)) == \
                 points(solve_before_factoring(data, L, M))
-        assert sorted(key[0] for key in subcats._SYSTEMS) == [8, 12]
+        # one set of rows, factored at N' = 4k for each k
+        (rows,) = subcats._ROWS.values()
+        assert sorted(mod for _, mod in held_factors()) == [8, 12]
+        assert sorted(rows.factors) == [8, 12]
 
     def test_structural_errors_raise_on_every_call(self):
         D8 = cb.builtin_group("D8")
@@ -930,7 +975,7 @@ class TestPairingSystemCache:
         for L, M in cb.commuting_normal_pairs(D8):
             solve_pairings(data, L, M)
             solve_pairings(data, L, M, killed=unit(D8))
-        held = len(subcats._SYSTEMS)
+        held = len(subcats._ROWS)
         for _ in range(2):
             with pytest.raises(cb.NotCentral):
                 solve_pairings(data, V, W)
@@ -938,7 +983,7 @@ class TestPairingSystemCache:
                 solve_pairings(data, S, unit(D8))
             with pytest.raises(cb.InvalidElement):
                 solve_pairings(data, unit(D8), unit(D8), killed=H)
-        assert len(subcats._SYSTEMS) == held
+        assert len(subcats._ROWS) == held
         # the ids of a held system's subgroups, over another group's table
         Q8 = cb.builtin_group("Q8")
         for L in (unit(Q8), whole(Q8)):
