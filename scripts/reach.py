@@ -31,8 +31,9 @@ runs one case from CASES in this process, so its peak resident set size
   so every normal subgroup of D8xC5 is a product (Goursat's lemma), a
   pairing between the parts is trivial and the counts multiply: 45, the
   pinned count of D8, times subgroup_count((5, 5)).  Each pairing system
-  keeps only the rows at generators, so its factor's row transform stays
-  small.
+  keeps only the rows at generators, and an untwisted datum solves only
+  zero offsets, so no factor builds its row transform U: the reductions
+  carry V alone, and the run reads about 90 MB.
 - cli-subcats-order16: the CLI's subcats report for the untwisted
   C2xC2xC2xC2 center, written into a sink that counts what it is handed
   and keeps only the head of the first string.  Its count is the Galois
@@ -47,14 +48,14 @@ runs one case from CASES in this process, so its peak resident set size
   pairing system is over 1 x G, where only the zero pairing exists: the
   count is 1, with one certificate.  C256 is the largest cyclic group
   on which the cochain rule admits a degree-3 --omega document or the
-  trivial twist's zero cochain (256^3 cells, the limit 64^4); the twist
-  builds a beta table of that size.  The pairing system has 768
-  rows over 256 unknowns.  The run reads about 560 MB: the zero
-  cochain's int64 cells and its table of ids, the beta table, and one
-  temporary of the same size while beta is built in place; a second copy
-  of omega, or a second temporary beside beta, would push it past the
-  bound.  CI runs it under a 1 GiB address-space cap.  The result is
-  (exit code, count, certificates).
+  trivial twist's zero cochain (256^3 cells, the limit 64^4).  The
+  pairing system has 768 rows over 256 unknowns, and the zero twist
+  gives it zero offsets, so no beta table is built.  The run reads
+  about 430 MB: the zero cochain's int64 cells and its table of ids; a
+  beta table of the same size, with the temporary that builds it, or a
+  second copy of omega, would push it past the bound.  CI runs it
+  under a 1 GiB address-space cap.  The result is (exit code, count,
+  certificates).
 
 The closed forms come from tests/test_acceptance.py.  A case prints each
 result, the wall time and the peak, and exits 1 unless every result
@@ -141,7 +142,7 @@ CASES = {
         ("subcategories of Z(Vec_D8xC5): {}",
          subcats_of_untwisted(product_group(builtin_group("D8"), cyclic(5))),
          45 * subgroup_count((5, 5))),
-    ), 290),
+    ), 130),
     "cli-subcats-order16": ((
         ("subcats --group C2xC2xC2xC2: exit, count and entries {}",
          cli_report("subcats", "C2xC2xC2xC2", '"fpdim": '),
@@ -150,7 +151,7 @@ CASES = {
     "crossed-pointed-order256": ((
         ("crossed-pointed --group C256: exit, count and certificates {}",
          cli_report("crossed-pointed", "C256", '"witness": '), (0, 1, 1)),
-    ), 700),
+    ), 520),
 }
 
 

@@ -695,13 +695,19 @@ def solve_congruences(A, b, modulus: int) -> CongruenceSolution | None:
 class CongruenceFactor:
     """A x = b over Z/modulus for one fixed A, factored for any b.
 
-    One reduction U A V = D with U carried as a row transform; only the
-    pivot rows of U are kept.  solve(b) reads c = U b on those rows and
-    builds the lattice exactly as solve_congruences does, so both return
-    equal solutions.  The dropped rows of U would only test feasibility:
-    solve tests instead that the particular solution satisfies
-    A x0 = b (mod N), which holds exactly when the system is feasible.
-    The kept arrays are stored in the smallest unsigned type holding N.
+    A is stored, in the smallest unsigned type holding N, and reduced on
+    the first solve, U A V = D.  A zero b needs no row transform: its
+    solutions are the kernel lattice {V y : D y = 0}, with particular
+    solution 0, which holds A 0 = 0 without a check.  So the first zero
+    b reduces without U and keeps only that solution, built once; V and
+    D are let go.  The first nonzero b reduces with U carried as a row
+    transform, keeping its pivot rows, and reads c = U b on them to build
+    the lattice exactly as solve_congruences does, so both return equal
+    solutions.  A run after a zero b repeats the same pivots, since the
+    pivot search reads only A, so the lattice stays identical.  The
+    dropped rows of U would only test feasibility: solve tests instead
+    that the particular solution satisfies A x0 = b (mod N), which holds
+    exactly when the system is feasible.
     """
 
     def __init__(self, A, modulus: int):
@@ -713,20 +719,37 @@ class CongruenceFactor:
         if (A.ndim != 2 or A.dtype != compact
                 or (A.size and A.max() >= modulus)):
             A = _residues(as_int_matrix(A), modulus, compact)
-        red = _Reduction(A, mod=modulus, want_u=True, want_v=True)
-        self._lattice = _Lattice(red.diagonalize(), red.v % modulus, modulus,
-                                 compact)
         self._a = A
-        self._u = (red.carry[:self._lattice.rank] % modulus).astype(compact)
+        self._modulus = modulus
+        # the solution of b = 0, then the lattice and U's pivot rows
+        self._kernel = self._lattice = self._u = None
+
+    def _reduce(self, want_u: bool) -> _Lattice:
+        """The lattice of A from one reduction, with U's pivot rows kept
+        in _u when want_u is set."""
+        N, compact = self._modulus, self._a.dtype
+        red = _Reduction(self._a, mod=N, want_u=want_u, want_v=True)
+        lattice = _Lattice(red.diagonalize(), red.v % N, N, compact)
+        if want_u:
+            self._u = (red.carry[:lattice.rank] % N).astype(compact)
+        return lattice
 
     def solve(self, b) -> CongruenceSolution | None:
         """Every x with A x = b (mod N), or None when there is none."""
-        N = self._lattice.modulus
+        N = self._modulus
         b = np.asarray(b)
         if b.shape != (self._a.shape[0],):
             raise ValueError(
                 f"rhs shape {b.shape} does not match {self._a.shape[0]} rows")
         b = _residues(b, N, _residue_dtype(N))
+        if not b.any():
+            if self._kernel is None:
+                lattice = self._lattice or self._reduce(want_u=False)
+                zero = np.zeros(self._a.shape[1], _residue_dtype(N))
+                self._kernel = lattice.solution(zero)
+            return self._kernel
+        if self._lattice is None:
+            self._lattice = self._reduce(want_u=True)
         x0 = self._lattice.particular(_matvec_mod(self._u, b, N))
         if x0 is None or (_matvec_mod(self._a, x0, N) != b).any():
             return None

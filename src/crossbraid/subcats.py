@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
-from weakref import ref
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .twisted_center import TwistedGroupData
 DEFAULT_BUDGET = 1_000_000
 
 # pairing rows, their factors and their subgroup pieces one process
-# keeps, each (see _pairing_system and _pairing_factor)
+# keeps, each (see _pairing_rows and _pairing_factor)
 PAIRING_FACTORS = 1024
 
 
@@ -424,11 +424,14 @@ class _PairingRows:
 
     Held: every row's beta offset in a padded three-term form (gather:
     int32 flat indices into beta_table.ravel(), signs: their int8 signs,
-    index 0 and sign 0 on padding), the lift exponent(G), and a weak
-    reference to the factor at each N' seen (factors), so the factor
-    lives as long as _pairing_factor keeps it.  A is not held: build
-    writes it afresh for an N' whose factor is gone.  Nothing the twist
-    decides is held.  Construction raises NotCentral, NotNormal or
+    index 0 and sign 0 on padding), the lift exponent(G), and the factor
+    at each N' seen, weakly (factors, a WeakValueDictionary), so the
+    factor lives as long as _pairing_factor keeps it and its entry goes
+    with it.  A is not held: build writes it afresh for an N' whose
+    factor is gone.  The factor reduces A on its first solve, without
+    the row transform U while every b it meets is zero: an untwisted
+    datum, and most pairs under a twist, never build U.  Nothing the
+    twist decides is held.  Construction raises NotCentral, NotNormal or
     InvalidElement (a killed subgroup outside M) for a bad structure.
     """
 
@@ -472,7 +475,7 @@ class _PairingRows:
                out=gather[r2:r3].T.reshape(3, -1, nl, nm))
         self.lift, self.gather = G.exponent, gather
         self.signs = _offset_signs(r1, r2, r3, size)
-        self.factors = {}
+        self.factors = WeakValueDictionary()
 
     def _stops(self) -> tuple[int, int, int]:
         """The rows where the right slot, left slot and invariance
@@ -485,12 +488,19 @@ class _PairingRows:
 
     def factor(self, mod: int) -> CongruenceFactor:
         """The factor of these rows mod N', built on first use."""
-        held = self.factors.get(mod)
-        factor = None if held is None else held()
+        factor = self.factors.get(mod)
         if factor is None:
-            factor = self.build(mod)
-            self.factors[mod] = ref(factor)
+            factor = self.factors[mod] = self.build(mod)
         return factor
+
+    def offsets(self, beta: np.ndarray, mod: int) -> np.ndarray:
+        """Each row's offset b for the twist with this beta table: one
+        gather of its padded terms, times their signs, summed, lifted by
+        exponent(G) and reduced mod N'."""
+        b = (beta.ravel()[self.gather] * self.signs).sum(axis=1)
+        b *= self.lift
+        b %= mod
+        return b
 
     def build(self, mod: int) -> CongruenceFactor:
         """The factor of these rows mod N' (_pairing_factor), keyed by
@@ -539,45 +549,9 @@ class _PairingRows:
         return A
 
 
-class _PairingSystem:
-    """The pairing rows of one (G, L, M, killed subgroup) at one N', with
-    their factor.
-
-    Given rows, the structure's cached _PairingRows, the system shares
-    their offsets and their factor at N'.  Without, the rows and the
-    factor are built here and kept nowhere.
-    """
-
-    __slots__ = ("_lift", "_mod", "_gather", "_signs", "_factor")
-
-    def __init__(self, G, L: Subgroup, M: Subgroup, killed: Subgroup | None,
-                 mod: int, rows: _PairingRows | None = None):
-        if rows is None:
-            rows = _PairingRows(G, L, M, killed, G.table.tobytes())
-            factor = rows.build(mod)
-        else:
-            factor = rows.factor(mod)
-        self._lift, self._mod = rows.lift, mod
-        self._gather, self._signs = rows.gather, rows.signs
-        self._factor = factor
-
-    def solve(self, beta: np.ndarray) -> CongruenceSolution | None:
-        """Every pairing for the twist with this beta table, or None.
-
-        Each row's offset b is one gather of its padded terms from the
-        beta table, times their signs, summed, lifted by exponent(G) and
-        reduced mod N'.
-        """
-        b = (beta.ravel()[self._gather] * self._signs).sum(axis=1)
-        b *= self._lift
-        b %= self._mod
-        return self._factor.solve(b)
-
-
-def _pairing_system(G, L: Subgroup, M: Subgroup, killed: Subgroup | None,
-                    mod: int) -> _PairingSystem:
-    """The pairing system of this structure mod N', on rows built on
-    first use.
+def _pairing_rows(G, L: Subgroup, M: Subgroup,
+                  killed: Subgroup | None) -> _PairingRows:
+    """The pairing rows of this structure, built on first use.
 
     The rows are keyed by content (the group table and the element ids
     of L, M and the killed subgroup) but not by N', so equal structures
@@ -589,9 +563,8 @@ def _pairing_system(G, L: Subgroup, M: Subgroup, killed: Subgroup | None,
     table = cached_on(G, _table_bytes)
     key = (table, L.elements, M.elements,
            None if killed is None else killed.elements)
-    rows = cached(_ROWS, key, lambda: _PairingRows(G, L, M, killed, table),
+    return cached(_ROWS, key, lambda: _PairingRows(G, L, M, killed, table),
                   PAIRING_FACTORS)
-    return _PairingSystem(G, L, M, killed, mod, rows)
 
 
 def solve_pairings(data: TwistedGroupData, L: Subgroup, M: Subgroup,
@@ -604,14 +577,19 @@ def solve_pairings(data: TwistedGroupData, L: Subgroup, M: Subgroup,
     subgroup of M, the pairing must also vanish on L x killed.  L and M
     must be commuting normal subgroups.  Returns None when no pairing
     exists.  The rows are built once per (G, L, M, killed) whatever the
-    working modulus N', and factored once per N' (_pairing_system); each
-    call gathers its own offsets from the twist's beta table.
+    working modulus N', and factored once per N' (_pairing_rows); each
+    call gathers its own offsets from the twist's beta table.  The zero
+    twist has every offset 0, so an untwisted datum builds no beta table
+    and solves a zero b, which its factor answers without U.
     """
     G = data.group
     if not (L.parent.same_table(G) and M.parent.same_table(G)):
         raise ParentMismatch("subgroups live over a different group")
-    system = _pairing_system(G, L, M, killed, working_modulus(data))
-    return system.solve(data.beta_table)
+    rows = _pairing_rows(G, L, M, killed)
+    mod = working_modulus(data)
+    b = (np.zeros(len(rows.gather), dtype=np.int64) if data.omega.is_zero
+         else rows.offsets(data.beta_table, mod))
+    return rows.factor(mod).solve(b)
 
 
 def _solved_subcats(data: TwistedGroupData, L: Subgroup, M: Subgroup,

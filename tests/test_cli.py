@@ -579,9 +579,10 @@ class TestCappedChildren:
         ("center-census", "--group", "C256", "--omega", "ZERO_OMEGA"),
     ], ids=["crossed-pointed", "center-census-zero-omega"])
     def test_twist_of_order_256_fits_in_768_mib(self, argv, tmp_path):
-        # the run holds omega's cells and ids, the beta table and one
-        # temporary beside it, 128 MiB each, and its address space peaks
-        # near 610 MiB: two more such arrays do not fit
+        # center-census holds omega's cells and ids, the beta table and
+        # one temporary beside it, 128 MiB each, and its address space
+        # peaks near 610 MiB: two more such arrays do not fit.
+        # crossed-pointed solves the zero twist with no beta table
         code, doc = run_capped(argv, tmp_path, 3 << 28)
         assert code == 0 and doc["group"] == "C256"
 
@@ -600,7 +601,7 @@ def run_capped(argv, tmp_path, cap):
               "sys.exit(run(sys.argv[1:]))\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv],
-        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=60)
     assert proc.returncode in (0, 1, 2), proc.stderr
     doc = json.loads(proc.stdout)

@@ -213,6 +213,25 @@ def factor_cases(seed):
             yield A, rhs, N
 
 
+def counted_solves(monkeypatch, A, bs, N):
+    """One factor's solution of each b in turn, each checked against
+    solve_congruences, and the want_u of every reduction the factor ran."""
+    want = [solve_congruences(A, b, N) for b in bs]
+    made = []
+
+    class Counted(exact._Reduction):
+        def __init__(self, a, **kwargs):
+            made.append(kwargs.get("want_u", False))
+            super().__init__(a, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_Reduction", Counted)
+        factor = CongruenceFactor(A, N)
+        got = [factor.solve(b) for b in bs]
+    assert got == want, (A.tolist(), [b.tolist() for b in bs], N)
+    return got, made
+
+
 class TestCongruenceFactor:
     """One factor per matrix equals solve_congruences for every b."""
 
@@ -267,6 +286,31 @@ class TestCongruenceFactor:
             b[-1] = (A @ x)[0] + c
             assert factor.solve(b) is None
             assert solve_congruences(twins, b, N) is None
+
+    def test_zero_then_nonzero_then_zero_rhs(self, monkeypatch):
+        # the first zero b reduces without U, the first nonzero b reduces
+        # again with it, and a later zero b reuses the kernel solution
+        outcomes = set()
+        for A, rhs, N in factor_cases(107):
+            moved = [b for b in rhs if (b % N).any()]
+            if not moved:
+                continue
+            zero = np.zeros(len(A), dtype=np.int64)
+            got, made = counted_solves(monkeypatch, A,
+                                       [zero, moved[0], N * moved[0]], N)
+            assert made == [False, True]
+            assert got[2] is got[0]
+            outcomes.add(got[1] is None)
+        assert outcomes == {False, True}
+
+    def test_nonzero_first_rhs_reduces_once(self, monkeypatch):
+        for A, rhs, N in factor_cases(109):
+            moved = [b for b in rhs if (b % N).any()]
+            if not moved:
+                continue
+            moved.insert(1, np.zeros(len(A), dtype=np.int64))
+            _, made = counted_solves(monkeypatch, A, moved, N)
+            assert made == [True]
 
     def test_edge_shapes(self):
         for A, b, N in (([[3, 1]], [2], 1), (np.zeros((0, 2), int), [], 3),

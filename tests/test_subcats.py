@@ -661,9 +661,14 @@ def solve_generator_rows(data, L, M, killed=None):
     system = per_pair_system(data.group, L, M, killed, working_modulus(data))
     mod, shape, dtype, cells = system["key"]
     A = np.frombuffer(cells, dtype=dtype).reshape(shape)
-    b = (data.beta_table.ravel()[system["_gather"]]
-         * system["_signs"]).sum(axis=1) * data.group.exponent
+    b = (data.beta_table.ravel()[system["gather"]]
+         * system["signs"]).sum(axis=1) * data.group.exponent
     return solve_congruences(A, b % mod, mod)
+
+
+def build_rows(G, L, M, killed):
+    """The pairing rows of a structure, built outside the rows cache."""
+    return subcats._PairingRows(G, L, M, killed, G.table.tobytes())
 
 
 class TestFactoredPairings:
@@ -754,7 +759,7 @@ def offsets_compose(data, L, M):
 
 
 class TestGeneratorRows:
-    """The facts _PairingSystem leans on to keep only generator rows."""
+    """The facts _PairingRows leans on to keep only generator rows."""
 
     def test_invariance_offsets_compose_for_every_stored_twist(self):
         pairs = 0
@@ -780,12 +785,12 @@ class TestGeneratorRows:
         A = cb.builtin_group("C2xC4")
         G = whole(A)
         assert G.generators == (1, 4)
-        system = subcats._PairingSystem(A, G, G, None, 4)
-        assert system._factor._a.shape == (3 * 8 * 8 * 2, 64)
+        system = build_rows(A, G, G, None).build(4)
+        assert system._a.shape == (3 * 8 * 8 * 2, 64)
         # a trivial subgroup takes the identity as its one generator:
         # one row per slot and one per generator of G
-        one = subcats._PairingSystem(A, unit(A), unit(A), None, 4)
-        assert one._factor._a.shape == (1 + 1 + 2, 1)
+        one = build_rows(A, unit(A), unit(A), None).build(4)
+        assert one._a.shape == (1 + 1 + 2, 1)
 
 
 class TestPairingFactorCache:
@@ -834,8 +839,7 @@ def held_factors():
     """The live factor of every cached structure at every N' it holds."""
     return {(key, mod): factor
             for key, rows in subcats._ROWS.items()
-            for mod, held in rows.factors.items()
-            if (factor := held()) is not None}
+            for mod, factor in rows.factors.items()}
 
 
 def by_group(twists):
@@ -952,6 +956,17 @@ class TestPairingSystemCache:
         assert len(set(built)) == len(built)
         assert len(set(written)) == len(written)
 
+    def test_untwisted_battery_builds_no_row_transform(self):
+        # every offset of the zero twist is 0, so no factor needs U; a
+        # genuine twist meets nonzero offsets and builds it
+        clear_pairing_caches()
+        for name in cb.H3_BATTERY:
+            enumerate_subcats(TwistedGroupData.trivial(cb.builtin_group(name)))
+        factors = held_factors().values()
+        assert factors and all(f._u is None for f in factors)
+        enumerate_subcats(twist("D8", 3))
+        assert any(f._u is not None for f in held_factors().values())
+
     def test_two_working_moduli_get_two_systems(self):
         clear_pairing_caches()
         G = cb.builtin_group("C4")
@@ -1033,18 +1048,20 @@ def per_pair_system(G, L, M, killed, mod):
         gather.append(f)
         signs.append(sg)
     A = (np.concatenate(A) % mod).astype(np.min_scalar_type(mod))
-    return {"_gather": np.concatenate(gather),
-            "_signs": np.concatenate(signs),
+    return {"gather": np.concatenate(gather),
+            "signs": np.concatenate(signs),
             "key": (mod, A.shape, A.dtype, A.tobytes())}
 
 
 def assert_same_system(G, L, M, killed, mod):
     want = per_pair_system(G, L, M, killed, mod)
-    got = subcats._PairingSystem(G, L, M, killed, mod)
+    got = build_rows(G, L, M, killed)
     where = (G.name, L.elements, M.elements,
              None if killed is None else killed.elements, mod)
-    A = got._factor._a
-    assert (got._mod, A.shape, A.dtype, A.tobytes()) == want.pop("key"), where
+    factor = got.build(mod)
+    A = factor._a
+    assert (factor._modulus, A.shape, A.dtype, A.tobytes()) == \
+        want.pop("key"), where
     for name, arr in want.items():
         mine = getattr(got, name)
         assert (mine.dtype, mine.shape, mine.tobytes()) == \
@@ -1052,7 +1069,7 @@ def assert_same_system(G, L, M, killed, mod):
 
 
 class TestPairingCatalog:
-    """Every pairing system _PairingSystem builds is byte for byte the
+    """Every pairing system _PairingRows builds is byte for byte the
     generator rows per_pair_system slices from the full blocks of
     _axiom_blocks, so the directly built cut is checked independently."""
 
@@ -1072,13 +1089,13 @@ class TestPairingCatalog:
 
     def test_every_killed_system_of_enumerate_rep(self, monkeypatch):
         calls = []
-        real = subcats._pairing_system
+        real = subcats.solve_pairings
 
-        def spy(G, L, M, killed, mod):
-            calls.append((G, L, M, killed, mod))
-            return real(G, L, M, killed, mod)
+        def spy(data, L, M, killed=None):
+            calls.append((data.group, L, M, killed, working_modulus(data)))
+            return real(data, L, M, killed)
 
-        monkeypatch.setattr(subcats, "_pairing_system", spy)
+        monkeypatch.setattr(subcats, "solve_pairings", spy)
         for name in self.GROUPS:
             G = cb.builtin_group(name)
             for grading in cb.gradings_of_rep(G):
@@ -1098,22 +1115,23 @@ class TestPairingCatalog:
                                     (unit(D8), unit(D8), H,
                                      cb.InvalidElement)]:
             with pytest.raises(error):
-                subcats._PairingSystem(D8, L, M, killed, 8)
+                build_rows(D8, L, M, killed)
 
     def test_builds_the_trivial_pair_of_an_order_548_group(self):
         # one row per axiom at the one generator of C548: no table of
         # |G|^3 rows stands behind it
         G = cb.cyclic(548)
-        system = subcats._PairingSystem(G, unit(G), unit(G), None, 548)
-        assert system._factor._a.shape == (3, 1)
-        sol = system.solve(np.zeros((548,) * 3, dtype=np.int8))
+        rows = build_rows(G, unit(G), unit(G), None)
+        factor = rows.build(548)
+        assert factor._a.shape == (3, 1)
+        sol = factor.solve(rows.offsets(np.zeros((548,) * 3, dtype=np.int8),
+                                        548))
         assert sorted(sol.enumerate()) == [(0,)]
 
     def test_beta_indices_past_int32_widen(self, monkeypatch):
         # the left-slot offsets of (1, C1300) reach m |G|^2 = 1299 * 1300^2,
         # past the int32 maximum
-        monkeypatch.setattr(subcats, "_pairing_factor", lambda *key: None)
         G = cb.cyclic(1300)
-        system = subcats._PairingSystem(G, unit(G), whole(G), None, 1300)
-        assert system._gather.dtype == np.int64
-        assert system._gather.max() == 1299 * 1300 ** 2
+        rows = build_rows(G, unit(G), whole(G), None)
+        assert rows.gather.dtype == np.int64
+        assert rows.gather.max() == 1299 * 1300 ** 2
